@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .characters import CharacterVector, alpha_norm, units_mod
-from .cyclotomic import IntPoly
+from .characters import CharacterVector, alpha_norm
+from .cyclotomic import CycInt, IntPoly, totient
 from .delsarte import (
     MonomialMap,
     action_on_form,
@@ -54,10 +54,6 @@ ORDERS = UNIMODULAR_ORDERS + NON_UNIMODULAR_ORDERS
 # phi(11) = 10 transcendental characters, but no isomorphism with the
 # catalog model is known.
 K11_ALTERNATE_EQUATION = "y^2 = x^3 + x^2 + t^11"
-
-
-def _phi(k):
-    return len(units_mod(k))
 
 
 @dataclass(frozen=True)
@@ -471,46 +467,29 @@ def transcendental_row(k):
 
 
 # ---------------------------------------------------------------------------
-# Laurent arithmetic over the Gaussian integers, for section verification
-
-def _laurent(pairs):
-    return {e: (re, im) for e, re, im in pairs}
-
-
-def _laurent_poly(poly):
-    return {i: (c, 0) for i, c in enumerate(poly.coeffs) if c}
-
-
-def _lmul(f, g):
-    out = {}
-    for e1, (a, b) in f.items():
-        for e2, (c, d) in g.items():
-            re, im = a * c - b * d, a * d + b * c
-            r0, i0 = out.get(e1 + e2, (0, 0))
-            out[e1 + e2] = (r0 + re, i0 + im)
-    return {e: v for e, v in out.items() if v != (0, 0)}
-
-
-def _lcombine(f, g, sign):
-    out = dict(f)
-    for e, (c, d) in g.items():
-        a, b = out.get(e, (0, 0))
-        val = (a + sign * c, b + sign * d)
-        if val == (0, 0):
-            out.pop(e, None)
-        else:
-            out[e] = val
-    return out
-
+# section verification over the Gaussian integers Z[i] = Z[zeta_4]
 
 def section_satisfies(model, section):
-    """y^2 - x^3 - A x - B vanishes identically in Z[i][t, 1/t]."""
-    sx = _laurent(section.x_laurent)
-    sy = _laurent(section.y_laurent)
-    rhs = _lmul(sx, _lmul(sx, sx))
-    rhs = _lcombine(rhs, _lmul(_laurent_poly(model.a), sx), 1)
-    rhs = _lcombine(rhs, _laurent_poly(model.b), 1)
-    return _lcombine(_lmul(sy, sy), rhs, -1) == {}
+    """y^2 - x^3 - A x - B vanishes identically in Z[i][t, 1/t].
+
+    With s large enough to clear the t-denominators of x and y, the check
+    runs on polynomials: (y t^3s)^2 = (x t^2s)^3 + (A t^4s)(x t^2s) + B t^6s.
+    """
+    s = max([0] + [-(e // 2) for e, *_ in section.x_laurent]
+            + [-(e // 3) for e, *_ in section.y_laurent])
+
+    def gaussian(terms, shift):
+        coeffs = [0] * (shift + 1 + max((e for e, *_ in terms), default=-1))
+        for e, re, im in terms:
+            coeffs[e + shift] = CycInt(4, (re, im))
+        return IntPoly(coeffs)
+
+    def shifted(poly, shift):
+        return IntPoly((0,) * shift + poly.coeffs)
+
+    x = gaussian(section.x_laurent, 2 * s)
+    y = gaussian(section.y_laurent, 3 * s)
+    return y * y - x * x * x - shifted(model.a, 4 * s) * x - shifted(model.b, 6 * s) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +519,7 @@ def verify_entry(entry, primes=None):
         checks.append(CheckResult(name, "skip", why))
 
     k = entry.k
-    phi = _phi(k)
+    phi = totient(k)
 
     def chk_action():
         surface = parse_surface(entry.equation)

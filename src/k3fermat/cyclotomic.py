@@ -1,10 +1,16 @@
-"""Exact arithmetic in Z[zeta_m] and integer polynomials.
+"""Exact arithmetic in Z[zeta_m] and exact polynomials.
 
 CycInt stores the canonical residue modulo the m-th cyclotomic polynomial
 (coefficient vector of length phi(m)), so equality is coefficient equality
 and integrality certificates are exact. Group-ring vectors of length m are
 accepted as raw input and reduced once.
+
+IntPoly is the one polynomial type: its coefficients are ints for Z[T],
+Fractions for Q[T], or CycInts for Z[zeta_m][T].
 """
+
+from fractions import Fraction
+from math import gcd, lcm
 
 
 def totient(m):
@@ -28,7 +34,7 @@ def _divisors(m):
 
 
 class IntPoly:
-    """Dense integer polynomial, coefficients ascending, trailing zeros trimmed."""
+    """Dense polynomial, coefficients ascending, trailing zeros trimmed."""
 
     __slots__ = ("coeffs",)
 
@@ -64,7 +70,7 @@ class IntPoly:
         return IntPoly([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, IntPoly):
             return IntPoly([c * other for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -86,6 +92,26 @@ class IntPoly:
 
     def coeff(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+
+    def derivative(self):
+        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def monic(self):
+        """self divided by its leading coefficient, over Q; zero stays zero."""
+        if not self.coeffs:
+            return self
+        lead = Fraction(self.coeffs[-1])
+        return IntPoly([c / lead for c in self.coeffs])
+
+    def primitive(self):
+        """The primitive integer multiple of self with positive leading coefficient."""
+        if not self.coeffs:
+            return self
+        fracs = [Fraction(c) for c in self.coeffs]
+        den = lcm(*(c.denominator for c in fracs))
+        ints = [(c * den).numerator for c in fracs]
+        content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+        return IntPoly([c // content for c in ints])
 
     def __repr__(self):
         return f"IntPoly({self.format()})"
@@ -112,7 +138,7 @@ class IntPoly:
 
 
 def poly_divmod(num, den):
-    """Quotient and remainder for integer polynomials with monic divisor."""
+    """Quotient and remainder by a monic divisor (over Z, or over Q)."""
     if not den or den.coeffs[-1] != 1:
         raise ValueError("divisor must be monic")
     rem = list(num.coeffs)
@@ -125,6 +151,22 @@ def poly_divmod(num, den):
             for j, dcoef in enumerate(den.coeffs):
                 rem[i + j] -= c * dcoef
     return IntPoly(quo), IntPoly(rem)
+
+
+def exact_quotient(num, den):
+    """num / den over Q; raises ArithmeticError unless den divides num."""
+    lead = Fraction(den.coeffs[-1])
+    quo, rem = poly_divmod(num, den.monic())
+    if rem:
+        raise ArithmeticError("division was expected to be exact")
+    return IntPoly([c / lead for c in quo.coeffs])
+
+
+def poly_gcd(a, b):
+    """Monic greatest common divisor over Q, by Euclid's algorithm."""
+    while b:
+        a, b = b, poly_divmod(a, b.monic())[1]
+    return a.monic()
 
 
 _cyclo_cache = {}
@@ -184,9 +226,14 @@ class CycInt:
         other = self._coerce(other)
         return CycInt(self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         other = self._coerce(other)
         return CycInt(self.m, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
 
     def __neg__(self):
         return CycInt(self.m, tuple(-a for a in self.coeffs))
@@ -200,6 +247,8 @@ class CycInt:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
         return reduce(out, self.m)
+
+    __rmul__ = __mul__
 
     def _coerce(self, other):
         if isinstance(other, int):
@@ -218,7 +267,7 @@ class CycInt:
         """Image under zeta -> zeta^u for a unit u mod m."""
         m = self.m
         u %= m
-        if _gcd(u, m) != 1:
+        if gcd(u, m) != 1:
             raise ValueError(f"{u} is not a unit mod {m}")
         raw = [0] * m
         for j, c in enumerate(self.coeffs):
@@ -237,12 +286,6 @@ class CycInt:
 
     def format(self, var="z"):
         return IntPoly(self.coeffs).format(var) if any(self.coeffs) else "0"
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def reduce(raw, m):

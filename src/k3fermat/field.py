@@ -7,13 +7,16 @@ minimal arithmetic protocol (add/sub/mul/neg/inv/chi2/elements/from_int) so
 the point counters can run over either.
 """
 
+from math import gcd
+
 # Eager dlog tables make nth_power_count and character sums O(1) per lookup.
 # Sizes stay tiny in practice (largest prime used is a few hundred); the hard
 # cap keeps an accidental huge p from allocating gigabytes.
 MAX_PRIME = 1 << 22
 
 
-def _is_prime(n):
+def is_prime(n):
+    """Deterministic primality test by trial division."""
     if n < 2:
         return False
     if n < 4:
@@ -51,7 +54,7 @@ class PrimeField:
     """
 
     def __init__(self, p, primitive_root=None):
-        if not isinstance(p, int) or not _is_prime(p):
+        if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"modulus {p!r} is not prime")
         if p > MAX_PRIME:
             raise ValueError(f"p={p} exceeds the dlog table cap 2^22")
@@ -105,7 +108,7 @@ class PrimeField:
         c %= self.p
         if c == 0:
             return 1
-        d = _gcd(m, self.p - 1)
+        d = gcd(m, self.p - 1)
         return d if self.dlog_table[c] % d == 0 else 0
 
     def power_count_table(self, m):
@@ -157,12 +160,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, -1, self.p)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def make_field(p):

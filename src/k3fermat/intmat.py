@@ -7,6 +7,7 @@ sizes here are tiny (rank <= 22), so clarity wins over asymptotics.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 def identity(n):
@@ -172,19 +173,13 @@ def kernel_mod(mat, m):
     orders = []
     for j in range(nc):
         dj = d[j] if j < len(d) else 0
-        g = gcd_int(dj, m)
+        g = gcd(dj, m)
         # x = V w with d_j w_j = 0 mod m: w_j multiple of m/g, order g
         if g > 1:
             step = m // g
             gens.append([(v[r][j] * step) % m for r in range(nc)])
             orders.append(g)
     return gens, orders
-
-
-def gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def fraction_inverse(mat):

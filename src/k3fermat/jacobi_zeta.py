@@ -10,10 +10,11 @@ Fermat cover and is handled through its CM structure instead.
 """
 
 from dataclasses import dataclass
+from math import gcd, isqrt
 
 from .characters import CharacterVector, units_mod, enumerate_A
 from .cyclotomic import CycInt, IntPoly, orbit_product, reduce, totient
-from .field import PrimeField, make_field
+from .field import PrimeField, is_prime, make_field
 from .kernels import jacobi_counts
 
 K_MINUS_TABLE = {25: 1, 27: 1, 9: 2, 11: 2, 17: 2, 7: 3}
@@ -97,8 +98,6 @@ def algebraic_factor(k, q):
     only for q = 3 mod 4 and k in the table, where complex conjugation on
     fiber components is realized by Frobenius.
     """
-    from math import gcd
-
     if gcd(q, 2 * k) != 1:
         raise ValueError(f"q = {q} must be coprime to {2 * k}")
     if q % 4 == 1:
@@ -128,7 +127,7 @@ def cm_factor_k3(p):
     if p % 3 == 2:
         return IntPoly([1, 0, -p * p])
     candidates = set()
-    bound = int(2 * p ** 0.5) + 2
+    bound = isqrt(4 * p) + 2
     for a in range(-bound, bound + 1):
         for b in range(-bound, bound + 1):
             if a * a - a * b + b * b == p:
@@ -216,18 +215,7 @@ def default_primes(m, count=2):
     out = []
     q = 2
     while len(out) < count:
-        if q % m == 1 % m and _is_prime(q):
+        if q % m == 1 % m and is_prime(q):
             out.append(q)
         q += 1
     return out
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True

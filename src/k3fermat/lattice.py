@@ -11,6 +11,7 @@ the hyperbolic splittings behind mirror partners live here too.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from math import gcd, lcm
 
 from .intmat import (
     det,
@@ -225,12 +226,9 @@ def discriminant_form(lattice):
 
 
 def _element_order(coeffs, orders):
-    from math import gcd
-
     n = 1
     for c, d in zip(coeffs, orders):
-        oc = d // gcd(c % d, d) if c % d else 1
-        n = n * oc // gcd(n, oc)
+        n = lcm(n, d // gcd(c, d))
     return n
 
 

@@ -7,9 +7,7 @@ needs residue characteristic >= 5 throughout; that keeps Tate's procedure
 in its short-Weierstrass (v(c4), v(Delta)) form.
 """
 
-from fractions import Fraction
-
-from .cyclotomic import IntPoly
+from .cyclotomic import IntPoly, exact_quotient, poly_gcd
 from .field import PrimeField, make_field
 from .kernels import chi_cubic_sum, fermat_affine
 
@@ -18,106 +16,26 @@ _INF = 10 ** 9
 
 
 # ---------------------------------------------------------------------------
-# rational-coefficient polynomial helpers (factor-free analysis of Delta)
+# factor-free analysis of Delta over Q
 
-def _fr(poly):
-    return tuple(Fraction(c) for c in poly.coeffs)
-
-
-def _fr_trim(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _fr_divmod(num, den):
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    quo = [Fraction(0)] * max(len(num) - dn, 0)
-    for i in range(len(num) - dn - 1, -1, -1):
-        c = num[i + dn] / lead
-        if c:
-            quo[i] = c
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    return _fr_trim(quo), _fr_trim(num)
-
-
-def _fr_exact_div(num, den):
-    quo, rem = _fr_divmod(num, den)
-    if rem:
-        raise AssertionError("division was expected to be exact")
-    return quo
-
-
-def _fr_monic(cs):
-    if not cs:
-        return cs
-    lead = cs[-1]
-    return tuple(c / lead for c in cs)
-
-
-def _fr_gcd(a, b):
-    while b:
-        _, a = _fr_divmod(a, b)
-        a, b = b, a
-    return _fr_monic(a)
-
-
-def _to_intpoly(cs):
-    """Primitive integer polynomial with positive leading coefficient."""
-    if not cs:
-        return IntPoly([])
-    denom = 1
-    for c in cs:
-        denom = denom * c.denominator // _gcd_int(denom, c.denominator)
-    ints = [int(c * denom) for c in cs]
-    content = 0
-    for c in ints:
-        content = _gcd_int(content, c)
-    ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return IntPoly(ints)
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _fr_derivative(cs):
-    return _fr_trim(tuple((i + 1) * cs[i + 1] for i in range(len(cs) - 1)))
-
-
-def _yun_squarefree(cs):
-    """Yun decomposition prod g_i^i of a non-constant rational polynomial."""
-    d = _fr_derivative(cs)
-    g = _fr_gcd(cs, d)
-    c = _fr_exact_div(cs, g)
-    w = tuple(x - y for x, y in _pad(_fr_exact_div(d, g), _fr_derivative(c)))
-    w = _fr_trim(w)
+def _yun_squarefree(f):
+    """Yun decomposition prod g_i^i of a non-constant polynomial over Q,
+    as (g_i, i) pairs with g_i monic and non-constant."""
+    d = f.derivative()
+    g = poly_gcd(f, d)
+    c = exact_quotient(f, g)
+    w = exact_quotient(d, g) - c.derivative()
     out = []
     i = 1
-    while len(c) > 1:
-        p = _fr_gcd(c, w)
-        if len(p) > 1:
+    while c.degree > 0:
+        p = poly_gcd(c, w)
+        if p.degree > 0:
             out.append((p, i))
-        c2 = _fr_exact_div(c, p)
-        w = _fr_trim(tuple(x - y for x, y in _pad(_fr_exact_div(w, p), _fr_derivative(c2))))
+        c2 = exact_quotient(c, p)
+        w = exact_quotient(w, p) - c2.derivative()
         c = c2
         i += 1
     return out
-
-
-def _pad(a, b):
-    n = max(len(a), len(b))
-    return zip(tuple(a) + (Fraction(0),) * (n - len(a)), tuple(b) + (Fraction(0),) * (n - len(b)))
 
 
 def _split_by_valuation(f, target):
@@ -127,18 +45,18 @@ def _split_by_valuation(f, target):
     sends everything to valuation _INF.
     """
     if not target:
-        return [(f, _INF)] if len(f) > 1 else []
+        return [(f, _INF)] if f.degree > 0 else []
     out = []
     rest = target
     roots = f
     v = 0
-    while len(roots) > 1:
-        deeper = _fr_gcd(roots, rest)
-        piece = _fr_exact_div(roots, deeper)
-        if len(piece) > 1:
+    while roots.degree > 0:
+        deeper = poly_gcd(roots, rest)
+        piece = exact_quotient(roots, deeper)
+        if piece.degree > 0:
             out.append((piece, v))
-        if len(deeper) > 1:
-            rest = _fr_exact_div(rest, deeper)
+        if deeper.degree > 0:
+            rest = exact_quotient(rest, deeper)
         roots = deeper
         v += 1
     return out
@@ -571,17 +489,15 @@ def geometric_fibers(model):
     as dicts with place/degree/kind/components/euler. The Euler numbers,
     weighted by degree, must sum to a multiple of 12.
     """
-    disc = _fr(model.discriminant())
-    a = _fr(model.a)
-    b = _fr(model.b)
+    disc = model.discriminant()
     rows = []
     for g, vd in _yun_squarefree(disc):
-        for piece_a, va in _split_by_valuation(g, a):
-            for piece, vb in _split_by_valuation(piece_a, b):
+        for piece_a, va in _split_by_valuation(g, model.a):
+            for piece, vb in _split_by_valuation(piece_a, model.b):
                 kind, m, e = _geometric_kind(va, vb, vd)
                 if kind == "I0":  # non-minimal model, good fiber after reduction
                     continue
-                poly = _to_intpoly(piece)
+                poly = piece.primitive()
                 rows.append({
                     "place": poly.format("t"),
                     "degree": poly.degree,
@@ -591,7 +507,7 @@ def geometric_fibers(model):
                 })
     va = 8 - model.a.degree if model.a else _INF
     vb = 12 - model.b.degree if model.b else _INF
-    vd = 24 - len(disc) + 1
+    vd = 24 - disc.degree
     kind, m, e = _geometric_kind(va, vb, vd)
     if kind != "I0":
         rows.append({"place": "inf", "degree": 1, "kind": kind, "components": m, "euler": e})

@@ -223,6 +223,16 @@ def test_broken_section_detected():
     assert not section_satisfies(e.model, bad)
 
 
+def test_section_needs_the_imaginary_unit():
+    # y^2 = x^3 + t^7*x - t^2 (order 17) is met by (0, +/-i*t), not by (0, t)
+    e = catalog_entry(17)
+    assert e.section.y_laurent == ((1, 0, 1),)
+    bad = SectionRecord("0", "t", (), ((1, 1, 0),), 0, (("A", 2, 1), ("A", 3, 1)))
+    assert not section_satisfies(e.model, bad)
+    minus_i = SectionRecord("0", "-i*t", (), ((1, 0, -1),), 0, (("A", 2, 1), ("A", 3, 1)))
+    assert section_satisfies(e.model, minus_i)
+
+
 def test_mordell_weil_discriminant_forms():
     # rank-one rows: the discriminant group is Z/k carrying -1/height
     for k in (19, 17, 13, 11, 7, 5):

@@ -106,6 +106,15 @@ def test_mul_example_m5():
     assert a * b == reduce([2, 1, 0, 0, 1], 5)
 
 
+def test_integer_on_the_left():
+    i = reduce([0, 1], 4)
+    assert 1 + i == i + 1 == reduce([1, 1], 4)
+    assert 1 - i == -(i - 1) == reduce([1, -1], 4)
+    assert 3 * i == i * 3 == reduce([0, 3], 4)
+    # IntPoly over Z[i]: (t + i)(t - i) = t^2 + 1
+    assert IntPoly([i, 1]) * IntPoly([-i, 1]) == IntPoly([1, 0, 1])
+
+
 def test_reduce_is_ring_hom():
     import random
 

@@ -1,6 +1,6 @@
 import pytest
 
-from k3fermat.field import PrimeField, QuadExtField, make_field
+from k3fermat.field import PrimeField, QuadExtField, is_prime, make_field
 
 
 def brute_smallest_primitive_root(p):
@@ -19,6 +19,16 @@ def test_make_field_primitive_roots():
     assert make_field(2).g == 1
     for p in [3, 5, 7, 11, 13, 19, 23, 29, 37, 43, 67, 89, 101, 103, 109, 191]:
         assert make_field(p).g == brute_smallest_primitive_root(p)
+
+
+def test_is_prime_matches_sieve():
+    n = 3000
+    sieve = [False, False] + [True] * (n - 2)
+    for d in range(2, n):
+        if sieve[d]:
+            for multiple in range(d * d, n, d):
+                sieve[multiple] = False
+    assert [v for v in range(-5, n) if is_prime(v)] == [v for v in range(n) if sieve[v]]
 
 
 def test_make_field_rejects_non_primes():

@@ -1,0 +1,70 @@
+"""Golden reports, compared byte for byte.
+
+One `--json` command per subcommand, plus the geometric fiber rows of every
+elliptic catalog model (no CLI report prints those). A refactor that keeps
+results must keep these bytes. Regenerate only when a report is meant to
+change, from the repository root:
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from k3fermat.catalog import load_catalog
+from k3fermat.cli import main
+from k3fermat.pointcount import geometric_fibers
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "catalog": ["catalog", "--k", "19"],
+    "verify": ["verify", "--k", "12"],
+    "zeta": ["zeta", "--k", "12", "--q", "13"],
+    "jacobi": ["jacobi", "--m", "2", "--q", "5", "--alpha", "1,1,1"],
+    "count": ["count", "--k", "12", "--q", "13"],
+    "lattice": ["lattice", "--k", "7"],
+    "mirror": ["mirror", "--k", "9"],
+    "delsarte": ["delsarte", "--equation", "y^2 = x^3 + t^7*x + 1"],
+}
+
+
+def report(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv + ["--json"])
+    if code != 0:
+        raise AssertionError(f"{' '.join(argv)} exited {code}")
+    return buf.getvalue()
+
+
+def fiber_rows():
+    doc = {
+        str(e.k): [[r["kind"], r["place"], r["degree"]] for r in geometric_fibers(e.model)]
+        for e in load_catalog()
+        if e.model is not None
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_report_matches_golden(name):
+    expected = (GOLDEN / f"{name}.json").read_text()
+    assert report(COMMANDS[name]) == expected
+
+
+def test_geometric_fibers_match_golden():
+    rows = fiber_rows()
+    assert len(json.loads(rows)) == 15
+    assert rows == (GOLDEN / "fibers.json").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in COMMANDS.items():
+        (GOLDEN / f"{name}.json").write_text(report(argv))
+    (GOLDEN / "fibers.json").write_text(fiber_rows())
