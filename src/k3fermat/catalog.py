@@ -690,7 +690,7 @@ def verify_entry(entry, primes=None):
 # ---------------------------------------------------------------------------
 # JSON export
 
-def _rational_text(value):
+def rational_text(value):
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return str(value.numerator)
@@ -730,7 +730,7 @@ def entry_as_dict(entry):
             "pai": entry.section.pai,
             "corrections": [list(c) for c in entry.section.corrections],
         }
-        doc["height"] = _rational_text(entry.mw_height)
+        doc["height"] = rational_text(entry.mw_height)
     else:
         doc["section"] = None
         doc["height"] = None

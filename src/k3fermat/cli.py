@@ -19,6 +19,7 @@ from .catalog import (
     catalog_entry,
     entry_as_dict,
     load_catalog,
+    rational_text,
     verify_entry,
 )
 from .characters import CharacterVector
@@ -189,6 +190,8 @@ def cmd_jacobi(args):
     if len(triple) != 3:
         raise UsageError("--alpha takes exactly three comma-separated residues")
     _require_prime(args.q)
+    if args.m < 2:
+        raise UsageError("degree must be at least 2")
     if (args.q - 1) % args.m != 0:
         good = ", ".join(str(p) for p in default_primes(args.m))
         raise UsageError(
@@ -258,13 +261,8 @@ def _form_dict(q):
     unit = lambda i: [1 if j == i else 0 for j in range(r)]
     return {
         "orders": list(q.orders),
-        "values": [_rat_text(q.value(unit(i))) for i in range(r)],
+        "values": [rational_text(q.value(unit(i))) for i in range(r)],
     }
-
-
-def _rat_text(value):
-    num, den = value.numerator, value.denominator
-    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def cmd_lattice(args):

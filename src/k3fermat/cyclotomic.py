@@ -6,7 +6,9 @@ and integrality certificates are exact. Group-ring vectors of length m are
 accepted as raw input and reduced once.
 
 IntPoly is the one polynomial type: its coefficients are ints for Z[T],
-Fractions for Q[T], or CycInts for Z[zeta_m][T].
+Fractions for Q[T], CycInts for Z[zeta_m][T], or finite-field elements
+for the local expansions of pointcount (ints for F_p, QuadElements for
+F_{p^2}).
 """
 
 from fractions import Fraction

@@ -1,17 +1,19 @@
 """Prime fields with eager discrete-log tables, and one small quadratic
 extension type for counting over F_{p^2}.
 
-PrimeField elements are plain ints in [0, p); QuadExtField elements are pairs
-(a, b) meaning a + b*sqrt(r) for a fixed non-residue r. Both expose the same
-minimal arithmetic protocol (add/sub/mul/neg/inv/chi2/elements/from_int) so
-the point counters can run over either.
+PrimeField elements are plain ints; QuadExtField elements are QuadElements
+a + b*sqrt(r) for a fixed non-residue r. Elements of both fields combine
+with ordinary + - * and with ints on either side, so the point counters run
+over either. Ints may be left unreduced mod p along the way: each field's
+is_zero, inv and chi2 reduce their argument, and elements() and from_int
+return reduced values.
 """
 
 from math import gcd
 
 # Eager dlog tables make nth_power_count and character sums O(1) per lookup.
-# Sizes stay tiny in practice (largest prime used is a few hundred); the hard
-# cap keeps an accidental huge p from allocating gigabytes.
+# The benchmark's largest prime is 4027, a table of a few thousand entries;
+# the hard cap keeps an accidental huge p from allocating gigabytes.
 MAX_PRIME = 1 << 22
 
 
@@ -133,7 +135,7 @@ class PrimeField:
             self._chi2_table = [self.chi2(v) for v in range(self.p)]
         return self._chi2_table
 
-    # -- generic element protocol (elements are plain ints) --
+    # -- elements are plain ints --
 
     def elements(self):
         return range(self.p)
@@ -142,19 +144,7 @@ class PrimeField:
         return n % self.p
 
     def is_zero(self, v):
-        return v == 0
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
+        return v % self.p == 0
 
     def inv(self, a):
         if a % self.p == 0:
@@ -167,12 +157,78 @@ def make_field(p):
     return PrimeField(p)
 
 
+def as_field(q):
+    """q itself when it is already a field object, else make_field(q)."""
+    return make_field(q) if isinstance(q, int) else q
+
+
+class QuadElement:
+    """a + b*sqrt(r) in F_{p^2} = F_p(sqrt r), with a and b reduced mod p.
+
+    Instances are immutable. + - * combine two elements of one field, or an
+    element and an int on either side.
+    """
+
+    __slots__ = ("field", "a", "b")
+
+    def __init__(self, field, a, b=0):
+        p = field.p
+        self.field = field
+        self.a = a % p
+        self.b = b % p
+
+    def __add__(self, other):
+        if isinstance(other, QuadElement):
+            return QuadElement(self.field, self.a + other.a, self.b + other.b)
+        if isinstance(other, int):
+            return QuadElement(self.field, self.a + other, self.b)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QuadElement(self.field, -self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, QuadElement):
+            a, b, c, d = self.a, self.b, other.a, other.b
+            return QuadElement(self.field, a * c + b * d * self.field.r, a * d + b * c)
+        if isinstance(other, int):
+            return QuadElement(self.field, self.a * other, self.b * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self.b == 0 and self.a == other % self.field.p
+        if isinstance(other, QuadElement):
+            return (self.a, self.b) == (other.a, other.b)
+        return NotImplemented
+
+    def __hash__(self):
+        # an element of F_p hashes like its reduced int, as == implies
+        return hash((self.a, self.b)) if self.b else hash(self.a)
+
+    def __repr__(self):
+        return f"({self.a} + {self.b}*sqrt({self.field.r}))"
+
+
 class QuadExtField:
     """F_{p^2} = F_p(sqrt r) for odd prime p and a fixed non-residue r.
 
-    Elements are pairs (a, b) = a + b*sqrt(r). Just enough arithmetic for
-    fiberwise point counting; no dlog table, no characters beyond chi2
-    (computed through the norm).
+    Elements are QuadElements; the methods below also accept ints. Just
+    enough for fiberwise point counting: no dlog table, no characters beyond
+    chi2 (computed through the norm).
     """
 
     def __init__(self, p):
@@ -190,39 +246,30 @@ class QuadExtField:
     def __repr__(self):
         return f"QuadExtField({self.p}, r={self.r})"
 
+    def _element(self, x):
+        return x if isinstance(x, QuadElement) else QuadElement(self, x)
+
     def elements(self):
         p = self.p
-        return ((a, b) for b in range(p) for a in range(p))
+        return (QuadElement(self, a, b) for b in range(p) for a in range(p))
 
     def from_int(self, n):
-        return (n % self.p, 0)
+        return QuadElement(self, n)
 
-    def is_zero(self, v):
-        return v == (0, 0)
-
-    def add(self, x, y):
-        return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
-
-    def sub(self, x, y):
-        return ((x[0] - y[0]) % self.p, (x[1] - y[1]) % self.p)
-
-    def mul(self, x, y):
-        a, b = x
-        c, d = y
-        return ((a * c + b * d * self.r) % self.p, (a * d + b * c) % self.p)
-
-    def neg(self, x):
-        return (-x[0] % self.p, -x[1] % self.p)
+    def is_zero(self, x):
+        return not self._element(x)
 
     def norm(self, x):
-        return (x[0] * x[0] - self.r * x[1] * x[1]) % self.p
+        x = self._element(x)
+        return (x.a * x.a - self.r * x.b * x.b) % self.p
 
     def inv(self, x):
+        x = self._element(x)
         n = self.norm(x)
         if n == 0:
             raise ZeroDivisionError("inverse of 0")
         ninv = pow(n, -1, self.p)
-        return (x[0] * ninv % self.p, -x[1] * ninv % self.p)
+        return QuadElement(self, x.a * ninv, -x.b * ninv)
 
     def chi2(self, x):
         # chi2(z) = z^((q-1)/2) = Norm(z)^((p-1)/2)

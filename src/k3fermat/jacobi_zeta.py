@@ -14,7 +14,7 @@ from math import gcd, isqrt
 
 from .characters import CharacterVector, units_mod, enumerate_A
 from .cyclotomic import CycInt, IntPoly, orbit_product, reduce, totient
-from .field import PrimeField, is_prime, make_field
+from .field import PrimeField, as_field, is_prime, make_field
 from .kernels import jacobi_counts
 
 K_MINUS_TABLE = {25: 1, 27: 1, 9: 2, 11: 2, 17: 2, 7: 3}
@@ -28,18 +28,23 @@ def _coerce_alpha(m, alpha):
     return CharacterVector(m, tuple(alpha))
 
 
+def _admissible_field(q, m):
+    """F_q for a prime or field q, refused unless q = 1 mod m."""
+    field = as_field(q)
+    if (field.q - 1) % m != 0:
+        raise ValueError(f"q = {field.q} is not 1 mod {m}")
+    return field
+
+
 def jacobi_sum(field, m, alpha):
     """j(alpha) = sum chi(v1)^a1 chi(v2)^a2 chi(v3)^a3 over v1+v2+v3 = -1.
 
     chi is fixed by chi(g) = zeta_m on the field's primitive root g, so the
     value depends on g; every full-orbit product downstream does not.
     """
-    if isinstance(field, int):
-        field = make_field(field)
+    field = _admissible_field(field, m)
     if not isinstance(field, PrimeField):
         raise ValueError("Jacobi sums need a prime field with a dlog table")
-    if (field.q - 1) % m != 0:
-        raise ValueError(f"q = {field.q} is not 1 mod {m}")
     alpha = _coerce_alpha(m, alpha)
     a1, a2, a3 = alpha.a[1], alpha.a[2], alpha.a[3]
     counts = jacobi_counts(field.dlog_table, field.q, m, a1, a2, a3)
@@ -66,9 +71,9 @@ def _orbit_values(field, alphas):
 
 def fermat_zeta_factor(m, q):
     """(1 - qT) * prod over all alpha of (1 - j(alpha)T), in Z[T]."""
+    field = _admissible_field(q, m)
     if m == 1:
-        return IntPoly([1, -q])
-    field = make_field(q) if isinstance(q, int) else q
+        return IntPoly([1, -field.q])
     values = _orbit_values(field, enumerate_A(m))
     return IntPoly([1, -field.q]) * orbit_product(values.values())
 
@@ -81,9 +86,7 @@ def transcendental_factor(k, q):
 
     row = transcendental_row(k)
     m = row[0].m
-    field = make_field(q) if isinstance(q, int) else q
-    if (field.q - 1) % m != 0:
-        raise ValueError(f"q = {field.q} is not 1 mod {m}")
+    field = _admissible_field(q, m)
     values = _orbit_values(field, row)
     poly = orbit_product([values[alpha] for alpha in row])
     if poly.degree != totient(k):
@@ -174,9 +177,7 @@ def zeta_report(k, q):
         notes.append("order 3: CM transcendental factor, no Fermat cover")
     else:
         m = entry.m
-        field = make_field(q)
-        if (field.q - 1) % m != 0:
-            raise ValueError(f"q = {q} is not 1 mod {m}")
+        field = _admissible_field(q, m)
         row = transcendental_row(k)
         values = _orbit_values(field, row)
         total = CycInt.from_integer(m, 0)

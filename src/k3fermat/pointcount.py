@@ -5,10 +5,15 @@ elliptic surfaces y^2 = x^3 + A(t)x + B(t) counted fiberwise on the smooth
 model via Kodaira types, and affine double sextics. The elliptic counter
 needs residue characteristic >= 5 throughout; that keeps Tate's procedure
 in its short-Weierstrass (v(c4), v(Delta)) form.
+
+Tate's procedure works on IntPoly expansions in the uniformizer at t0,
+with ordinary + - * on the field elements. Over F_p those are plain ints
+that may stay unreduced mod p; every decision (zero test, valuation,
+chi2, inverse) goes through the field, which reduces them.
 """
 
 from .cyclotomic import IntPoly, exact_quotient, poly_gcd
-from .field import PrimeField, make_field
+from .field import PrimeField, as_field, make_field
 from .kernels import chi_cubic_sum, fermat_affine
 
 # valuation of the zero polynomial; larger than any honest valuation here
@@ -65,6 +70,11 @@ def _split_by_valuation(f, target):
 # ---------------------------------------------------------------------------
 # models and fibers
 
+def _discriminant(a, b):
+    """-16(4A^3 + 27B^2), for A and B over Z, F_p or F_{p^2}."""
+    return -16 * (4 * a * a * a + 27 * b * b)
+
+
 class WeierstrassModel:
     """y^2 = x^3 + A(t) x + B(t) with deg A <= 8, deg B <= 12.
 
@@ -81,13 +91,13 @@ class WeierstrassModel:
             raise ValueError(f"deg A = {a.degree} exceeds 8")
         if b.degree > 12:
             raise ValueError(f"deg B = {b.degree} exceeds 12")
-        if not (4 * a * a * a + 27 * b * b):
+        if not _discriminant(a, b):
             raise ValueError("discriminant vanishes identically")
         self.a = a
         self.b = b
 
     def discriminant(self):
-        return -16 * (4 * self.a * self.a * self.a + 27 * self.b * self.b)
+        return _discriminant(self.a, self.b)
 
     def __eq__(self, other):
         return isinstance(other, WeierstrassModel) and (self.a, self.b) == (other.a, other.b)
@@ -168,91 +178,46 @@ def _make_fiber(location, kind, splitting):
 # ---------------------------------------------------------------------------
 # local expansions over a finite field
 
-def _as_field(q):
-    if isinstance(q, int):
-        return make_field(q)
-    return q
+def _valuation(poly, field):
+    """Index of the first coefficient that is nonzero in the field."""
+    return next((i for i, c in enumerate(poly.coeffs) if not field.is_zero(c)), _INF)
 
 
-def _field_coeffs(poly, field):
-    return [field.from_int(c) for c in poly.coeffs]
-
-
-def _taylor_shift(coeffs, t0, field):
-    c = list(coeffs)
+def _taylor_shift(poly, t0):
+    """poly(t + t0), by repeated synthetic division."""
+    c = list(poly.coeffs)
     n = len(c)
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
-            c[j] = field.add(c[j], field.mul(t0, c[j + 1]))
-    return c
-
-
-def _reversed_chart(poly, weight, field):
-    # s^weight * P(1/s): the degree-8/12 twist that moves t = inf to s = 0
-    return [field.from_int(poly.coeff(weight - i)) for i in range(weight + 1)]
-
-
-def _pval(coeffs, field):
-    for i, c in enumerate(coeffs):
-        if not field.is_zero(c):
-            return i
-    return _INF
-
-
-def _at(coeffs, i, field):
-    return coeffs[i] if i < len(coeffs) else field.from_int(0)
-
-
-def _pmul(xs, ys, field):
-    if not xs or not ys:
-        return []
-    zero = field.from_int(0)
-    out = [zero] * (len(xs) + len(ys) - 1)
-    for i, x in enumerate(xs):
-        if field.is_zero(x):
-            continue
-        for j, y in enumerate(ys):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return out
-
-
-def _padd(xs, ys, field):
-    n = max(len(xs), len(ys))
-    return [field.add(_at(xs, i, field), _at(ys, i, field)) for i in range(n)]
-
-
-def _pscale(xs, c, field):
-    return [field.mul(c, x) for x in xs]
+            c[j] += t0 * c[j + 1]
+    return IntPoly(c)
 
 
 def _local_model(model, field, t0):
-    """Local expansions of (A, B) in the uniformizer at t0, minimality-reduced.
+    """Local expansions (A, B, v(Delta)) in the uniformizer at t0,
+    minimality-reduced.
 
     The reduction (A, B) -> (A/tau^4, B/tau^6) runs while both valuations
     allow it; in particular deg A <= 4 and deg B <= 6 give good reduction at
-    infinity after at most two steps.
+    infinity after at most two steps. A model whose discriminant vanishes
+    identically mod p has no fibers to classify and is refused.
     """
     if t0 == "inf":
-        a = _reversed_chart(model.a, 8, field)
-        b = _reversed_chart(model.b, 12, field)
+        # s^8 A(1/s) and s^12 B(1/s): the twist that moves t = inf to s = 0
+        a = IntPoly([model.a.coeff(8 - i) for i in range(9)])
+        b = IntPoly([model.b.coeff(12 - i) for i in range(13)])
     else:
-        if isinstance(t0, int):
-            t0 = field.from_int(t0)
-        a = _taylor_shift(_field_coeffs(model.a, field), t0, field)
-        b = _taylor_shift(_field_coeffs(model.b, field), t0, field)
-    while _pval(a, field) >= 4 and _pval(b, field) >= 6:
-        a = a[4:]
-        b = b[6:]
-    return a, b
-
-
-def _local_disc(a, b, field):
-    a3 = _pmul(_pmul(a, a, field), a, field)
-    b2 = _pmul(b, b, field)
-    four = field.from_int(4)
-    t27 = field.from_int(27)
-    s = _padd(_pscale(a3, four, field), _pscale(b2, t27, field), field)
-    return _pscale(s, field.from_int(-16), field)
+        a = _taylor_shift(model.a, t0)
+        b = _taylor_shift(model.b, t0)
+    # every round shortens a nonempty expansion, so this ends even when
+    # A = B = 0 mod p
+    while (a or b) and _valuation(a, field) >= 4 and _valuation(b, field) >= 6:
+        a = IntPoly(a.coeffs[4:])
+        b = IntPoly(b.coeffs[6:])
+    vd = _valuation(_discriminant(a, b), field)
+    if vd == _INF:
+        raise ValueError(f"discriminant vanishes identically mod {field.p}")
+    return a, b, vd
 
 
 def _instar_data(field, a, b, vd):
@@ -260,40 +225,32 @@ def _instar_data(field, a, b, vd):
 
     The cubic T^3 + a2 T + b3 has a double root alpha; recentering x by
     alpha*tau gives y^2 = x^3 + c2 x^2 + c1 x + c0 with c2 = e*tau + ...,
-    e = 3*alpha. Each round either terminates (odd n on c0's leading
-    coefficient, even n on the quadratic discriminant) or translates x to
-    push the vanishing one level deeper.
+    e = 3*alpha. Round k (Silverman, Advanced Topics, IV.9 step 7) ends
+    with n = 2k - 1 when the tau^(2k+2) coefficient of c0 is nonzero, with
+    n = 2k when e X^2 + c1[k+2] X + c0[2k+3] has distinct roots, and
+    otherwise translates x by the double root times tau^(k+1).
     """
-    zero = field.from_int(0)
-    a2 = _at(a, 2, field)
-    b3 = _at(b, 3, field)
-    alpha = field.neg(field.mul(field.from_int(3), field.mul(b3, field.inv(field.mul(field.from_int(2), a2)))))
-    e = field.mul(field.from_int(3), alpha)
-    c2 = [zero, e]
-    c1 = _padd(a, [zero, zero, field.mul(field.from_int(3), field.mul(alpha, alpha))], field)
-    alpha3 = field.mul(field.mul(alpha, alpha), alpha)
-    c0 = _padd(b, _padd([zero] + _pscale(a, alpha, field), [zero, zero, zero, alpha3], field), field)
+    alpha = -3 * b.coeff(3) * field.inv(2 * a.coeff(2))
+    e = 3 * alpha
+    tau = IntPoly([0, 1])
+    c2 = e * tau
+    c1 = a + 3 * alpha * alpha * tau * tau
+    c0 = b + alpha * tau * a + alpha * alpha * alpha * tau * tau * tau
     k = 1
     while k <= vd:
-        r = _at(c0, k + 3, field)
+        r = c0.coeff(2 * k + 2)
         if not field.is_zero(r):
             n, split = 2 * k - 1, field.chi2(r) == 1
             break
-        p = _at(c1, k + 2, field)
-        disc = field.sub(
-            field.mul(p, p),
-            field.mul(field.from_int(4), field.mul(e, _at(c0, k + 4, field))),
-        )
+        p = c1.coeff(k + 2)
+        disc = p * p - 4 * e * c0.coeff(2 * k + 3)
         if not field.is_zero(disc):
             n, split = 2 * k, field.chi2(disc) == 1
             break
-        delta = field.neg(field.mul(p, field.inv(field.mul(field.from_int(2), e))))
-        shift = [zero] * (k + 1) + [delta]
-        d2 = _pmul(shift, shift, field)
-        d3 = _pmul(d2, shift, field)
-        c0 = _padd(c0, _padd(_pmul(shift, c1, field), _padd(_pmul(d2, c2, field), d3, field), field), field)
-        c1 = _padd(c1, _padd(_pscale(_pmul(shift, c2, field), field.from_int(2), field), _pscale(d2, field.from_int(3), field), field), field)
-        c2 = _padd(c2, _pscale(shift, field.from_int(3), field), field)
+        shift = IntPoly([0] * (k + 1) + [-p * field.inv(2 * e)])
+        c0 = c0 + shift * c1 + shift * shift * c2 + shift * shift * shift
+        c1 = c1 + 2 * shift * c2 + 3 * shift * shift
+        c2 = c2 + 3 * shift
         k += 1
     else:
         raise AssertionError("I_n* subprocedure failed to terminate")
@@ -302,52 +259,40 @@ def _instar_data(field, a, b, vd):
     return n, split
 
 
-def tate_fiber(model, q, t0):
+def tate_fiber(model, q, t0, local=None):
     """Kodaira fiber of the smooth model at t0 (an element of F_q or "inf").
 
-    q may be a prime or a field object. Classification is by
+    q may be a prime or a field object; local is the _local_model triple at
+    t0 when the caller has already built it. Classification is by
     (v(c4), v(Delta)) in residue characteristic >= 5, with splitting data:
     node tangents for I_n, the leading B coefficient for IV/IV*, the root
     field of the associated cubic for I_0*, and the far components for
     I_n* with n >= 1.
     """
-    field = _as_field(q)
+    field = as_field(q)
     if field.p in (2, 3):
         raise ValueError("residue characteristic must be at least 5")
-    a, b = _local_model(model, field, t0)
-    delta = _local_disc(a, b, field)
-    vd = _pval(delta, field)
+    a, b, vd = local or _local_model(model, field, t0)
     if vd == 0:
         return _make_fiber(t0, "I0", None)
-    va = _pval(a, field)
-    if va == 0:
-        # multiplicative: split iff the node's tangent slopes are rational
-        a0, b0 = a[0], _at(b, 0, field)
-        x0 = field.neg(field.mul(field.from_int(3), field.mul(b0, field.inv(field.mul(field.from_int(2), a0)))))
-        tangent = field.mul(field.from_int(3), x0)
-        split = "split" if field.chi2(tangent) == 1 else "nonsplit"
+    if _valuation(a, field) == 0:
+        # multiplicative: the node sits at x0 = -3 b0 / (2 a0), and it is
+        # split iff its tangent slopes +-sqrt(3 x0) are rational
+        x0 = -3 * b.coeff(0) * field.inv(2 * a.coeff(0))
+        split = "split" if field.chi2(3 * x0) == 1 else "nonsplit"
         return _make_fiber(t0, f"I{vd}", split)
     if vd == 2:
         return _make_fiber(t0, "II", "split")
     if vd == 3:
         return _make_fiber(t0, "III", "split")
     if vd == 4:
-        split = "split" if field.chi2(_at(b, 2, field)) == 1 else "nonsplit"
+        split = "split" if field.chi2(b.coeff(2)) == 1 else "nonsplit"
         return _make_fiber(t0, "IV", split)
-    a2 = _at(a, 2, field)
-    b3 = _at(b, 3, field)
-    cubic_disc = field.add(
-        field.mul(field.from_int(4), field.mul(field.mul(a2, a2), a2)),
-        field.mul(field.from_int(27), field.mul(b3, b3)),
-    )
-    if not field.is_zero(cubic_disc):
+    a2, b3 = a.coeff(2), b.coeff(3)
+    if not field.is_zero(4 * a2 * a2 * a2 + 27 * b3 * b3):
         if vd != 6:
             raise AssertionError("separable cubic forces v(Delta) = 6")
-        roots = 0
-        for x in field.elements():
-            val = field.add(field.add(field.mul(field.mul(x, x), x), field.mul(a2, x)), b3)
-            if field.is_zero(val):
-                roots += 1
+        roots = sum(1 for x in field.elements() if field.is_zero(x * x * x + a2 * x + b3))
         split = {3: "split", 1: "partial", 0: "inert"}[roots]
         return _make_fiber(t0, "I0*", split)
     if not field.is_zero(a2):
@@ -355,7 +300,7 @@ def tate_fiber(model, q, t0):
         return _make_fiber(t0, f"I{n}*", "split" if far else "nonsplit")
     # triple root: only IV*, III*, II* remain
     if vd == 8:
-        split = "split" if field.chi2(_at(b, 4, field)) == 1 else "nonsplit"
+        split = "split" if field.chi2(b.coeff(4)) == 1 else "nonsplit"
         return _make_fiber(t0, "IV*", split)
     if vd == 9:
         return _make_fiber(t0, "III*", "split")
@@ -407,7 +352,7 @@ def count_elliptic_smooth(model, q):
     Kodaira configuration. Only t0 in P^1(F_q) can carry F_q-points, so
     degenerate fibers over higher-degree closed points never contribute.
     """
-    field = _as_field(q)
+    field = as_field(q)
     if field.p in (2, 3):
         raise ValueError("residue characteristic must be at least 5")
     size = field.q
@@ -423,58 +368,40 @@ def count_elliptic_smooth(model, q):
     total = 0
     for t0 in field.elements():
         if fast:
-            d0 = _horner_mod(d_mod, t0, p)
-            if d0 != 0:
+            if _horner_mod(d_mod, t0, p) != 0:
                 a0 = _horner_mod(a_mod, t0, p)
                 b0 = _horner_mod(b_mod, t0, p)
                 total += size + 1 + chi_cubic_sum(chi2_table, cubes, a0, b0, p)
                 continue
-        else:
-            d0 = _horner_field(disc, t0, field)
-            if not field.is_zero(d0):
-                a0 = _horner_field(model.a, t0, field)
-                b0 = _horner_field(model.b, t0, field)
-                total += size + 1 + _chi_cubic_field(field, a0, b0)
-                continue
+        elif not field.is_zero(disc(t0)):
+            total += size + 1 + _chi_cubic_field(field, model.a(t0), model.b(t0))
+            continue
         total += _degenerate_count(model, field, t0, size)
     total += _degenerate_count(model, field, "inf", size)
     return total
 
 
 def _degenerate_count(model, field, t0, size):
-    a, b = _local_model(model, field, t0)
-    delta = _local_disc(a, b, field)
-    if _pval(delta, field) == 0:
+    local = _local_model(model, field, t0)
+    a, b, vd = local
+    if vd == 0:
         # good after minimality reduction (e.g. deg A <= 4, deg B <= 6 at inf)
-        a0 = _at(a, 0, field)
-        b0 = _at(b, 0, field)
-        return size + 1 + _chi_cubic_field(field, a0, b0)
-    return fiber_points(tate_fiber(model, field, t0), size)
+        return size + 1 + _chi_cubic_field(field, a.coeff(0), b.coeff(0))
+    return fiber_points(tate_fiber(model, field, t0, local), size)
 
 
 def _chi_cubic_field(field, a0, b0):
     if isinstance(field, PrimeField):
         p = field.p
         cubes = [x * x * x % p for x in range(p)]
-        return chi_cubic_sum(field.chi2_table(), cubes, a0, b0, p)
-    total = 0
-    for x in field.elements():
-        fx = field.add(field.add(field.mul(field.mul(x, x), x), field.mul(a0, x)), b0)
-        total += field.chi2(fx)
-    return total
+        return chi_cubic_sum(field.chi2_table(), cubes, a0 % p, b0 % p, p)
+    return sum(field.chi2(x * x * x + a0 * x + b0) for x in field.elements())
 
 
 def _horner_mod(coeffs, x, p):
     out = 0
     for c in reversed(coeffs):
         out = (out * x + c) % p
-    return out
-
-
-def _horner_field(poly, x, field):
-    out = field.from_int(0)
-    for c in reversed(poly.coeffs):
-        out = field.add(field.mul(out, x), field.from_int(c))
     return out
 
 

@@ -170,6 +170,14 @@ class TestJacobiCommand:
         assert run(capsys, "jacobi", "--m", "4", "--q", "5", "--alpha", "1,x,1")[0] == 2
         assert run(capsys, "jacobi", "--m", "4", "--q", "5", "--alpha", "1,3")[0] == 2
 
+    def test_degree_below_two_exits_2(self, capsys):
+        for m in ("0", "1", "-3"):
+            code, out, err = run(capsys, "jacobi", "--m", m, "--q", "5",
+                                 "--alpha", "1,1,1")
+            assert code == 2
+            assert out == ""
+            assert "degree must be at least 2" in err
+
     def test_zero_coordinate_exits_2(self, capsys):
         code, _, err = run(capsys, "jacobi", "--m", "4", "--q", "5",
                            "--alpha", "1,3,4")

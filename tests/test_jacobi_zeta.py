@@ -78,6 +78,12 @@ def test_fermat_zeta_plane():
     assert fermat_zeta_factor(1, 7) == IntPoly([1, -7])
 
 
+def test_fermat_zeta_plane_takes_a_field_and_refuses_composites():
+    assert fermat_zeta_factor(1, PrimeField(7)) == IntPoly([1, -7])
+    with pytest.raises(ValueError, match="not prime"):
+        fermat_zeta_factor(1, 8)
+
+
 def test_fermat_zeta_quadric():
     assert fermat_zeta_factor(2, 5) == IntPoly([1, -10, 25])  # (1-5T)^2
 

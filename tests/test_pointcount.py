@@ -224,6 +224,26 @@ def test_tate_rejects_small_characteristic():
         count_elliptic_smooth(K19, 2)
 
 
+def test_tate_refuses_a_discriminant_that_vanishes_mod_p():
+    # 4 * 2^3 + 27 * 2^2 = 140 = 0 mod 5 and mod 7; the second model has
+    # A = B = 0 mod 5, and the third a double root of the cubic at t = 0
+    # (the I_n* loop would never end)
+    bad = [
+        (WeierstrassModel([2], [2]), 5),
+        (WeierstrassModel([2], [2]), 7),
+        (WeierstrassModel([0, 5], [5]), 5),
+        (WeierstrassModel([0, 0, 2], [0, 0, 0, 2]), 5),
+    ]
+    for model, p in bad:
+        for t0 in (0, 1, "inf"):
+            with pytest.raises(ValueError, match="vanishes identically mod"):
+                tate_fiber(model, p, t0)
+        with pytest.raises(ValueError, match="vanishes identically mod"):
+            count_elliptic_smooth(model, p)
+        with pytest.raises(ValueError, match="vanishes identically mod"):
+            count_elliptic_smooth(model, QuadExtField(p))
+
+
 def test_tate_k19_fibers():
     assert tate_fiber(K19, 13, 0).kind == "II"
     assert tate_fiber(K19, 13, "inf").kind == "III"
@@ -315,11 +335,34 @@ def test_i2_star_far_splitting():
             assert fib.splitting == ("split" if field.chi2(-12 * e5) == 1 else "nonsplit")
 
 
+def test_in_star_far_splitting_beyond_n_2():
+    # B = 2t^3 + r t^(n+3) recenters to c1 = 0, c0 = r tau^(n+3): far split
+    # iff chi2(r) for odd n, iff chi2(-12 r) for even n (as for n = 1, 2)
+    for q in (7, 11, 13):
+        field = make_field(q)
+        for n in range(3, 7):
+            for r in range(1, q):
+                fib = tate_fiber(WeierstrassModel([0, 0, -3], [0, 0, 0, 2] + [0] * (n - 1) + [r]), q, 0)
+                assert fib.kind == f"I{n}*"
+                split = field.chi2(r if n % 2 else -12 * r) == 1
+                assert fib.splitting == ("split" if split else "nonsplit"), (q, n, r)
+        # A = -3t^2 + c t^4, B = 2t^3 - c t^5 + d t^7 recenters to
+        # c1 = c tau^4, c0 = d tau^7: I4*, far split iff chi2(c^2 - 12 d)
+        for c in range(q):
+            for d in range(q):
+                if (c * c - 12 * d) % q == 0:
+                    continue
+                fib = tate_fiber(WeierstrassModel([0, 0, -3, 0, c], [0, 0, 0, 2, 0, -c, 0, d]), q, 0)
+                assert fib.kind == "I4*"
+                split = field.chi2(c * c - 12 * d) == 1
+                assert fib.splitting == ("split" if split else "nonsplit"), (q, c, d)
+
+
 def test_nonsplit_becomes_split_over_quadratic_extension():
     field = QuadExtField(13)
     assert tate_fiber(in_star_family(2), 13, 0).splitting == "nonsplit"
-    assert tate_fiber(in_star_family(2), field, (0, 0)).splitting == "split"
-    assert tate_fiber(in_star_family(1), field, (0, 0)).splitting == "split"
+    assert tate_fiber(in_star_family(2), field, field.from_int(0)).splitting == "split"
+    assert tate_fiber(in_star_family(1), field, field.from_int(0)).splitting == "split"
 
 
 def test_delta_expansion_identities():
@@ -375,7 +418,7 @@ def test_smooth_count_over_quadratic_extension():
     model = WeierstrassModel([], [1])
     field = QuadExtField(5)
     curve = 1 + sum(
-        1 + field.chi2(field.add(field.mul(field.mul(x, x), x), field.from_int(1)))
+        1 + field.chi2(x * x * x + 1)
         for x in field.elements()
     )
     assert count_elliptic_smooth(model, field) == (field.q + 1) * curve
