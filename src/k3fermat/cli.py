@@ -29,7 +29,7 @@ from .delsarte import (
     parse_surface,
     transcendental_characters,
 )
-from .field import make_field
+from .field import check_modulus, make_field
 from .jacobi_zeta import default_primes, jacobi_sum, zeta_report
 from .lattice import discriminant_form, mirror_split, nikulin_complement_check
 from .pointcount import count_affine_double_sextic, count_elliptic_smooth, count_fermat
@@ -56,9 +56,15 @@ def _entry_or_usage(k):
 
 def _require_prime(q):
     try:
-        make_field(q)
+        check_modulus(q)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _require_admissible(q, m):
+    if (q - 1) % m != 0:
+        good = ", ".join(str(p) for p in default_primes(m))
+        raise UsageError(f"q = {q} is not 1 mod {m}; smallest admissible primes: {good}")
 
 
 def _check_zeta_prime(entry, q):
@@ -68,10 +74,7 @@ def _check_zeta_prime(entry, q):
             raise UsageError(
                 f"q = {q} has bad reduction at order 3; admissible primes: 5, 7, 11, 13")
         return
-    if (q - 1) % entry.m != 0:
-        good = ", ".join(str(p) for p in default_primes(entry.m))
-        raise UsageError(
-            f"q = {q} is not 1 mod {entry.m}; smallest admissible primes: {good}")
+    _require_admissible(q, entry.m)
 
 
 def _ms(t0):
@@ -192,10 +195,7 @@ def cmd_jacobi(args):
     _require_prime(args.q)
     if args.m < 2:
         raise UsageError("degree must be at least 2")
-    if (args.q - 1) % args.m != 0:
-        good = ", ".join(str(p) for p in default_primes(args.m))
-        raise UsageError(
-            f"q = {args.q} is not 1 mod {args.m}; smallest admissible primes: {good}")
+    _require_admissible(args.q, args.m)
     try:
         alpha = CharacterVector.from_triple(args.m, triple)
     except ValueError as exc:

@@ -33,6 +33,14 @@ def is_prime(n):
     return True
 
 
+def check_modulus(p):
+    """Raise ValueError unless p is a prime that PrimeField accepts."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"modulus {p!r} is not prime")
+    if p > MAX_PRIME:
+        raise ValueError(f"p={p} exceeds the dlog table cap 2^22")
+
+
 def _prime_factors(n):
     out = []
     f = 2
@@ -56,10 +64,7 @@ class PrimeField:
     """
 
     def __init__(self, p, primitive_root=None):
-        if not isinstance(p, int) or not is_prime(p):
-            raise ValueError(f"modulus {p!r} is not prime")
-        if p > MAX_PRIME:
-            raise ValueError(f"p={p} exceeds the dlog table cap 2^22")
+        check_modulus(p)
         self.p = p
         self.q = p
         if primitive_root is None:

@@ -267,11 +267,14 @@ def tate_fiber(model, q, t0, local=None):
     (v(c4), v(Delta)) in residue characteristic >= 5, with splitting data:
     node tangents for I_n, the leading B coefficient for IV/IV*, the root
     field of the associated cubic for I_0*, and the far components for
-    I_n* with n >= 1.
+    I_n* with n >= 1. An int t0 is reduced into the field, so every
+    representative of a point gives the same fiber.
     """
     field = as_field(q)
     if field.p in (2, 3):
         raise ValueError("residue characteristic must be at least 5")
+    if isinstance(t0, int):
+        t0 = field.from_int(t0)
     a, b, vd = local or _local_model(model, field, t0)
     if vd == 0:
         return _make_fiber(t0, "I0", None)

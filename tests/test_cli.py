@@ -5,6 +5,7 @@ import json
 import pytest
 
 from k3fermat.cli import main
+from k3fermat.field import PrimeField
 
 
 def run(capsys, *argv):
@@ -183,6 +184,33 @@ class TestJacobiCommand:
                            "--alpha", "1,3,4")
         assert code == 2
         assert "nonzero" in err
+
+    def test_inadmissible_prime_exits_2_and_suggests(self, capsys):
+        code, out, err = run(capsys, "jacobi", "--m", "4", "--q", "7",
+                             "--alpha", "1,1,1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: q = 7 is not 1 mod 4; smallest admissible primes: 5, 13\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("zeta", "--k", "66", "--q", "67"),
+    ("count", "--k", "19", "--q", "191"),
+    ("count", "--fermat", "4", "--q", "13"),
+    ("jacobi", "--m", "12", "--q", "13", "--alpha", "1,1,5"),
+], ids=" ".join)
+def test_one_field_per_prime(capsys, monkeypatch, argv):
+    # validating q must not build (and throw away) a second dlog table
+    built = []
+    init = PrimeField.__init__
+
+    def counting_init(self, p, *args, **kwargs):
+        built.append(p)
+        init(self, p, *args, **kwargs)
+
+    monkeypatch.setattr(PrimeField, "__init__", counting_init)
+    assert run(capsys, *argv)[0] == 0
+    assert built == [int(argv[argv.index("--q") + 1])]
 
 
 class TestCountCommand:
