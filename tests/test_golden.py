@@ -1,7 +1,8 @@
 """Golden reports, compared byte for byte.
 
-One `--json` command per subcommand, plus the geometric fiber rows of every
-elliptic catalog model (no CLI report prints those). A refactor that keeps
+One `--json` command per subcommand, `lattice` and `zeta` (at the first
+stored zeta prime) for every catalog order, plus the geometric fiber rows
+of every elliptic catalog model (no CLI report prints those). A refactor that keeps
 results must keep these bytes. Regenerate only when a report is meant to
 change, from the repository root:
 
@@ -15,7 +16,7 @@ import pathlib
 
 import pytest
 
-from k3fermat.catalog import load_catalog
+from k3fermat.catalog import ORDERS, catalog_entry, load_catalog
 from k3fermat.cli import main
 from k3fermat.pointcount import geometric_fibers
 
@@ -31,6 +32,9 @@ COMMANDS = {
     "mirror": ["mirror", "--k", "9"],
     "delsarte": ["delsarte", "--equation", "y^2 = x^3 + t^7*x + 1"],
 }
+for _k in ORDERS:
+    COMMANDS[f"lattice-k{_k}"] = ["lattice", "--k", str(_k)]
+    COMMANDS[f"zeta-k{_k}"] = ["zeta", "--k", str(_k), "--q", str(catalog_entry(_k).zeta_primes[0])]
 
 
 def report(argv):
