@@ -22,14 +22,14 @@ from .catalog import (
     rational_text,
     verify_entry,
 )
-from .characters import CharacterVector
+from .characters import CharacterVector, alpha_norm
 from .delsarte import (
     SurfaceSyntaxError,
     derive_cover,
     parse_surface,
     transcendental_characters,
 )
-from .field import check_modulus, make_field
+from .field import MAX_PRIME, check_modulus, make_field
 from .jacobi_zeta import default_primes, jacobi_sum, zeta_report
 from .lattice import discriminant_form, mirror_split, nikulin_complement_check
 from .pointcount import count_affine_double_sextic, count_elliptic_smooth, count_fermat
@@ -62,9 +62,13 @@ def _require_prime(q):
 
 
 def _require_admissible(q, m):
-    if (q - 1) % m != 0:
-        good = ", ".join(str(p) for p in default_primes(m))
-        raise UsageError(f"q = {q} is not 1 mod {m}; smallest admissible primes: {good}")
+    if (q - 1) % m == 0:
+        return
+    if m >= MAX_PRIME:
+        # a prime that is 1 mod m exceeds m, so it is over the cap too
+        raise UsageError(f"q = {q} is not 1 mod {m}; no admissible prime lies under the cap 2^22")
+    good = ", ".join(str(p) for p in default_primes(m))
+    raise UsageError(f"q = {q} is not 1 mod {m}; smallest admissible primes: {good}")
 
 
 def _check_zeta_prime(entry, q):
@@ -346,6 +350,10 @@ def cmd_delsarte(args):
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     chars = transcendental_characters(surface, pi)
+    holomorphic = sum(1 for a in chars if alpha_norm(a) == 1)
+    if holomorphic != 1:
+        raise UsageError(f"not a K3 surface: {holomorphic} invariant weight-one characters, "
+                         "but h^(2,0) = 1 needs exactly one")
     rho = 22 - len(chars)
     doc = {
         "command": "delsarte",

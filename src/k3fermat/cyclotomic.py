@@ -14,19 +14,13 @@ F_{p^2}).
 from fractions import Fraction
 from math import gcd, lcm
 
+from .field import prime_factors
+
 
 def totient(m):
     out = m
-    n = m
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out -= out // f
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out -= out // n
+    for f in prime_factors(m):
+        out -= out // f
     return out
 
 
@@ -201,7 +195,7 @@ class CycInt:
     __slots__ = ("m", "coeffs")
 
     def __init__(self, m, coeffs):
-        phi = totient(m)
+        phi = cyclotomic_poly(m).degree
         c = tuple(coeffs)
         if len(c) != phi:
             raise ValueError(f"need {phi} coefficients for m={m}, got {len(c)}")
@@ -213,8 +207,7 @@ class CycInt:
 
     @classmethod
     def from_integer(cls, m, n):
-        phi = totient(m)
-        return cls(m, (n,) + (0,) * (phi - 1))
+        return cls(m, (n,) + (0,) * (cyclotomic_poly(m).degree - 1))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -241,14 +234,10 @@ class CycInt:
         return CycInt(self.m, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return CycInt(self.m, tuple(other * a for a in self.coeffs))
         other = self._coerce(other)
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (2 * len(a) - 1 if a else 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return reduce(out, self.m)
+        return reduce((IntPoly(self.coeffs) * IntPoly(other.coeffs)).coeffs, self.m)
 
     __rmul__ = __mul__
 
@@ -299,7 +288,7 @@ def reduce(raw, m):
             acc[j % m] += c
     phi_m = cyclotomic_poly(m)
     _, rem = poly_divmod(IntPoly(acc), phi_m)
-    coeffs = list(rem.coeffs) + [0] * (totient(m) - len(rem.coeffs))
+    coeffs = list(rem.coeffs) + [0] * (phi_m.degree - len(rem.coeffs))
     return CycInt(m, coeffs)
 
 
@@ -309,22 +298,12 @@ def orbit_product(values):
     The values must aggregate to a full Galois-stable multiset (e.g. one or
     more complete orbits); any non-integral product coefficient raises.
     """
-    values = list(values)
-    if not values:
-        return IntPoly([1])
-    m = values[0].m
-    coeffs = [CycInt.from_integer(m, 1)]
+    poly = IntPoly([1])
     for v in values:
-        if v.m != m:
-            raise ValueError("mixed conductors in orbit product")
-        nxt = [CycInt.from_integer(m, 0) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            nxt[i] = nxt[i] + c
-            nxt[i + 1] = nxt[i + 1] - v * c
-        coeffs = nxt
+        poly = poly * IntPoly([1, -v])
     out = []
-    for i, c in enumerate(coeffs):
-        n = c.as_rational_integer()
+    for i, c in enumerate(poly.coeffs):
+        n = c if isinstance(c, int) else c.as_rational_integer()
         if n is None:
             raise ValueError(f"orbit product coefficient {i} is not a rational integer: {c!r}")
         out.append(n)

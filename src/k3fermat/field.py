@@ -41,7 +41,8 @@ def check_modulus(p):
         raise ValueError(f"p={p} exceeds the dlog table cap 2^22")
 
 
-def _prime_factors(n):
+def prime_factors(n):
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
     out = []
     f = 2
     while f * f <= n:
@@ -67,11 +68,17 @@ class PrimeField:
         check_modulus(p)
         self.p = p
         self.q = p
+        fs = prime_factors(p - 1)
+
+        def primitive(c):
+            return c % p != 0 and all(pow(c, (p - 1) // f, p) != 1 for f in fs)
+
         if primitive_root is None:
-            self.g = self._smallest_primitive_root()
-        else:
-            self._check_primitive(primitive_root)
+            self.g = next(c for c in range(1, p) if primitive(c))
+        elif primitive(primitive_root):
             self.g = primitive_root % p
+        else:
+            raise ValueError(f"{primitive_root % p} is not a primitive root mod {p}")
         # dlog_table[v] = j with g^j = v; -1 marks v = 0
         table = [-1] * p
         acc = 1
@@ -81,25 +88,6 @@ class PrimeField:
         self.dlog_table = table
         self._power_tables = {}
         self._chi2_table = None
-
-    def _smallest_primitive_root(self):
-        if self.p == 2:
-            return 1
-        fs = _prime_factors(self.p - 1)
-        for c in range(2, self.p):
-            if all(pow(c, (self.p - 1) // f, self.p) != 1 for f in fs):
-                return c
-        raise AssertionError("no primitive root found")  # unreachable for prime p
-
-    def _check_primitive(self, g):
-        g %= self.p
-        if g == 0:
-            raise ValueError("0 is not a primitive root")
-        if self.p == 2:
-            return
-        fs = _prime_factors(self.p - 1)
-        if any(pow(g, (self.p - 1) // f, self.p) == 1 for f in fs):
-            raise ValueError(f"{g} is not a primitive root mod {self.p}")
 
     def __repr__(self):
         return f"PrimeField({self.p}, g={self.g})"

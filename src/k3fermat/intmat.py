@@ -2,8 +2,10 @@
 
 Small, dependency-free routines used by the lattice and covering-map code:
 Bareiss determinants, Smith normal form with transform tracking, integer
-kernels, rational inverses and signatures of symmetric matrices. Matrix
-sizes here are tiny (rank <= 22), so clarity wins over asymptotics.
+kernels, rational inverses and signatures of symmetric matrices. The
+rational inverse now serves only delsarte.derive_cover; discriminant forms
+read their values off the Smith transform. Matrix sizes here are tiny
+(rank <= 22), so clarity wins over asymptotics.
 """
 
 from fractions import Fraction

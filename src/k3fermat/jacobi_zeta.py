@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .characters import CharacterVector, units_mod, enumerate_A
-from .cyclotomic import CycInt, IntPoly, orbit_product, reduce, totient
+from .cyclotomic import IntPoly, orbit_product, reduce, totient
 from .field import PrimeField, as_field, is_prime, make_field
 from .kernels import jacobi_counts
 
@@ -164,14 +164,14 @@ class ZetaReport:
 
 
 def zeta_report(k, q):
-    """R_a, R_t and the point count 1 + q^2 + (n_plus - n_minus) q + trace."""
+    """R_a, R_t and the point count 1 + q^2 + (n_plus - n_minus) q + trace,
+    where trace = -(T-coefficient of R_t), the sum of the orbit's values."""
     from .catalog import catalog_entry, transcendental_row
 
     entry = catalog_entry(k)
     notes = []
     if k == 3:
         r_t = cm_factor_k3(q)
-        trace = -r_t.coeff(1)
         jacobi_values = ()
         m = None
         notes.append("order 3: CM transcendental factor, no Fermat cover")
@@ -180,14 +180,9 @@ def zeta_report(k, q):
         field = _admissible_field(q, m)
         row = transcendental_row(k)
         values = _orbit_values(field, row)
-        total = CycInt.from_integer(m, 0)
-        for alpha in row:
-            total = total + values[alpha]
-        trace = total.as_rational_integer()
-        if trace is None:
-            raise AssertionError("transcendental trace is not a rational integer")
         r_t = orbit_product([values[alpha] for alpha in row])
         jacobi_values = tuple((alpha, values[alpha]) for alpha in row)
+    trace = -r_t.coeff(1)
     if abs(trace) > totient(k) * q:
         raise AssertionError(f"trace {trace} violates the weight-2 bound")
     n_minus, n_plus, r_a = algebraic_factor(k, q)
@@ -214,9 +209,9 @@ def default_primes(m, count=2):
     if m < 1 or count < 1:
         raise ValueError("need m >= 1 and count >= 1")
     out = []
-    q = 2
+    q = 1 + m
     while len(out) < count:
-        if q % m == 1 % m and is_prime(q):
+        if is_prime(q):
             out.append(q)
-        q += 1
+        q += m
     return out

@@ -15,7 +15,6 @@ from math import gcd, lcm
 
 from .intmat import (
     det,
-    fraction_inverse,
     integer_kernel,
     mat_mul,
     signature,
@@ -140,12 +139,10 @@ class FiniteQuadraticForm:
         if any(d < 2 for d in orders):
             raise ValueError("orders must all exceed 1")
         r = len(orders)
-        m = [[Fraction(matrix[i][j]) for j in range(r)] for i in range(r)]
-        for i in range(r):
-            for j in range(r):
-                if m[i][j] != m[j][i]:
-                    raise ValueError("pairing matrix must be symmetric")
-                m[i][j] = m[i][j] % (2 if i == j else 1)
+        m = [[Fraction(matrix[i][j]) % (2 if i == j else 1) for j in range(r)]
+             for i in range(r)]
+        if any(m[i][j] != m[j][i] for i in range(r) for j in range(i)):
+            raise ValueError("pairing matrix must be symmetric")
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "matrix", tuple(tuple(row) for row in m))
 
@@ -208,15 +205,17 @@ def discriminant_form(lattice):
     if n == 0:
         return FiniteQuadraticForm((), ())
     g = lattice.rows()
-    d, u, _v = smith_normal_form(g)
+    d, _u, v = smith_normal_form(g)
     # u*G*v = diag(d), so G Z^n = u^{-1} diag(d) Z^n and the class of
     # u^{-1} e_i generates the i-th cyclic factor; its dual vector is
-    # G^{-1} u^{-1} e_i, giving value matrix (u G u^T)^{-1}
-    w = mat_mul(mat_mul(u, g), transpose(u))
-    q_full = fraction_inverse(w)
+    # G^{-1} u^{-1} e_i = v e_i / d_i, giving value matrix
+    # (v^T G v)_ij / (d_i d_j), which is (u G u^T)^{-1} as G is symmetric
     keep = [i for i in range(n) if d[i] > 1]
     orders = [d[i] for i in keep]
-    matrix = [[q_full[i][j] for j in keep] for i in keep]
+    vk = [[row[i] for i in keep] for row in v]
+    w = mat_mul(mat_mul(transpose(vk), g), vk)
+    matrix = [[Fraction(w[a][b], da * db) for b, db in enumerate(orders)]
+              for a, da in enumerate(orders)]
     total = 1
     for o in orders:
         total *= o

@@ -1,6 +1,10 @@
 """CLI contract: exit codes, report text, JSON stability."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -330,10 +334,44 @@ class TestDelsarteCommand:
         assert code == 2
 
 
+class TestRefusals:
+    """Inputs that once ran for hours or printed nonsense must exit 2 at
+    once. Each runs in a subprocess with a timeout, so a regression fails
+    instead of hanging the suite."""
+
+    @staticmethod
+    def refuse(*argv):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "k3fermat.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        return proc.stderr
+
+    def test_jacobi_degree_beyond_the_prime_cap(self):
+        err = self.refuse("jacobi", "--m", "100000000", "--q", "5", "--alpha", "1,1,1")
+        assert err == ("error: q = 5 is not 1 mod 100000000; "
+                       "no admissible prime lies under the cap 2^22\n")
+
+    def test_jacobi_large_degree_suggests_primes(self):
+        err = self.refuse("jacobi", "--m", "1000000", "--q", "5", "--alpha", "1,1,1")
+        assert err == ("error: q = 5 is not 1 mod 1000000; "
+                       "smallest admissible primes: 22000001, 24000001\n")
+
+    @pytest.mark.parametrize("equation, weight_one", [
+        ("y^2 = x^3 + t^13 + 1", 2),     # once rho = -2
+        ("y^2 = x^3 + t^9*x + 1", 2),    # once rho = 4
+    ])
+    def test_delsarte_non_k3(self, equation, weight_one):
+        err = self.refuse("delsarte", "--equation", equation)
+        assert err == (f"error: not a K3 surface: {weight_one} invariant weight-one "
+                       "characters, but h^(2,0) = 1 needs exactly one\n")
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        import subprocess
-        import sys
         proc = subprocess.run(
             [sys.executable, "-m", "k3fermat.cli", "catalog", "--k", "66"],
             capture_output=True, text=True)

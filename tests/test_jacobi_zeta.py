@@ -143,6 +143,17 @@ def test_default_primes():
         default_primes(0)
 
 
+def test_default_primes_match_a_scan_of_every_integer():
+    sieve = [False, False] + [True] * 20000
+    for i in range(2, 142):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    for m in range(1, 300):
+        scan = [q for q in range(2, len(sieve)) if sieve[q] and q % m == 1 % m][:3]
+        for count in (1, 2, 3):
+            assert default_primes(m, count) == scan[:count], (m, count)
+
+
 # ---------------------------------------------------------------------------
 # catalog-backed factors
 

@@ -103,6 +103,18 @@ def test_discriminant_form_group_order_matches_determinant():
     assert q.group_order() == 17
 
 
+def test_discriminant_form_with_a_negative_off_diagonal_pairing():
+    # A1 + U(2)(-1): the U(2) block pairs its generators to -1/2, which is
+    # 1/2 in Q/Z, so the form is symmetric there
+    q = discriminant_form(GramLattice([[2, 0, 0], [0, 0, -2], [0, -2, 0]]))
+    assert q.orders == (2, 2, 2)
+    assert q == FiniteQuadraticForm((2, 2, 2), [[Fraction(1, 2), 0, 0],
+                                                [0, 0, Fraction(1, 2)],
+                                                [0, Fraction(1, 2), 0]])
+    with pytest.raises(ValueError):
+        FiniteQuadraticForm((2, 2), [[0, Fraction(1, 2)], [0, 0]])
+
+
 def test_discriminant_form_rejects_odd_lattice():
     with pytest.raises(ValueError):
         discriminant_form(standard_lattice("diag", entries=[1, 2]))
