@@ -29,7 +29,7 @@ from .delsarte import (
     parse_surface,
     transcendental_characters,
 )
-from .field import MAX_PRIME, check_modulus, make_field
+from .field import check_modulus, make_field
 from .jacobi_zeta import default_primes, jacobi_sum, zeta_report
 from .lattice import discriminant_form, mirror_split, nikulin_complement_check
 from .pointcount import count_affine_double_sextic, count_elliptic_smooth, count_fermat
@@ -64,10 +64,9 @@ def _require_prime(q):
 def _require_admissible(q, m):
     if (q - 1) % m == 0:
         return
-    if m >= MAX_PRIME:
-        # a prime that is 1 mod m exceeds m, so it is over the cap too
-        raise UsageError(f"q = {q} is not 1 mod {m}; no admissible prime lies under the cap 2^22")
     good = ", ".join(str(p) for p in default_primes(m))
+    if not good:
+        raise UsageError(f"q = {q} is not 1 mod {m}; no admissible prime lies under the cap 2^22")
     raise UsageError(f"q = {q} is not 1 mod {m}; smallest admissible primes: {good}")
 
 

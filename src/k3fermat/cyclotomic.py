@@ -211,7 +211,7 @@ class CycInt:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = CycInt.from_integer(self.m, other)
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
         return isinstance(other, CycInt) and self.m == other.m and self.coeffs == other.coeffs
 
     def __hash__(self):

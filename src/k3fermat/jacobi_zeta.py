@@ -14,7 +14,7 @@ from math import gcd, isqrt
 
 from .characters import CharacterVector, units_mod, enumerate_A
 from .cyclotomic import IntPoly, orbit_product, reduce, totient
-from .field import PrimeField, as_field, is_prime, make_field
+from .field import MAX_PRIME, PrimeField, as_field, is_prime, make_field
 from .kernels import jacobi_counts
 
 K_MINUS_TABLE = {25: 1, 27: 1, 9: 2, 11: 2, 17: 2, 7: 3}
@@ -54,8 +54,9 @@ def jacobi_sum(field, m, alpha):
 def _orbit_values(field, alphas):
     """j(alpha) for every vector in a Galois-stable set, one sum per orbit.
 
-    Orbit mates are filled in through galois_apply, so the double loop in
-    jacobi_sum runs once per orbit rather than once per character.
+    Orbit mates are filled in through galois_apply, so the O(q + m^2)
+    exponent count in jacobi_sum runs once per orbit rather than once per
+    character.
     """
     values = {}
     for alpha in alphas:
@@ -205,12 +206,13 @@ def zeta_report(k, q):
 
 
 def default_primes(m, count=2):
-    """The count smallest primes q with q = 1 mod m."""
+    """The count smallest primes q with q = 1 mod m that PrimeField
+    accepts; fewer, possibly none, when the cap MAX_PRIME cuts the search."""
     if m < 1 or count < 1:
         raise ValueError("need m >= 1 and count >= 1")
     out = []
     q = 1 + m
-    while len(out) < count:
+    while len(out) < count and q <= MAX_PRIME:
         if is_prime(q):
             out.append(q)
         q += m

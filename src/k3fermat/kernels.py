@@ -1,7 +1,9 @@
 """The three innermost counting loops.
 
 Plain lists in, ints or lists out: each is a tight loop over a finite
-field, kept free of package imports.
+field, kept free of package imports. jacobi_counts is O(q + m^2), a
+change of variables that splits the pair sum into two marginals;
+chi_cubic_sum is O(q) and fermat_affine O(q^2).
 """
 
 
@@ -11,29 +13,37 @@ def backend_name():
 
 
 def jacobi_counts(dlog, q, m, a1, a2, a3):
-    """Group-ring exponent counts for a Jacobi sum.
+    """Group-ring exponent counts for a Jacobi sum, in O(q + m^2).
 
-    dlog[v] is the discrete log of v (unused at v=0). Returns counts of
-    length m where counts[e] is the number of pairs (v1, v2) with
-    v1, v2, -1-v1-v2 all nonzero and a1*dlog(v1) + a2*dlog(v2) +
-    a3*dlog(-1-v1-v2) = e mod m.
+    dlog[v] is the discrete log of v (unused at v=0) and m divides q - 1.
+    Returns counts of length m where counts[e] is the number of pairs
+    (v1, v2) with v1, v2, -1-v1-v2 all nonzero and a1*dlog(v1) +
+    a2*dlog(v2) + a3*dlog(-1-v1-v2) = e mod m.
+
+    With s = a1 + a2 and h = dlog(-1), the pairs with v2 = -v1 have
+    v3 = -1 and exponent s*dlog(v1) + (a2+a3)*h; each residue of dlog(v1)
+    mod m occurs (q-1)/m times. Every other pair is uniquely
+    (v1, v2) = c*(x, 1-x) with c = -y, so v3 = -(1-y) and x, y lie outside
+    {0, 1}. Its exponent splits into a1*dlog(x) + a2*dlog(1-x) plus
+    s*dlog(y) + a3*dlog(1-y) + (s+a3)*h, so those counts are the cyclic
+    convolution of the two marginals over x and y.
     """
-    t1 = [0] * q
-    t2 = [0] * q
-    t3 = [0] * q
-    for v in range(1, q):
-        d = dlog[v]
-        t1[v] = a1 * d % m
-        t2[v] = a2 * d % m
-        t3[v] = a3 * d % m
+    s = a1 + a2
+    h = dlog[q - 1]
     counts = [0] * m
-    for v1 in range(1, q):
-        base = t1[v1]
-        w = -1 - v1
-        for v2 in range(1, q):
-            v3 = (w - v2) % q
-            if v3:
-                counts[(base + t2[v2] + t3[v3]) % m] += 1
+    for r in range(m):
+        counts[(s * r + (a2 + a3) * h) % m] += (q - 1) // m
+    p1 = [0] * m
+    p2 = [0] * m
+    shift = (s + a3) * h
+    # d = dlog(x) and e = dlog(1-x) as x runs over 2..q-1
+    for d, e in zip(dlog[2:], dlog[q - 1:1:-1]):
+        p1[(a1 * d + a2 * e) % m] += 1
+        p2[(s * d + a3 * e + shift) % m] += 1
+    for i, n1 in enumerate(p1):
+        if n1:
+            for j, n2 in enumerate(p2):
+                counts[(i + j) % m] += n1 * n2
     return counts
 
 

@@ -334,6 +334,15 @@ class TestDelsarteCommand:
         assert code == 2
 
 
+def run_module(*argv, timeout):
+    """`python -m k3fermat.cli argv` on this checkout's sources."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "k3fermat.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 class TestRefusals:
     """Inputs that once ran for hours or printed nonsense must exit 2 at
     once. Each runs in a subprocess with a timeout, so a regression fails
@@ -341,11 +350,7 @@ class TestRefusals:
 
     @staticmethod
     def refuse(*argv):
-        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "k3fermat.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=30)
+        proc = run_module(*argv, timeout=30)
         assert proc.returncode == 2
         assert proc.stdout == ""
         return proc.stderr
@@ -356,9 +361,16 @@ class TestRefusals:
                        "no admissible prime lies under the cap 2^22\n")
 
     def test_jacobi_large_degree_suggests_primes(self):
+        # 1000001, 2000001, 3000001 and 4000001 are composite, and every
+        # larger prime = 1 mod 10^6 lies over the cap
         err = self.refuse("jacobi", "--m", "1000000", "--q", "5", "--alpha", "1,1,1")
         assert err == ("error: q = 5 is not 1 mod 1000000; "
-                       "smallest admissible primes: 22000001, 24000001\n")
+                       "no admissible prime lies under the cap 2^22\n")
+
+    def test_jacobi_large_degree_suggests_primes_under_the_cap(self):
+        err = self.refuse("jacobi", "--m", "100000", "--q", "5", "--alpha", "1,1,1")
+        assert err == ("error: q = 5 is not 1 mod 100000; "
+                       "smallest admissible primes: 700001, 900001\n")
 
     @pytest.mark.parametrize("equation, weight_one", [
         ("y^2 = x^3 + t^13 + 1", 2),     # once rho = -2
@@ -368,6 +380,14 @@ class TestRefusals:
         err = self.refuse("delsarte", "--equation", equation)
         assert err == (f"error: not a K3 surface: {weight_one} invariant weight-one "
                        "characters, but h^(2,0) = 1 needs exactly one\n")
+
+
+def test_zeta_near_a_million_finishes():
+    # the Jacobi sums are linear in q; summing over all pairs ran for hours
+    proc = run_module("zeta", "--k", "66", "--q", "1000033", "--json", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["inputs"] == {"k": 66, "q": 1000033}
 
 
 class TestEntryPoint:

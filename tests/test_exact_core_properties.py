@@ -45,6 +45,15 @@ def cyclotomic_integers(draw):
 
 
 @exact
+@given(cyclotomic_integers(), st.integers(-5, 5), st.booleans())
+def test_comparison_with_an_int_matches_from_integer(v, n, constant):
+    if constant:
+        v = CycInt.from_integer(v.m, v.coeffs[0])
+    assert (v == n) == (v == CycInt.from_integer(v.m, n))
+    assert (n == v) == (v == n)
+
+
+@exact
 @given(cyclotomic_integers())
 def test_orbit_product_of_a_full_galois_orbit(v):
     conjugates = [v.galois_apply(u) for u in units_mod(v.m)]

@@ -7,15 +7,19 @@ for independence from it with an alternate primitive root.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from k3fermat.catalog import ORDERS, catalog_entry
 from k3fermat.characters import CharacterVector, enumerate_A
-from k3fermat.cyclotomic import IntPoly
-from k3fermat.field import PrimeField, make_field
+from k3fermat.cyclotomic import IntPoly, totient
+from k3fermat.field import PrimeField, is_prime, make_field
 from k3fermat.jacobi_zeta import (
     algebraic_factor,
     default_primes,
     fermat_zeta_factor,
     jacobi_sum,
+    zeta_report,
 )
 from k3fermat.pointcount import count_fermat
 
@@ -139,6 +143,10 @@ def test_default_primes():
     assert default_primes(66) == [67, 199]
     assert default_primes(14) == [29, 43]   # covers both q mod 4 branches
     assert default_primes(1, count=4) == [2, 3, 5, 7]
+    # only primes under the dlog table cap 2^22
+    assert default_primes(100000) == [700001, 900001]
+    assert default_primes(1000000) == []
+    assert default_primes(1 << 21, count=3) == []
     with pytest.raises(ValueError):
         default_primes(0)
 
@@ -191,8 +199,6 @@ def test_transcendental_factor_character_independence():
 
 
 def test_zeta_report_algebraic_split():
-    from k3fermat.jacobi_zeta import zeta_report
-
     rep = zeta_report(19, 191)
     assert (rep.n_plus, rep.n_minus) == (4, 0)
     assert rep.m == 38
@@ -203,8 +209,6 @@ def test_zeta_report_algebraic_split():
 
 
 def test_zeta_report_predicts_counts():
-    from k3fermat.catalog import catalog_entry
-    from k3fermat.jacobi_zeta import zeta_report
     from k3fermat.pointcount import count_elliptic_smooth
 
     for k, q in ((12, 13), (9, 19), (5, 11), (44, 89)):
@@ -222,3 +226,22 @@ def test_cm_factor_order_3():
     assert cm_factor_k3(19) == IntPoly([1, -11, 361])  # split, trace 11
     with pytest.raises(ValueError):
         cm_factor_k3(3)
+
+
+@st.composite
+def covered_orders_and_primes(draw, q_max=20000):
+    k = draw(st.sampled_from([k for k in ORDERS if k != 3]))
+    m = catalog_entry(k).m
+    q = draw(st.sampled_from([q for q in range(m + 1, q_max + 1, m) if is_prime(q)]))
+    return k, q
+
+
+@settings(deadline=None, max_examples=25)
+@given(covered_orders_and_primes())
+def test_jacobi_values_have_norm_q_squared_and_the_trace_its_weil_bound(case):
+    k, q = case
+    report = zeta_report(k, q)
+    assert report.jacobi_values
+    for _alpha, j in report.jacobi_values:
+        assert j * j.conj() == q * q
+    assert abs(report.trace) <= totient(k) * q

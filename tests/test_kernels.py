@@ -1,9 +1,40 @@
 """The counting kernels against their definitions, by direct enumeration."""
 
-import pytest
+import sys
+from collections import Counter
+from operator import add
 
-from k3fermat.field import make_field
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from k3fermat.field import is_prime, make_field
 from k3fermat.kernels import backend_name, chi_cubic_sum, fermat_affine, jacobi_counts
+
+
+def brute_jacobi_counts(dlog, q, m, a1, a2, a3):
+    """The O(q^2) reference for jacobi_counts: every pair (v1, v2) with
+    v1, v2 and v3 = -1-v1-v2 nonzero, one at a time.
+
+    For each v1 the values a2*dlog(v2) + a3*dlog(v3) of all its pairs are
+    tallied under a1*dlog(v1) mod m, and counts[e] sums the tallies whose
+    total is e mod m.
+    """
+    t2 = [a2 * d % m for d in dlog]
+    t3 = [a3 * d % m for d in dlog]
+    rows = [Counter() for _ in range(m)]
+    for v1 in range(1, q):
+        w = q - 1 - v1  # v2 = w is the one v2 with v3 = 0
+        row = rows[a1 * dlog[v1] % m]
+        # v2 = 1..w-1 has v3 = w-1..1 and v2 = w+1..q-1 has v3 = q-1..w+1
+        if w:
+            row.update(map(add, t2[1:w], t3[w - 1:0:-1]))
+        row.update(map(add, t2[w + 1:q], t3[q - 1:w:-1]))
+    counts = [0] * m
+    for b, row in enumerate(rows):
+        for e, n in row.items():
+            counts[(b + e) % m] += n
+    return counts
 
 
 @pytest.mark.parametrize("q,m", [(5, 2), (5, 4), (7, 3), (11, 10), (13, 12), (29, 14)])
@@ -18,6 +49,61 @@ def test_jacobi_counts_match_definition(q, m):
                     e = a1 * field.dlog(v1) + a2 * field.dlog(v2) + a3 * field.dlog(v3)
                     want[e % m] += 1
         assert jacobi_counts(field.dlog_table, q, m, a1, a2, a3) == want
+        assert brute_jacobi_counts(field.dlog_table, q, m, a1, a2, a3) == want
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 200) if is_prime(q)])
+def test_jacobi_counts_match_the_brute_loop_for_every_degree(q):
+    field = make_field(q)
+    for m in (m for m in range(1, q) if (q - 1) % m == 0):
+        # exponents past m, and each of a1, a2, a3, a1 + a2 and
+        # a1 + a2 + a3 = 0 mod m in one of the triples
+        for a in ((m, 2 * m + 1, m - 1), (m + 1, 2 * m - 1, 3 * m), (2, 3 * m, 5)):
+            assert (jacobi_counts(field.dlog_table, q, m, *a)
+                    == brute_jacobi_counts(field.dlog_table, q, m, *a)), (q, m, a)
+
+
+@st.composite
+def admissible_exponent_counts(draw):
+    q = draw(st.sampled_from([q for q in range(2, 400) if is_prime(q)]))
+    m = draw(st.sampled_from([m for m in range(1, q) if (q - 1) % m == 0]))
+    a = draw(st.tuples(*[st.integers(0, 3 * m - 1)] * 3))
+    return q, m, a
+
+
+@settings(deadline=None, max_examples=40)
+@given(admissible_exponent_counts())
+def test_jacobi_counts_match_the_brute_loop_at_random(case):
+    q, m, a = case
+    field = make_field(q)
+    assert (jacobi_counts(field.dlog_table, q, m, *a)
+            == brute_jacobi_counts(field.dlog_table, q, m, *a))
+
+
+def test_jacobi_counts_is_linear_in_q():
+    # Line events, not time: a fall back to the loop over all pairs costs
+    # about 18M events here, the two marginals and their convolution a few
+    # times q + m^2.
+    q, m = 2113, 66
+    field = make_field(q)
+    lines = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return count_lines
+
+    def enter(frame, event, arg):
+        return count_lines if frame.f_code is jacobi_counts.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        jacobi_counts(field.dlog_table, q, m, 1, 2, 63)
+    finally:
+        sys.settrace(previous)
+    assert 0 < lines <= 10 * (q + m * m)
 
 
 @pytest.mark.parametrize("q", [5, 7, 13, 29])
