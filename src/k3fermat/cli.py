@@ -32,7 +32,13 @@ from .delsarte import (
 from .field import check_modulus, make_field
 from .jacobi_zeta import default_primes, jacobi_sum, zeta_report
 from .lattice import discriminant_form, mirror_split, nikulin_complement_check
-from .pointcount import count_affine_double_sextic, count_elliptic_smooth, count_fermat
+from .pointcount import (
+    FERMAT_PAIR_LIMIT,
+    count_affine_double_sextic,
+    count_elliptic_smooth,
+    count_fermat,
+    fermat_value_pairs,
+)
 
 
 class UsageError(Exception):
@@ -230,6 +236,12 @@ def cmd_count(args):
     if args.fermat is not None:
         if args.fermat < 1:
             raise UsageError("--fermat degree must be positive")
+        pairs = fermat_value_pairs(args.fermat, args.q)
+        if pairs > FERMAT_PAIR_LIMIT:
+            raise UsageError(
+                f"the degree-{args.fermat} Fermat count over F_{args.q} sums over "
+                f"{pairs} pairs of values of u^{args.fermat}, over the limit "
+                f"{FERMAT_PAIR_LIMIT}")
         count = count_fermat(args.fermat, args.q)
         what = f"Fermat surface of degree {args.fermat}"
         inputs = {"fermat": args.fermat, "q": args.q}

@@ -218,17 +218,21 @@ class CycInt:
         return hash((self.m, self.coeffs))
 
     def __add__(self, other):
+        if isinstance(other, int):
+            return CycInt(self.m, (self.coeffs[0] + other,) + self.coeffs[1:])
         other = self._coerce(other)
         return CycInt(self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, int):
+            return self + -other
         other = self._coerce(other)
         return CycInt(self.m, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return -self + other
 
     def __neg__(self):
         return CycInt(self.m, tuple(-a for a in self.coeffs))
@@ -242,8 +246,6 @@ class CycInt:
     __rmul__ = __mul__
 
     def _coerce(self, other):
-        if isinstance(other, int):
-            return CycInt.from_integer(self.m, other)
         if not isinstance(other, CycInt):
             raise TypeError(f"cannot combine CycInt with {type(other).__name__}")
         if other.m != self.m:

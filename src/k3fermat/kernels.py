@@ -3,8 +3,12 @@
 Plain lists in, ints or lists out: each is a tight loop over a finite
 field, kept free of package imports. jacobi_counts is O(q + m^2), a
 change of variables that splits the pair sum into two marginals;
-chi_cubic_sum is O(q) and fermat_affine O(q^2).
+chi_cubic_sum is O(q). fermat_affine is O(q + n^2) for the n =
+1 + (q-1)/gcd(m, q-1) distinct values of u^m: it counts over pairs of
+values, each weighted by how often it occurs.
 """
+
+from collections import Counter
 
 
 def backend_name():
@@ -58,11 +62,14 @@ def chi_cubic_sum(chi2, cubes, a, b, q):
 def fermat_affine(powm, rootcnt, q):
     """Points on 1 + u^m + v^m + w^m = 0 in affine 3-space over F_q.
 
-    powm[v] = v^m mod q and rootcnt[c] counts the m-th roots of c.
+    powm[v] = v^m mod q and rootcnt[c] counts the m-th roots of c. The
+    count over (u, v) depends only on the values u^m and v^m, so each pair
+    of values (a, b) adds n_a * n_b * rootcnt[-1 - a - b], where n_a is the
+    number of u with u^m = a.
     """
+    tally = list(Counter(powm).items())
     total = 0
-    for u in range(q):
-        w = -1 - powm[u]
-        for v in range(q):
-            total += rootcnt[(w - powm[v]) % q]
+    for a, na in tally:
+        w = -1 - a
+        total += na * sum(nb * rootcnt[(w - b) % q] for b, nb in tally)
     return total

@@ -12,6 +12,9 @@ that may stay unreduced mod p; every decision (zero test, valuation,
 chi2, inverse) goes through the field, which reduces them.
 """
 
+from collections import Counter
+from math import gcd
+
 from .cyclotomic import IntPoly, exact_quotient, poly_gcd
 from .field import PrimeField, as_field, make_field
 from .kernels import chi_cubic_sum, fermat_affine
@@ -360,11 +363,10 @@ def count_elliptic_smooth(model, q):
         raise ValueError("residue characteristic must be at least 5")
     size = field.q
     disc = model.discriminant()
+    cubic_sum = _cubic_sums(field)
     fast = isinstance(field, PrimeField)
     if fast:
         p = field.p
-        chi2_table = field.chi2_table()
-        cubes = [x * x * x % p for x in range(p)]
         a_mod = [c % p for c in model.a.coeffs]
         b_mod = [c % p for c in model.b.coeffs]
         d_mod = [c % p for c in disc.coeffs]
@@ -374,31 +376,69 @@ def count_elliptic_smooth(model, q):
             if _horner_mod(d_mod, t0, p) != 0:
                 a0 = _horner_mod(a_mod, t0, p)
                 b0 = _horner_mod(b_mod, t0, p)
-                total += size + 1 + chi_cubic_sum(chi2_table, cubes, a0, b0, p)
+                total += size + 1 + cubic_sum(a0, b0)
                 continue
         elif not field.is_zero(disc(t0)):
-            total += size + 1 + _chi_cubic_field(field, model.a(t0), model.b(t0))
+            total += size + 1 + cubic_sum(model.a(t0), model.b(t0))
             continue
-        total += _degenerate_count(model, field, t0, size)
-    total += _degenerate_count(model, field, "inf", size)
+        total += _degenerate_count(model, field, t0, size, cubic_sum)
+    total += _degenerate_count(model, field, "inf", size, cubic_sum)
     return total
 
 
-def _degenerate_count(model, field, t0, size):
+def _degenerate_count(model, field, t0, size, cubic_sum):
     local = _local_model(model, field, t0)
     a, b, vd = local
     if vd == 0:
         # good after minimality reduction (e.g. deg A <= 4, deg B <= 6 at inf)
-        return size + 1 + _chi_cubic_field(field, a.coeff(0), b.coeff(0))
+        return size + 1 + cubic_sum(a.coeff(0), b.coeff(0))
     return fiber_points(tate_fiber(model, field, t0, local), size)
 
 
-def _chi_cubic_field(field, a0, b0):
-    if isinstance(field, PrimeField):
-        p = field.p
-        cubes = [x * x * x % p for x in range(p)]
-        return chi_cubic_sum(field.chi2_table(), cubes, a0 % p, b0 % p, p)
-    return sum(field.chi2(x * x * x + a0 * x + b0) for x in field.elements())
+def _cubic_sums(field):
+    """The function (a, b) -> S(a, b), the sum of chi2(x^3 + a x + b) over
+    every x in the field.
+
+    Over F_p, x -> mu x gives S(mu^2 a, mu^3 b) = chi2(mu) S(a, b), so
+    chi_cubic_sum runs once per class of that scaling, and a dict keeps
+    each result under the class's representative:
+      ab != 0: mu = a/b reaches (r, r) with r = a^3/b^2, so
+        S(a, b) = chi2(a/b) S(r, r) = chi2(ab) S(r, r);
+      a = 0: S(0, b) = S(0, g^e) with e = dlog(b) mod gcd(6, p-1);
+      b = 0: S(a, 0) = S(g^e, 0) with e = dlog(a) mod gcd(4, p-1);
+      a = b = 0: S = sum chi2(x^3) = sum chi2(x) = 0.
+    The a = 0 rule: if 3 | p-1, b/g^e = g^(6j) and each mu with
+    mu^3 = g^(6j) is g^(2j) times a cube root of 1, a square; otherwise
+    x -> x^3 is a bijection and S(0, b) = 0 for every b. The b = 0 rule:
+    if 4 | p-1, each mu with mu^2 = a/g^e = g^(4j) is +-g^(2j), a square
+    because -1 is; otherwise chi2(-1) = -1 and x -> -x gives
+    S(a, 0) = -S(a, 0) = 0.
+    """
+    if not isinstance(field, PrimeField):
+        return lambda a, b: sum(field.chi2(x * x * x + a * x + b) for x in field.elements())
+    p, g, dlog = field.p, field.g, field.dlog_table
+    chi2_table = field.chi2_table()
+    cubes = [x * x * x % p for x in range(p)]
+    sums = {}
+
+    def cubic_sum(a, b):
+        a %= p
+        b %= p
+        if a and b:
+            sign = chi2_table[a * b % p]
+            r = a * a * a * pow(b * b, -1, p) % p
+            key = (r, r)
+        elif a:
+            sign, key = 1, (pow(g, dlog[a] % gcd(4, p - 1), p), 0)
+        elif b:
+            sign, key = 1, (0, pow(g, dlog[b] % gcd(6, p - 1), p))
+        else:
+            return 0
+        if key not in sums:
+            sums[key] = chi_cubic_sum(chi2_table, cubes, key[0], key[1], p)
+        return sign * sums[key]
+
+    return cubic_sum
 
 
 def _horner_mod(coeffs, x, p):
@@ -470,11 +510,25 @@ def _geometric_kind(va, vb, vd):
 # ---------------------------------------------------------------------------
 # Fermat surfaces and double sextics
 
+# Largest fermat_value_pairs(m, q) that the count command accepts: about
+# a minute of fermat_affine, which visits some 17M value pairs per second
+# in pure Python on a 2-vCPU machine. count --fermat 4 --q 4194301 would
+# visit 2^40, about 1.1e12, pairs: many hours.
+FERMAT_PAIR_LIMIT = 10 ** 9
+
+
+def fermat_value_pairs(m, q):
+    """Pairs of values of u^m that count_fermat visits over F_q, q prime."""
+    return (1 + (q - 1) // gcd(m, q - 1)) ** 2
+
+
 def count_fermat(m, q):
     """Points of x0^m + x1^m + x2^m + x3^m = 0 in P^3(F_q).
 
-    Chart x0 = 1 is an O(q^2) double loop over m-th power counts; the
-    leftover x0 = 0 locus is the plane Fermat curve, counted the same way.
+    Chart x0 = 1 is a double sum over the fermat_value_pairs(m, q) pairs
+    of values of u^m and v^m, each weighted by how often it occurs, so
+    O(q + (q/gcd(m, q-1))^2) rather than O(q^2); the leftover x0 = 0 locus
+    is the plane Fermat curve, an O(q) sum over u.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -487,7 +541,12 @@ def count_fermat(m, q):
 
 
 def count_affine_double_sextic(f, q):
-    """Affine points of y^2 = f(u, v) over F_q, f given as {(i, j): coeff}."""
+    """Affine points of y^2 = f(u, v) over F_q, f given as {(i, j): coeff}.
+
+    f(u, v) depends on v only through the powers v^j that f uses, so the
+    v with equal powers share one row sum over u, weighted by their number
+    (for u^5 + u v^5 - 1, one row per value of v^5).
+    """
     if q % 2 == 0:
         raise ValueError("need odd q")
     field = make_field(q)
@@ -495,17 +554,22 @@ def count_affine_double_sextic(f, q):
     terms = [(i, j, c % q) for (i, j), c in sorted(f.items()) if c % q]
     if not terms:
         return q * q
-    max_i = max(t[0] for t in terms)
-    max_j = max(t[1] for t in terms)
+    js = sorted({j for _, j, _ in terms})
+    max_i = max(i for i, _, _ in terms)
     upow = [[pow(u, i, q) for i in range(max_i + 1)] for u in range(q)]
-    vpow = [[pow(v, j, q) for j in range(max_j + 1)] for v in range(q)]
+    rows = Counter(tuple(pow(v, j, q) for j in js) for v in range(q))
     total = q * q
-    for u in range(q):
-        pu = upow[u]
-        for v in range(q):
-            pv = vpow[v]
+    for powers, size in rows.items():
+        pv = dict(zip(js, powers))
+        row = [0] * (max_i + 1)
+        for i, j, c in terms:
+            row[i] += c * pv[j]
+        row_terms = [(i, c % q) for i, c in enumerate(row) if c % q]
+        row_sum = 0
+        for pu in upow:
             val = 0
-            for i, j, c in terms:
-                val += c * pu[i] * pv[j]
-            total += chi2_table[val % q]
+            for i, c in row_terms:
+                val += c * pu[i]
+            row_sum += chi2_table[val % q]
+        total += size * row_sum
     return total

@@ -372,6 +372,12 @@ class TestRefusals:
         assert err == ("error: q = 5 is not 1 mod 100000; "
                        "smallest admissible primes: 700001, 900001\n")
 
+    def test_fermat_count_with_too_many_value_pairs(self):
+        # gcd(4, q - 1) = 4 leaves 2^20 values of u^4, so 2^40 value pairs
+        err = self.refuse("count", "--fermat", "4", "--q", "4194301")
+        assert err == ("error: the degree-4 Fermat count over F_4194301 sums over "
+                       "1099511627776 pairs of values of u^4, over the limit 1000000000\n")
+
     @pytest.mark.parametrize("equation, weight_one", [
         ("y^2 = x^3 + t^13 + 1", 2),     # once rho = -2
         ("y^2 = x^3 + t^9*x + 1", 2),    # once rho = 4

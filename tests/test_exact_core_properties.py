@@ -54,6 +54,15 @@ def test_comparison_with_an_int_matches_from_integer(v, n, constant):
 
 
 @exact
+@given(cyclotomic_integers(), st.integers(-5, 5))
+def test_arithmetic_with_an_int_matches_from_integer(v, n):
+    c = CycInt.from_integer(v.m, n)
+    assert v + n == n + v == v + c
+    assert v - n == v - c
+    assert n - v == c - v
+
+
+@exact
 @given(cyclotomic_integers())
 def test_orbit_product_of_a_full_galois_orbit(v):
     conjugates = [v.galois_apply(u) for u in units_mod(v.m)]

@@ -6,6 +6,9 @@ counters. Everything that depends on the character normalization is tested
 for independence from it with an alternate primitive root.
 """
 
+import contextlib
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,14 +17,17 @@ from k3fermat.catalog import ORDERS, catalog_entry
 from k3fermat.characters import CharacterVector, enumerate_A
 from k3fermat.cyclotomic import IntPoly, totient
 from k3fermat.field import PrimeField, is_prime, make_field
+from k3fermat import jacobi_zeta
+from k3fermat.cli import main
 from k3fermat.jacobi_zeta import (
     algebraic_factor,
     default_primes,
     fermat_zeta_factor,
     jacobi_sum,
+    primary_prime,
     zeta_report,
 )
-from k3fermat.pointcount import count_fermat
+from k3fermat.pointcount import count_elliptic_smooth, count_fermat
 
 
 # hand enumeration for m=2, q=3: triples (1,2,2), (2,1,2), (2,2,1), each
@@ -226,6 +232,36 @@ def test_cm_factor_order_3():
     assert cm_factor_k3(19) == IntPoly([1, -11, 361])  # split, trace 11
     with pytest.raises(ValueError):
         cm_factor_k3(3)
+
+
+def test_primary_prime_has_norm_p_and_the_primary_congruences():
+    for p in (q for q in range(7, 3000, 6) if is_prime(q)):
+        a, b = primary_prime(p)
+        assert (a * a - a * b + b * b, a % 3, b % 3) == (p, 2, 0), p
+        assert b > 0
+    with pytest.raises(ValueError):
+        primary_prime(11)
+
+
+def test_cm_trace_matches_the_point_count_at_every_split_prime_below_400():
+    model = catalog_entry(3).model
+    for p in (q for q in range(7, 400, 6) if is_prime(q)):
+        trace = -jacobi_zeta.cm_factor_k3(p).coeff(1)
+        assert count_elliptic_smooth(model, p) == 1 + p * p + 20 * p + trace, p
+
+
+def verify_k3():
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(["verify", "--k", "3", "--json"])
+
+
+def test_verify_k3_fails_when_the_trace_rule_takes_a_wrong_unit(monkeypatch):
+    # zeta_3 * pi = -b + (a - b) zeta_3 has norm p but is not primary
+    assert verify_k3() == 0
+    right = jacobi_zeta.primary_prime
+    monkeypatch.setattr(jacobi_zeta, "primary_prime",
+                        lambda p: (lambda a, b: (-b, a - b))(*right(p)))
+    assert verify_k3() == 1
 
 
 @st.composite
