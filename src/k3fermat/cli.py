@@ -37,6 +37,7 @@ from .pointcount import (
     count_affine_double_sextic,
     count_elliptic_smooth,
     count_fermat,
+    double_sextic_terms,
     fermat_value_pairs,
 )
 
@@ -256,6 +257,11 @@ def cmd_count(args):
         else:
             if args.q == 2:
                 raise UsageError("the double sextic needs odd q")
+            terms = double_sextic_terms(entry.sextic_coeffs(), args.q)
+            if terms > FERMAT_PAIR_LIMIT:
+                raise UsageError(
+                    f"the affine double sextic count of the order-{args.k} surface over "
+                    f"F_{args.q} sums over {terms} terms, over the limit {FERMAT_PAIR_LIMIT}")
             count = count_affine_double_sextic(entry.sextic_coeffs(), args.q)
             what = f"affine double sextic chart of the order-{args.k} surface"
             note = "affine chart only; smooth count out of scope"

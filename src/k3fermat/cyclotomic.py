@@ -11,9 +11,11 @@ for the local expansions of pointcount (ints for F_p, QuadElements for
 F_{p^2}).
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
+from .characters import units_mod
 from .field import prime_factors
 
 
@@ -294,19 +296,91 @@ def reduce(raw, m):
     return CycInt(m, coeffs)
 
 
-def orbit_product(values):
-    """prod (1 - v*T) over CycInt values, certified to have integer coefficients.
+_trace_cache = {}
 
-    The values must aggregate to a full Galois-stable multiset (e.g. one or
-    more complete orbits); any non-integral product coefficient raises.
+
+def _trace_vector(m):
+    """Tr(zeta^i) from Q(zeta_m) to Q for i < phi(m), built on first use.
+
+    Tr(zeta^i) is the Ramanujan sum c_m(i) = mu(n) phi(m) / phi(n) with
+    n = m / gcd(i, m), so Tr(x) is the dot product of this vector with the
+    canonical coefficients of x.
     """
-    poly = IntPoly([1])
+    if m not in _trace_cache:
+        phi = totient(m)
+        out = []
+        for i in range(phi):
+            n = m // gcd(i, m)
+            primes = prime_factors(n)
+            squarefree = all(n % (f * f) for f in primes)
+            mu = (-1) ** len(primes) if squarefree else 0
+            out.append(mu * phi // totient(n))
+        _trace_cache[m] = out
+    return _trace_cache[m]
+
+
+def _exact_div(num, den, what):
+    quo, rem = divmod(num, den)
+    if rem:
+        raise ValueError(f"{what} {num} is not divisible by {den}")
+    return quo
+
+
+def _orbit_factor(v, size):
+    """prod (1 - wT) over the `size` distinct conjugates w of v, in Z[T].
+
+    The power sums p_k = Tr(v^k) / s, s = phi(m) / size the stabiliser
+    order, take size - 1 multiplications in Z[zeta_m]. Newton's identities
+    for the coefficients a_k = (-1)^k e_k of the factor read
+    k a_k = -sum_{i=1..k} a_(k-i) p_i.
+    """
+    trace = _trace_vector(v.m)
+    stabiliser = totient(v.m) // size
+    power = v
+    sums = []
+    coeffs = [1]
+    for k in range(1, size + 1):
+        if k > 1:
+            power = power * v
+        tr = sum(t * c for t, c in zip(trace, power.coeffs))
+        sums.append(_exact_div(tr, stabiliser, f"trace of v^{k}"))
+        newton = -sum(coeffs[k - i] * sums[i - 1] for i in range(1, k + 1))
+        coeffs.append(_exact_div(newton, k, f"Newton sum {k}"))
+    return IntPoly(coeffs)
+
+
+def orbit_product(values):
+    """prod (1 - v*T) over a Galois-stable multiset of CycInt values, in Z[T].
+
+    Power sums via traces + Newton, certified by full-orbit and divisibility
+    checks. The multiset is split into Galois orbits {sigma_u(v)}, and each
+    orbit must be present in full with the same multiplicity c for every
+    member; the orbit's factor comes from _orbit_factor and enters as its
+    c-th power. A value that is not a CycInt, mixed conductors, a missing
+    conjugate, uneven multiplicities or an inexact division raise ValueError.
+    """
+    counts = Counter()
+    m = None
     for v in values:
-        poly = poly * IntPoly([1, -v])
-    out = []
-    for i, c in enumerate(poly.coeffs):
-        n = c if isinstance(c, int) else c.as_rational_integer()
-        if n is None:
-            raise ValueError(f"orbit product coefficient {i} is not a rational integer: {c!r}")
-        out.append(n)
-    return IntPoly(out)
+        if not isinstance(v, CycInt):
+            raise ValueError(f"orbit product needs CycInt values, got {type(v).__name__}")
+        if m is None:
+            m = v.m
+        elif v.m != m:
+            raise ValueError(f"conductor mismatch: {m} vs {v.m}")
+        counts[v] += 1
+    poly = IntPoly([1])
+    while counts:
+        v = next(iter(counts))
+        c = counts[v]
+        # units_mod(m) starts with 1, and is empty for m = 1
+        orbit = {v}.union(v.galois_apply(u) for u in units_mod(m)[1:])
+        for w in orbit:
+            n = counts.pop(w, 0)
+            if n != c:
+                raise ValueError(f"not Galois-stable: {v!r} occurs {c} times, "
+                                 f"its conjugate {w!r} {n} times")
+        factor = _orbit_factor(v, len(orbit))
+        for _ in range(c):
+            poly = poly * factor
+    return poly

@@ -54,16 +54,17 @@ def jacobi_sum(field, m, alpha):
 def _orbit_values(field, alphas):
     """j(alpha) for every vector in a Galois-stable set, one sum per orbit.
 
-    Orbit mates are filled in through galois_apply, so the O(q + m^2)
-    exponent count in jacobi_sum runs once per orbit rather than once per
-    character.
+    The O(q + m^2) exponent count in jacobi_sum runs once per orbit, and
+    the mates u * alpha get sigma_u(j) through galois_apply. orbit_product
+    recomputes the conjugates of its values as its full-orbit certificate,
+    so nothing here is trusted downstream.
     """
     values = {}
     for alpha in alphas:
         if alpha in values:
             continue
-        j = jacobi_sum(field, alpha.m, alpha)
-        for u in units_mod(alpha.m):
+        j = values[alpha] = jacobi_sum(field, alpha.m, alpha)
+        for u in units_mod(alpha.m)[1:]:
             mate = alpha.scaled(u)
             if mate not in values:
                 values[mate] = j.galois_apply(u)

@@ -513,7 +513,9 @@ def _geometric_kind(va, vb, vd):
 # Largest fermat_value_pairs(m, q) that the count command accepts: about
 # a minute of fermat_affine, which visits some 17M value pairs per second
 # in pure Python on a 2-vCPU machine. count --fermat 4 --q 4194301 would
-# visit 2^40, about 1.1e12, pairs: many hours.
+# visit 2^40, about 1.1e12, pairs: many hours. The count command holds
+# double_sextic_terms(f, q) to the same limit; at some 3M terms per
+# second on the same machine that is about six minutes of the k = 25 count.
 FERMAT_PAIR_LIMIT = 10 ** 9
 
 
@@ -538,6 +540,16 @@ def count_fermat(m, q):
     affine = fermat_affine(powm, rootcnt, q)
     curve = sum(rootcnt[(-1 - powm[u]) % q] for u in range(q)) + rootcnt[(q - 1) % q]
     return affine + curve
+
+
+def double_sextic_terms(f, q):
+    """Terms that count_affine_double_sextic sums over F_q, q prime.
+
+    One row of q values of u per value of the powers v^j that f uses, and
+    those take 1 + (q-1)/gcd(g, q-1) values with g the gcd of the j.
+    """
+    g = gcd(*(j for (_, j), c in f.items() if c % q))
+    return q * (1 + (q - 1) // gcd(g, q - 1))
 
 
 def count_affine_double_sextic(f, q):

@@ -378,6 +378,13 @@ class TestRefusals:
         assert err == ("error: the degree-4 Fermat count over F_4194301 sums over "
                        "1099511627776 pairs of values of u^4, over the limit 1000000000\n")
 
+    def test_double_sextic_count_with_too_many_terms(self):
+        # gcd(5, q - 1) = 5: one row of q terms per value of v^5
+        err = self.refuse("count", "--k", "25", "--q", "4194301")
+        assert err == ("error: the affine double sextic count of the order-25 surface "
+                       "over F_4194301 sums over 3518435531161 terms, over the limit "
+                       "1000000000\n")
+
     @pytest.mark.parametrize("equation, weight_one", [
         ("y^2 = x^3 + t^13 + 1", 2),     # once rho = -2
         ("y^2 = x^3 + t^9*x + 1", 2),    # once rho = 4

@@ -1,5 +1,11 @@
-import pytest
+from math import gcd
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from k3fermat.catalog import ORDERS, catalog_entry, transcendental_row
+from k3fermat.characters import units_mod
 from k3fermat.cyclotomic import (
     CycInt,
     IntPoly,
@@ -9,11 +15,11 @@ from k3fermat.cyclotomic import (
     reduce,
     totient,
 )
+from k3fermat.field import make_field
+from k3fermat.jacobi_zeta import _orbit_values, default_primes, zeta_report
 
 
 def brute_totient(m):
-    from math import gcd
-
     return sum(1 for a in range(1, m + 1) if gcd(a, m) == 1)
 
 
@@ -178,6 +184,103 @@ def test_orbit_product():
         orbit_product([z])
     with pytest.raises(ValueError):
         orbit_product([z, CycInt.from_integer(3, 1)])
+
+
+def reference_orbit_product(values):
+    """prod (1 - v*T) factor by factor over Z[zeta_m][T], certified by
+    every coefficient being a rational integer."""
+    poly = IntPoly([1])
+    for v in values:
+        poly = poly * IntPoly([1, -v])
+    out = []
+    for c in poly.coeffs:
+        n = c if isinstance(c, int) else c.as_rational_integer()
+        if n is None:
+            raise ValueError(f"coefficient {c!r} is not a rational integer")
+        out.append(n)
+    return IntPoly(out)
+
+
+@st.composite
+def galois_stable_multisets(draw):
+    """One or two full orbits with multiplicities 1-3, shuffled. A value
+    may be summed over the cyclic group of units generated by h, so that
+    its stabiliser is nontrivial."""
+    m = draw(st.sampled_from([3, 4, 5, 7, 8, 9, 12, 66]))
+    units = units_mod(m)
+    values = []
+    for _ in range(draw(st.integers(1, 2))):
+        w = CycInt(m, draw(st.lists(st.integers(-3, 3), min_size=totient(m),
+                                    max_size=totient(m))))
+        h = draw(st.sampled_from(units))
+        group = {pow(h, e, m) for e in range(totient(m))}
+        v = CycInt.from_integer(m, 0)
+        for x in group:
+            v = v + w.galois_apply(x)
+        orbit = {v.galois_apply(u) for u in units}
+        values += list(orbit) * draw(st.integers(1, 3))
+    return draw(st.permutations(values))
+
+
+@settings(deadline=None, max_examples=60)
+@given(galois_stable_multisets())
+def test_orbit_product_matches_the_factor_by_factor_product(values):
+    assert orbit_product(values) == reference_orbit_product(values)
+
+
+def test_orbit_product_matches_on_every_catalog_row():
+    for k in ORDERS:
+        if k == 3:
+            continue
+        row = transcendental_row(k)
+        for q in default_primes(catalog_entry(k).m):
+            values = _orbit_values(make_field(q), row)
+            row_values = [values[alpha] for alpha in row]
+            poly = orbit_product(row_values)
+            assert poly == reference_orbit_product(row_values), (k, q)
+            assert poly.degree == totient(k)
+
+
+def test_orbit_product_refuses_multisets_that_are_not_galois_stable():
+    v = reduce([1, 2, 0, -1], 5)
+    orbit = [v.galois_apply(u) for u in units_mod(5)]
+    fixed = CycInt.from_integer(5, 3)
+    with pytest.raises(ValueError):
+        orbit_product(orbit[:-1])                     # one conjugate missing
+    with pytest.raises(ValueError):
+        orbit_product(orbit + orbit[:1])              # uneven multiplicities
+    with pytest.raises(ValueError):
+        orbit_product([fixed, fixed] + orbit + orbit[1:])
+    with pytest.raises(ValueError):
+        orbit_product(orbit + [CycInt.from_integer(4, 3)])   # mixed conductors
+    with pytest.raises(ValueError):
+        orbit_product(orbit + [3])                    # not a CycInt
+    with pytest.raises(ValueError):
+        orbit_product([IntPoly([1])])
+
+
+def test_orbit_product_counts_a_nontrivial_stabiliser():
+    # sqrt(-3) = 1 + 2 zeta_3 as an element of Z[zeta_12], fixed by u = 7
+    # (zeta_3 = zeta_12^4); its orbit {sqrt(-3), -sqrt(-3)} has size 2
+    r = reduce([1, 0, 0, 0, 2], 12)
+    assert r.galois_apply(7) == r
+    assert orbit_product([r, -r]) == IntPoly([1, 0, 3])
+    assert orbit_product([r, r, -r, -r]) == IntPoly([1, 0, 6, 0, 9])
+
+
+def test_zeta_report_makes_a_linear_number_of_multiplications(monkeypatch):
+    # Newton's identities need |orbit| - 1 = 19 products for k = 66; the
+    # factor-by-factor product made 380
+    calls = []
+    mul = CycInt.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(CycInt, "__mul__", counting_mul)
+    zeta_report(66, 4027)
+    assert 0 < len(calls) <= 2 * totient(66)
 
 
 def test_cycint_immutable_and_hashable():

@@ -1,5 +1,8 @@
-"""Property tests for the two exact cores: discriminant forms read off the
-Smith transform, and orbit products over Z[zeta_m] on IntPoly."""
+"""Property tests for the two exact cores: the Smith transform and the
+discriminant forms read off it, and orbit products over Z[zeta_m]."""
+
+from itertools import combinations
+from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -35,6 +38,36 @@ def test_discriminant_form_is_the_inverse_of_u_g_ut(g):
                                     [[inverse[i][j] for j in keep] for i in keep])
     assert form == reference
     assert form.group_order() == abs(det(g))
+
+
+def laplace_det(mat):
+    """Determinant by cofactor expansion along the first row."""
+    if not mat:
+        return 1
+    return sum((-1) ** j * mat[0][j] * laplace_det([row[:j] + row[j + 1:] for row in mat[1:]])
+               for j in range(len(mat)))
+
+
+@st.composite
+def integer_matrices(draw, max_size=4):
+    nr = draw(st.integers(1, max_size))
+    nc = draw(st.integers(1, max_size))
+    return [draw(st.lists(st.integers(-6, 6), min_size=nc, max_size=nc)) for _ in range(nr)]
+
+
+@exact
+@given(integer_matrices())
+def test_smith_diagonal_products_are_the_minor_gcds(mat):
+    # d_1 ... d_k = gcd of all k x k minors (determinantal divisors),
+    # which fixes the diagonal without trusting u and v
+    d, _u, _v = smith_normal_form(mat)
+    rows, cols = range(len(mat)), range(len(mat[0]))
+    product = 1
+    for k in range(1, min(len(mat), len(mat[0])) + 1):
+        product *= d[k - 1]
+        minors = [laplace_det([[mat[i][j] for j in cs] for i in rs])
+                  for rs in combinations(rows, k) for cs in combinations(cols, k)]
+        assert product == gcd(*minors), k
 
 
 @st.composite

@@ -30,6 +30,7 @@ from k3fermat.pointcount import (
     count_affine_double_sextic,
     count_elliptic_smooth,
     count_fermat,
+    double_sextic_terms,
     fiber_points,
     tate_fiber,
 )
@@ -193,6 +194,18 @@ def test_k25_double_sextic_matches_the_row_loop_below_400():
                        st.integers(-40, 40), max_size=5))
 def test_double_sextic_matches_the_row_loop_at_random(q, f):
     assert count_affine_double_sextic(f, q) == reference_double_sextic(f, q)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from([3, 5, 7, 13, 31, 37, 601]),
+       st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                       st.integers(-40, 40), max_size=5))
+def test_double_sextic_terms_is_q_per_row(q, f):
+    # the count command's budget: q terms for each distinct row of powers v^j
+    js = sorted({j for (_, j), c in f.items() if c % q})
+    assume(any(js))
+    rows = {tuple(pow(v, j, q) for j in js) for v in range(q)}
+    assert double_sextic_terms(f, q) == q * len(rows)
 
 
 # ---------------------------------------------------------------------------
