@@ -23,6 +23,7 @@ from .catalog import (
     verify_entry,
 )
 from .characters import CharacterVector, alpha_norm
+from .cyclotomic import POWER_TABLE_LIMIT, power_table_bound
 from .delsarte import (
     SurfaceSyntaxError,
     derive_cover,
@@ -136,7 +137,7 @@ def cmd_verify(args):
     t0 = time.time()
     ks = list(ORDERS) if args.all else [args.k]
     entries = [_entry_or_usage(k) for k in ks]
-    primes = tuple(args.q) if args.q else None
+    primes = tuple(dict.fromkeys(args.q)) if args.q else None
     if primes:
         for entry in entries:
             for q in primes:
@@ -210,6 +211,11 @@ def cmd_jacobi(args):
         alpha = CharacterVector.from_triple(args.m, triple)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    entries = power_table_bound(args.m)
+    if entries > POWER_TABLE_LIMIT:
+        raise UsageError(
+            f"arithmetic in Z[zeta_{args.m}] needs a power table of up to {entries} "
+            f"entries, over the limit {POWER_TABLE_LIMIT}")
     value = jacobi_sum(make_field(args.q), args.m, alpha)
     norm = (value * value.conj()).as_rational_integer()
     rational = value.as_rational_integer()
@@ -419,7 +425,7 @@ def _build_parser():
     group.add_argument("--k", type=int, help="verify one entry")
     group.add_argument("--all", action="store_true", help="verify every entry")
     p.add_argument("--q", type=int, action="append",
-                   help="override the zeta primes (repeatable)")
+                   help="override the zeta primes (repeatable; repeats are dropped)")
 
     p = add("zeta", cmd_zeta, "zeta factors and predicted count at one prime")
     p.add_argument("--k", type=int, required=True)

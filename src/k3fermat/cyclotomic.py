@@ -2,8 +2,10 @@
 
 CycInt stores the canonical residue modulo the m-th cyclotomic polynomial
 (coefficient vector of length phi(m)), so equality is coefficient equality
-and integrality certificates are exact. Group-ring vectors of length m are
-accepted as raw input and reduced once.
+and integrality certificates are exact. Group-ring vectors of any length
+are accepted as raw input and reduced once, by a table per conductor m that
+holds the canonical coordinates of zeta^j for each j < m: reduce, products
+and the Galois action read rows of it and never divide by Phi_m.
 
 IntPoly is the one polynomial type: its coefficients are ints for Z[T],
 Fractions for Q[T], CycInts for Z[zeta_m][T], or finite-field elements
@@ -243,7 +245,13 @@ class CycInt:
         if isinstance(other, int):
             return CycInt(self.m, tuple(other * a for a in self.coeffs))
         other = self._coerce(other)
-        return reduce((IntPoly(self.coeffs) * IntPoly(other.coeffs)).coeffs, self.m)
+        a, b = self.coeffs, other.coeffs
+        conv = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    conv[k] += x * y
+        return reduce(conv, self.m)
 
     __rmul__ = __mul__
 
@@ -264,11 +272,13 @@ class CycInt:
         u %= m
         if gcd(u, m) != 1:
             raise ValueError(f"{u} is not a unit mod {m}")
-        raw = [0] * m
+        rows = _power_table(m)
+        acc = [0] * len(self.coeffs)
         for j, c in enumerate(self.coeffs):
             if c:
-                raw[u * j % m] += c
-        return reduce(raw, m)
+                for i, a in rows[u * j % m]:
+                    acc[i] += c * a
+        return CycInt(m, acc)
 
     def as_rational_integer(self):
         """The integer value, or None when any non-constant coefficient survives."""
@@ -286,14 +296,67 @@ class CycInt:
 def reduce(raw, m):
     """Canonical residue of sum raw[j] * zeta^j modulo the m-th cyclotomic
     polynomial. Accepts vectors of any length (exponents taken mod m)."""
-    acc = [0] * m
+    rows = _power_table(m)
+    acc = [0] * cyclotomic_poly(m).degree
     for j, c in enumerate(raw):
         if c:
-            acc[j % m] += c
-    phi_m = cyclotomic_poly(m)
-    _, rem = poly_divmod(IntPoly(acc), phi_m)
-    coeffs = list(rem.coeffs) + [0] * (phi_m.degree - len(rem.coeffs))
-    return CycInt(m, coeffs)
+            for i, a in rows[j % m]:
+                acc[i] += c * a
+    return CycInt(m, acc)
+
+
+# The largest power_table_bound that the jacobi command accepts. For scale: m = 18480 has a bound of 7.0e6, its
+# table holds 3.4e6 pairs, takes 2.8 s to build and peaks at 47 MB
+# (CPython 3.11, one core of a 2-vCPU machine).
+POWER_TABLE_LIMIT = 10 ** 7
+
+
+def power_table_bound(m):
+    """An upper bound on the (index, coefficient) pairs of _power_table(m).
+
+    With r = rad m and s = m / r, Phi_m(x) = Phi_r(x^s), so for j = s*a + b,
+    b < s, zeta^j = zeta^b (zeta^s)^a has at most phi(r) canonical terms;
+    the phi(m) rows j < phi(m) are single monomials.
+    """
+    phi = totient(m)
+    rad = 1
+    for f in prime_factors(m):
+        rad *= f
+    return phi + (m - phi) * totient(rad)
+
+
+_table_cache = {}
+
+
+def _power_table(m):
+    """Row j holds the canonical coordinates of zeta^j mod Phi_m, j < m, as
+    sparse (index, coefficient) pairs; built on first use.
+
+    Shift and fold: zeta^(j+1) is zeta^j shifted up one place, with its top
+    coefficient c folded back through x^phi = x^phi - Phi_m(x) mod Phi_m,
+    a polynomial of degree below phi. Equal pairs are interned, so the rows
+    share them.
+    """
+    if m not in _table_cache:
+        phi_m = cyclotomic_poly(m)
+        top = phi_m.degree - 1
+        fold = [(i, -a) for i, a in enumerate(phi_m.coeffs[:-1]) if a]
+        pairs = {}
+        rows = []
+        row = {0: 1}
+        for _ in range(m):
+            rows.append(tuple(pairs.setdefault(p, p) for p in sorted(row.items())))
+            c = row.pop(top, 0)
+            row = {i + 1: a for i, a in row.items()}
+            if c:
+                for i, a in fold:
+                    b = row.get(i, 0) + c * a
+                    if b:
+                        row[i] = b
+                    else:
+                        del row[i]
+        _table_cache[m] = rows
+    return _table_cache[m]
 
 
 _trace_cache = {}

@@ -55,9 +55,10 @@ def _orbit_values(field, alphas):
     """j(alpha) for every vector in a Galois-stable set, one sum per orbit.
 
     The O(q + m^2) exponent count in jacobi_sum runs once per orbit, and
-    the mates u * alpha get sigma_u(j) through galois_apply. orbit_product
-    recomputes the conjugates of its values as its full-orbit certificate,
-    so nothing here is trusted downstream.
+    the mates u * alpha get sigma_u(j) through galois_apply, which reads
+    the rows u*j mod m of the conductor's power table and calls no reduce.
+    orbit_product recomputes the conjugates of its values as its
+    full-orbit certificate, so nothing here is trusted downstream.
     """
     values = {}
     for alpha in alphas:

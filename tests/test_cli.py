@@ -89,6 +89,14 @@ class TestVerifyCommand:
         assert "zeta-q61" in out
         assert "zeta-q13" not in out
 
+    def test_repeated_prime_is_checked_once(self, capsys):
+        code, doc, _ = run_json(capsys, "verify", "--k", "66", "--q", "67",
+                                "--q", "199", "--q", "67")
+        assert code == 0
+        assert doc["inputs"] == {"k": [66], "q": [67, 199]}
+        names = [c["name"] for c in doc["reports"][0]["checks"]]
+        assert [n for n in names if n.startswith("zeta-")] == ["zeta-q67", "zeta-q199"]
+
     def test_json_report_shape(self, capsys):
         code, doc, out = run_json(capsys, "verify", "--k", "5")
         assert code == 0
@@ -385,6 +393,13 @@ class TestRefusals:
                        "over F_4194301 sums over 3518435531161 terms, over the limit "
                        "1000000000\n")
 
+    def test_jacobi_degree_with_too_large_a_power_table(self):
+        # m = 3*5*7*11*13 is squarefree, so each of its 15015 - 5760 folded
+        # rows may hold phi(m) = 5760 terms
+        err = self.refuse("jacobi", "--m", "15015", "--q", "120121", "--alpha", "1,2,3")
+        assert err == ("error: arithmetic in Z[zeta_15015] needs a power table of up to "
+                       "53314560 entries, over the limit 10000000\n")
+
     @pytest.mark.parametrize("equation, weight_one", [
         ("y^2 = x^3 + t^13 + 1", 2),     # once rho = -2
         ("y^2 = x^3 + t^9*x + 1", 2),    # once rho = 4
@@ -401,6 +416,14 @@ def test_zeta_near_a_million_finishes():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["inputs"] == {"k": 66, "q": 1000033}
+
+
+def test_jacobi_under_the_power_table_limit_answers():
+    # bound 1757760 entries; the table holds 860520
+    proc = run_module("jacobi", "--m", "4620", "--q", "4621", "--alpha", "1,2,3",
+                      "--json", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["norm_ok"] is True
 
 
 class TestEntryPoint:

@@ -9,9 +9,11 @@ from k3fermat.characters import units_mod
 from k3fermat.cyclotomic import (
     CycInt,
     IntPoly,
+    _power_table,
     cyclotomic_poly,
     orbit_product,
     poly_divmod,
+    power_table_bound,
     reduce,
     totient,
 )
@@ -136,6 +138,104 @@ def test_reduce_is_ring_hom():
             assert reduce(conv, m) == reduce(a, m) * reduce(b, m)
             s = [x + y for x, y in zip(a, b)]
             assert reduce(s, m) == reduce(a, m) + reduce(b, m)
+
+
+def reference_reduce(raw, m):
+    """Canonical residue of sum raw[j] * zeta^j by long division by Phi_m."""
+    acc = [0] * m
+    for j, c in enumerate(raw):
+        if c:
+            acc[j % m] += c
+    phi_m = cyclotomic_poly(m)
+    _, rem = poly_divmod(IntPoly(acc), phi_m)
+    return CycInt(m, list(rem.coeffs) + [0] * (phi_m.degree - len(rem.coeffs)))
+
+
+CATALOG_CONDUCTORS = sorted({catalog_entry(k).m for k in ORDERS if k != 3})
+
+
+def test_power_table_rows_are_remainders_of_powers():
+    # every m <= 200: m = 1 and 2, prime powers and all catalog conductors
+    assert set(CATALOG_CONDUCTORS) <= set(range(1, 201))
+    for m in range(1, 201):
+        rows = _power_table(m)
+        assert len(rows) == m
+        phi_m = cyclotomic_poly(m)
+        for j, row in enumerate(rows):
+            dense = [0] * phi_m.degree
+            for i, a in row:
+                assert a and dense[i] == 0, (m, j)
+                dense[i] = a
+            assert IntPoly(dense) == poly_divmod(IntPoly([0] * j + [1]), phi_m)[1], (m, j)
+        assert sum(map(len, rows)) <= power_table_bound(m), m
+
+
+def test_power_table_bound_values():
+    # phi(m) monomial rows plus (m - phi(m)) rows of at most phi(rad m) terms
+    assert power_table_bound(1) == 1
+    assert power_table_bound(2) == 2 == sum(map(len, _power_table(2)))
+    assert power_table_bound(4620) == 960 + (4620 - 960) * 480
+    assert power_table_bound(15015) == 5760 + (15015 - 5760) * 5760
+    # a prime p has one folded row, -(1 + zeta + ... + zeta^(p-2))
+    assert power_table_bound(199) == 2 * 198 == sum(map(len, _power_table(199)))
+
+
+@st.composite
+def raw_vectors(draw):
+    m = draw(st.sampled_from(CATALOG_CONDUCTORS))
+    raw = draw(st.lists(st.integers(-50, 50), max_size=3 * m))
+    return m, raw
+
+
+@settings(deadline=None, max_examples=150)
+@given(raw_vectors())
+def test_reduce_matches_long_division(case):
+    m, raw = case
+    assert reduce(raw, m) == reference_reduce(raw, m)
+
+
+@st.composite
+def elements_and_units(draw):
+    m = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 12] + CATALOG_CONDUCTORS))
+    phi = totient(m)
+    coords = st.lists(st.integers(-20, 20), min_size=phi, max_size=phi)
+    x, y = CycInt(m, draw(coords)), CycInt(m, draw(coords))
+    units = st.sampled_from(units_mod(m) if m > 1 else [1])
+    return x, y, draw(units), draw(units)
+
+
+@settings(deadline=None, max_examples=150)
+@given(elements_and_units())
+def test_galois_action_is_a_ring_automorphism(case):
+    x, y, u, v = case
+    m = x.m
+    assert x.galois_apply(1) == x
+    assert (x * y).galois_apply(u) == x.galois_apply(u) * y.galois_apply(u)
+    assert (x + y).galois_apply(u) == x.galois_apply(u) + y.galois_apply(u)
+    assert x.galois_apply(u).galois_apply(v) == x.galois_apply(u * v % m)
+
+
+@settings(deadline=None, max_examples=150)
+@given(elements_and_units())
+def test_mul_matches_the_polynomial_product(case):
+    x, y, _, _ = case
+    product = IntPoly(x.coeffs) * IntPoly(y.coeffs)
+    assert x * y == reference_reduce(product.coeffs, x.m)
+
+
+def test_zeta_report_does_no_long_division(monkeypatch):
+    # once Phi_66 and its power table are built, a zeta report divides by
+    # nothing; the long-division reduce made 58 divisions here
+    zeta_report(66, 2113)
+    calls = []
+
+    def counting_divmod(num, den):
+        calls.append(den.degree)
+        return poly_divmod(num, den)
+
+    monkeypatch.setattr("k3fermat.cyclotomic.poly_divmod", counting_divmod)
+    zeta_report(66, 4027)
+    assert calls == []
 
 
 def test_conj_and_galois():
