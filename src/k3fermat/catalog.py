@@ -84,10 +84,8 @@ class SectionRecord:
 @dataclass(frozen=True)
 class K3CatalogEntry:
     k: int
-    lattice_class: str        # "unimodular" or "non-unimodular"
     m: int                    # Fermat cover degree; None for k=3
     equation: str             # defining model over Q, parseable text
-    elliptic: bool
     model: WeierstrassModel   # None for the k=25 double sextic
     sextic: tuple             # ((i, j, coeff), ...) of y^2 = f(u, v), else None
     action_vars: tuple        # coordinate names the automorphism acts on
@@ -97,7 +95,6 @@ class K3CatalogEntry:
     fibers: tuple             # sorted (kind, degree) over closed points; None for k=25
     reducible_fibers: tuple   # kinds entering the discriminant product, else None
     section: SectionRecord    # None when the Mordell-Weil rank is zero
-    mw_height: Fraction       # height of the stored section, else None
     disc_s: int               # Neron-Severi discriminant, else None
     cover_equation: str       # four-monomial form covered by the Fermat surface
     cover: MonomialMap        # None for k=3
@@ -106,12 +103,22 @@ class K3CatalogEntry:
     zeta_primes: tuple
 
     def __post_init__(self):
-        if self.lattice_class not in ("unimodular", "non-unimodular"):
-            raise ValueError(f"unknown lattice class {self.lattice_class!r}")
         if len(self.action_vars) != len(self.action):
             raise ValueError("one action exponent per coordinate required")
-        if self.elliptic != (self.model is not None):
-            raise ValueError("elliptic flag must match the Weierstrass model")
+
+    @property
+    def lattice_class(self):
+        """'unimodular' for the orders in UNIMODULAR_ORDERS, else 'non-unimodular'."""
+        return "unimodular" if self.k in UNIMODULAR_ORDERS else "non-unimodular"
+
+    @property
+    def elliptic(self):
+        return self.model is not None
+
+    @property
+    def mw_height(self):
+        """Height of the stored section, else None."""
+        return self.section.height() if self.section else None
 
     def cover_surface(self):
         """The four-monomial equation as a DelsarteSurface, or None."""
@@ -213,13 +220,10 @@ def _build_catalog():
             mirror, reducible=None, disc_s=None, sextic=None,
             zeta_primes=None):
         model = WeierstrassModel(a_poly, b_poly) if b_poly is not None else None
-        section = _SECTIONS.get(k)
         rows[k] = K3CatalogEntry(
             k=k,
-            lattice_class="unimodular" if k in UNIMODULAR_ORDERS else "non-unimodular",
             m=m,
             equation=equation,
-            elliptic=model is not None,
             model=model,
             sextic=sextic,
             action_vars=action_vars,
@@ -228,8 +232,7 @@ def _build_catalog():
             t_gram=t_gram,
             fibers=fibers,
             reducible_fibers=reducible,
-            section=section,
-            mw_height=section.height() if section else None,
+            section=_SECTIONS.get(k),
             disc_s=disc_s,
             cover_equation=cover_equation,
             cover=cover,
@@ -595,8 +598,6 @@ def verify_entry(entry, primes=None):
         def chk_height_disc():
             h = entry.mw_height if entry.mw_height is not None else Fraction(1)
             if entry.section is not None:
-                if entry.section.height() != entry.mw_height:
-                    raise AssertionError("stored height disagrees with section data")
                 if not section_satisfies(entry.model, entry.section):
                     raise AssertionError("section does not satisfy the equation")
                 q = discriminant_form(entry.s_gram)

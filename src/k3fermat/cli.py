@@ -23,7 +23,7 @@ from .catalog import (
     verify_entry,
 )
 from .characters import CharacterVector, alpha_norm
-from .cyclotomic import POWER_TABLE_LIMIT, power_table_bound
+from .cyclotomic import JACOBI_WORK_LIMIT, POWER_TABLE_LIMIT, jacobi_work, power_table_bound
 from .delsarte import (
     SurfaceSyntaxError,
     derive_cover,
@@ -216,6 +216,11 @@ def cmd_jacobi(args):
         raise UsageError(
             f"arithmetic in Z[zeta_{args.m}] needs a power table of up to {entries} "
             f"entries, over the limit {POWER_TABLE_LIMIT}")
+    work = jacobi_work(args.m, args.q)
+    if work > JACOBI_WORK_LIMIT:
+        raise UsageError(
+            f"the Jacobi sum in Z[zeta_{args.m}] over F_{args.q} and its norm take about "
+            f"{work} steps, over the limit {JACOBI_WORK_LIMIT}")
     value = jacobi_sum(make_field(args.q), args.m, alpha)
     norm = (value * value.conj()).as_rational_integer()
     rational = value.as_rational_integer()

@@ -216,14 +216,14 @@ def zeta_report(k, q):
     )
 
 
-def default_primes(m, count=2):
-    """The count smallest primes q with q = 1 mod m that PrimeField
-    accepts; fewer, possibly none, when the cap MAX_PRIME cuts the search."""
-    if m < 1 or count < 1:
-        raise ValueError("need m >= 1 and count >= 1")
+def default_primes(m):
+    """The two smallest primes q with q = 1 mod m that PrimeField accepts;
+    fewer, possibly none, when the cap MAX_PRIME cuts the search."""
+    if m < 1:
+        raise ValueError("need m >= 1")
     out = []
     q = 1 + m
-    while len(out) < count and q <= MAX_PRIME:
+    while len(out) < 2 and q <= MAX_PRIME:
         if is_prime(q):
             out.append(q)
         q += m

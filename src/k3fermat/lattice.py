@@ -315,24 +315,35 @@ def height(section):
     return total
 
 
-FIBER_ROOT_DISC = {"II": 1, "III": 2, "IV": 3, "IV*": 3, "III*": 2, "II*": 1}
+# (rank, determinant) of A1, A2, E6, E7, E8 and of the empty lattice for II
+_KODAIRA_NAMED = {"II": (0, 1), "III": (1, 2), "IV": (2, 3),
+                  "IV*": (6, 3), "III*": (7, 2), "II*": (8, 1)}
 
 
-def _fiber_disc(kind):
-    if kind in FIBER_ROOT_DISC:
-        return FIBER_ROOT_DISC[kind]
-    if kind.startswith("I") and kind.endswith("*"):
-        return 4
-    if kind.startswith("I"):
-        return max(int(kind[1:]), 1)  # A_{n-1} has determinant n
-    raise ValueError(f"unknown fiber type {kind}")
+def kodaira_lattice(kind):
+    """(rank, determinant) of the root lattice spanned by the components of
+    a Kodaira fiber that miss the zero section.
+
+    I_n carries A_(n-1), I_n* carries D_(n+4), and III, IV, IV*, III*, II*
+    carry A1, A2, E6, E7, E8; I0, I1 and II carry the empty lattice.
+    """
+    if kind in _KODAIRA_NAMED:
+        return _KODAIRA_NAMED[kind]
+    star = kind.endswith("*")
+    index = kind[1:-1] if star else kind[1:]
+    if not (kind.startswith("I") and index.isdecimal()):
+        raise ValueError(f"unknown fiber kind {kind!r}")
+    n = int(index)
+    if star:
+        return n + 4, 4
+    return max(n - 1, 0), max(n, 1)
 
 
 def disc_from_height(h, fibers):
     """disc(S_X) = h(P) * prod disc(F_v), reported with the hyperbolic sign."""
     total = Fraction(h)
     for kind in fibers:
-        total *= _fiber_disc(kind)
+        total *= kodaira_lattice(kind)[1]
     if total.denominator != 1 or total <= 0:
         raise ValueError(f"height times fiber discriminants is not a positive integer: {total}")
     return -int(total)
@@ -355,23 +366,16 @@ def nikulin_complement_check(s_lat, t_lat):
     return fqf_equivalent(discriminant_form(s_lat), discriminant_form(t_lat).negated())
 
 
-def _apply(gram, vec):
-    return [sum(gram[i][j] * vec[j] for j in range(len(vec))) for i in range(len(gram))]
-
-
 def _pair(gram, a, b):
-    return sum(x * y for x, y in zip(a, _apply(gram, b)))
+    return mat_mul(mat_mul([a], gram), transpose([b]))[0][0]
 
 
 def _complement_of_hyperbolic(lattice, x, y):
     g = lattice.rows()
-    rows = [_apply(g, x), _apply(g, y)]
-    basis = integer_kernel(rows)
-    n = lattice.rank
-    comp = [[_pair(g, basis[i], basis[j]) for j in range(len(basis))] for i in range(len(basis))]
-    if len(basis) != n - 2:
+    basis = integer_kernel(mat_mul([x, y], g))
+    if len(basis) != lattice.rank - 2:
         raise AssertionError("hyperbolic complement has wrong rank")
-    return GramLattice(comp)
+    return GramLattice(mat_mul(mat_mul(basis, g), transpose(basis)) if basis else [])
 
 
 def mirror_split(t_lat):
@@ -429,7 +433,5 @@ def mirror_split(t_lat):
 def embedding_check_hyperbolic():
     """Gram of (b+a1, b+a1+a2) inside <2> + (-A2) equals the hyperbolic plane."""
     g = [[2, 0, 0], [0, -2, 1], [0, 1, -2]]
-    x = [1, 1, 0]
-    y = [1, 1, 1]
-    gram = [[_pair(g, x, x), _pair(g, x, y)], [_pair(g, y, x), _pair(g, y, y)]]
-    return gram == [[0, 1], [1, 0]]
+    xy = [[1, 1, 0], [1, 1, 1]]
+    return mat_mul(mat_mul(xy, g), transpose(xy)) == [[0, 1], [1, 0]]

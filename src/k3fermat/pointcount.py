@@ -4,7 +4,9 @@ Three counters live here: projective Fermat surfaces (chart by chart),
 elliptic surfaces y^2 = x^3 + A(t)x + B(t) counted fiberwise on the smooth
 model via Kodaira types, and affine double sextics. The elliptic counter
 needs residue characteristic >= 5 throughout; that keeps Tate's procedure
-in its short-Weierstrass (v(c4), v(Delta)) form.
+in its short-Weierstrass (v(A), v(Delta)) form.
+Tate's table lives in _kodaira_kind, for geometric_fibers over Q and
+tate_fiber over F_q; fiber invariants come from lattice.kodaira_lattice.
 
 Tate's procedure works on IntPoly expansions in the uniformizer at t0,
 with ordinary + - * on the field elements. Over F_p those are plain ints
@@ -18,6 +20,7 @@ from math import gcd
 from .cyclotomic import IntPoly, exact_quotient, poly_gcd
 from .field import PrimeField, as_field, make_field
 from .kernels import chi_cubic_sum, fermat_affine
+from .lattice import kodaira_lattice
 
 # valuation of the zero polynomial; larger than any honest valuation here
 _INF = 10 ** 9
@@ -112,52 +115,20 @@ class WeierstrassModel:
         return f"WeierstrassModel(A={self.a.format('t')}, B={self.b.format('t')})"
 
 
-# (component count, Euler number) for each Kodaira symbol; I_n handled in code
-_FIBER_PROFILE = {
-    "I0": (1, 0),
-    "II": (1, 2),
-    "III": (2, 3),
-    "IV": (3, 4),
-    "IV*": (7, 8),
-    "III*": (8, 9),
-    "II*": (9, 10),
-}
-
-
-def _kind_profile(kind):
-    if kind in _FIBER_PROFILE:
-        return _FIBER_PROFILE[kind]
-    if kind.startswith("I") and kind.endswith("*"):
-        n = int(kind[1:-1])
-        if n < 0:
-            raise ValueError(f"bad fiber kind {kind!r}")
-        return n + 5, n + 6
-    if kind.startswith("I"):
-        n = int(kind[1:])
-        if n < 1:
-            raise ValueError(f"bad fiber kind {kind!r}")
-        return n, n
-    raise ValueError(f"bad fiber kind {kind!r}")
-
-
 class KodairaFiber:
     """One fiber of the smooth model: location, Kodaira kind, and how
-    Frobenius permutes the components (None for a smooth fiber)."""
+    Frobenius permutes the components (None for a smooth fiber). The
+    component count and Euler number follow from the kind's root lattice."""
 
     __slots__ = ("location", "kind", "splitting", "component_count", "euler_number")
 
-    def __init__(self, location, kind, splitting, component_count, euler_number):
-        m, e = _kind_profile(kind)
-        if (component_count, euler_number) != (m, e):
-            raise ValueError(
-                f"{kind} must have {m} components and Euler number {e}, "
-                f"got ({component_count}, {euler_number})"
-            )
+    def __init__(self, location, kind, splitting):
+        rank, _det = kodaira_lattice(kind)
         self.location = location
         self.kind = kind
         self.splitting = splitting
-        self.component_count = component_count
-        self.euler_number = euler_number
+        self.component_count = rank + 1
+        self.euler_number = 0 if kind == "I0" else rank + (1 if _multiplicative(kind) else 2)
 
     def __repr__(self):
         tag = f", {self.splitting}" if self.splitting else ""
@@ -173,9 +144,24 @@ class KodairaFiber:
         return hash((self.location, self.kind, self.splitting))
 
 
-def _make_fiber(location, kind, splitting):
-    m, e = _kind_profile(kind)
-    return KodairaFiber(location, kind, splitting, m, e)
+def _multiplicative(kind):
+    """True for I_n, n >= 0."""
+    return kind[1:].isdecimal()
+
+
+def _kodaira_kind(va, vd):
+    """Tate's table: the Kodaira kind of a minimal model with v(A) = va and
+    v(Delta) = vd, in residue characteristic 0 or >= 5."""
+    if vd == 0:
+        return "I0"
+    if va == 0:
+        return f"I{vd}"
+    if va == 2 and vd >= 7:
+        return f"I{vd - 6}*"
+    kind = {2: "II", 3: "III", 4: "IV", 6: "I0*", 8: "IV*", 9: "III*", 10: "II*"}.get(vd)
+    if kind is None:
+        raise AssertionError(f"impossible valuation pattern (v(A), v(Delta)) = ({va}, {vd})")
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +252,13 @@ def tate_fiber(model, q, t0, local=None):
     """Kodaira fiber of the smooth model at t0 (an element of F_q or "inf").
 
     q may be a prime or a field object; local is the _local_model triple at
-    t0 when the caller has already built it. Classification is by
-    (v(c4), v(Delta)) in residue characteristic >= 5, with splitting data:
-    node tangents for I_n, the leading B coefficient for IV/IV*, the root
-    field of the associated cubic for I_0*, and the far components for
-    I_n* with n >= 1. An int t0 is reduced into the field, so every
-    representative of a point gives the same fiber.
+    t0 when the caller has already built it. The kind comes from
+    _kodaira_kind on (v(A), v(Delta)) in residue characteristic >= 5; the
+    splitting data are the node tangents for I_n, the leading B
+    coefficient for IV/IV*, the root field of the associated cubic for
+    I_0*, and the far components for I_n* with n >= 1. An int t0 is
+    reduced into the field, so every representative of a point gives the
+    same fiber.
     """
     field = as_field(q)
     if field.p in (2, 3):
@@ -279,76 +266,53 @@ def tate_fiber(model, q, t0, local=None):
     if isinstance(t0, int):
         t0 = field.from_int(t0)
     a, b, vd = local or _local_model(model, field, t0)
-    if vd == 0:
-        return _make_fiber(t0, "I0", None)
-    if _valuation(a, field) == 0:
-        # multiplicative: the node sits at x0 = -3 b0 / (2 a0), and it is
-        # split iff its tangent slopes +-sqrt(3 x0) are rational
-        x0 = -3 * b.coeff(0) * field.inv(2 * a.coeff(0))
-        split = "split" if field.chi2(3 * x0) == 1 else "nonsplit"
-        return _make_fiber(t0, f"I{vd}", split)
-    if vd == 2:
-        return _make_fiber(t0, "II", "split")
-    if vd == 3:
-        return _make_fiber(t0, "III", "split")
-    if vd == 4:
-        split = "split" if field.chi2(b.coeff(2)) == 1 else "nonsplit"
-        return _make_fiber(t0, "IV", split)
-    a2, b3 = a.coeff(2), b.coeff(3)
-    if not field.is_zero(4 * a2 * a2 * a2 + 27 * b3 * b3):
-        if vd != 6:
-            raise AssertionError("separable cubic forces v(Delta) = 6")
+    kind = _kodaira_kind(_valuation(a, field), vd)
+    if kind == "I0":
+        return KodairaFiber(t0, kind, None)
+    if kind == "I0*":
+        a2, b3 = a.coeff(2), b.coeff(3)
         roots = sum(1 for x in field.elements() if field.is_zero(x * x * x + a2 * x + b3))
-        split = {3: "split", 1: "partial", 0: "inert"}[roots]
-        return _make_fiber(t0, "I0*", split)
-    if not field.is_zero(a2):
-        n, far = _instar_data(field, a, b, vd)
-        return _make_fiber(t0, f"I{n}*", "split" if far else "nonsplit")
-    # triple root: only IV*, III*, II* remain
-    if vd == 8:
-        split = "split" if field.chi2(b.coeff(4)) == 1 else "nonsplit"
-        return _make_fiber(t0, "IV*", split)
-    if vd == 9:
-        return _make_fiber(t0, "III*", "split")
-    if vd == 10:
-        return _make_fiber(t0, "II*", "split")
-    raise ValueError(f"model is not minimal at {t0!r} and cannot be reduced")
+        return KodairaFiber(t0, kind, {3: "split", 1: "partial", 0: "inert"}[roots])
+    if _multiplicative(kind):
+        # the node sits at x0 = -3 b0 / (2 a0), and it is split iff its
+        # tangent slopes +-sqrt(3 x0) are rational
+        x0 = -3 * b.coeff(0) * field.inv(2 * a.coeff(0))
+        split = field.chi2(3 * x0) == 1
+    elif kind in ("IV", "IV*"):
+        split = field.chi2(b.coeff(2 if kind == "IV" else 4)) == 1
+    elif kind in ("II", "III", "III*", "II*"):
+        split = True
+    else:  # I_n*, n >= 1
+        split = _instar_data(field, a, b, vd)[1]
+    return KodairaFiber(t0, kind, "split" if split else "nonsplit")
+
+
+# components that Frobenius moves in a tree-shaped fiber, by splitting
+_MOVED = {"split": 0, "nonsplit": 2, "partial": 2, "inert": 3}
 
 
 def fiber_points(fiber, q):
     """F_q-points of a degenerate fiber, from its component configuration.
 
-    Every Frobenius-stable component is a P^1 with q+1 points; stable
-    intersection points are counted once. The per-type closed forms below
-    are checked against direct enumeration of the configurations in the
-    test suite.
+    Every Frobenius-stable component is a P^1 with q+1 points. I_n is a
+    cycle of n components; every other degenerate fiber is a tree, so c
+    stable components meet in c - 1 rational points and give c*q + 1.
+    Frobenius moves the two far components of a non-split IV or I_n*,
+    four of a non-split IV*, and two or three legs of a partial or inert
+    I0*. These closed forms are checked against direct enumeration of the
+    configurations in the test suite.
     """
     kind, split = fiber.kind, fiber.splitting
     if kind == "I0":
         raise ValueError("smooth fibers are counted from the curve, not the configuration")
-    if kind == "II":
-        return q + 1
-    if kind == "III":
-        return 2 * q + 1
-    if kind == "IV":
-        return 3 * q + 1 if split == "split" else q + 1
-    if kind == "IV*":
-        return 7 * q + 1 if split == "split" else 3 * q + 1
-    if kind == "III*":
-        return 8 * q + 1
-    if kind == "II*":
-        return 9 * q + 1
-    if kind == "I0*":
-        rational_legs = {"split": 3, "partial": 1, "inert": 0}[split]
-        return (2 + rational_legs) * q + 1
-    if kind.endswith("*"):
-        n = int(kind[1:-1])
-        return (n + 5) * q + 1 if split == "split" else (n + 3) * q + 1
-    n = int(kind[1:])
-    if split == "split":
-        return n * q
-    # non-split: Frobenius reflects the cycle through the identity component
-    return 2 * q + 2 if n % 2 == 0 and n > 1 else q + 2
+    if _multiplicative(kind):
+        n = fiber.component_count
+        if split == "split":
+            return n * q
+        # non-split: Frobenius reflects the cycle through the identity component
+        return 2 * q + 2 if n % 2 == 0 else q + 2
+    moved = 4 if (kind, split) == ("IV*", "nonsplit") else _MOVED[split]
+    return (fiber.component_count - moved) * q + 1
 
 
 def count_elliptic_smooth(model, q):
@@ -464,47 +428,34 @@ def geometric_fibers(model):
     for g, vd in _yun_squarefree(disc):
         for piece_a, va in _split_by_valuation(g, model.a):
             for piece, vb in _split_by_valuation(piece_a, model.b):
-                kind, m, e = _geometric_kind(va, vb, vd)
-                if kind == "I0":  # non-minimal model, good fiber after reduction
-                    continue
-                poly = piece.primitive()
-                rows.append({
-                    "place": poly.format("t"),
-                    "degree": poly.degree,
-                    "kind": kind,
-                    "components": m,
-                    "euler": e,
-                })
+                kind = _geometric_kind(va, vb, vd)
+                if kind != "I0":  # I0: non-minimal model, good fiber after reduction
+                    poly = piece.primitive()
+                    rows.append(_fiber_row(poly.format("t"), poly.degree, kind))
     va = 8 - model.a.degree if model.a else _INF
     vb = 12 - model.b.degree if model.b else _INF
-    vd = 24 - disc.degree
-    kind, m, e = _geometric_kind(va, vb, vd)
+    kind = _geometric_kind(va, vb, 24 - disc.degree)
     if kind != "I0":
-        rows.append({"place": "inf", "degree": 1, "kind": kind, "components": m, "euler": e})
+        rows.append(_fiber_row("inf", 1, kind))
     total = sum(r["degree"] * r["euler"] for r in rows)
     if total % 12 != 0:
         raise AssertionError(f"local Euler numbers sum to {total}, not a multiple of 12")
     return rows
 
 
+def _fiber_row(place, degree, kind):
+    fiber = KodairaFiber(place, kind, None)
+    return {"place": place, "degree": degree, "kind": kind,
+            "components": fiber.component_count, "euler": fiber.euler_number}
+
+
 def _geometric_kind(va, vb, vd):
+    """The Kodaira kind after the minimality reduction (A, B) -> (A/t^4, B/t^6)."""
     while va >= 4 and vb >= 6 and vd >= 12:
         va = va - 4 if va < _INF else _INF
         vb = vb - 6 if vb < _INF else _INF
         vd -= 12
-    if vd == 0:
-        return "I0", 1, 0
-    if va == 0:
-        return f"I{vd}", vd, vd
-    table = {2: "II", 3: "III", 4: "IV", 6: "I0*", 8: "IV*", 9: "III*", 10: "II*"}
-    if vd >= 7 and va == 2:
-        kind = f"I{vd - 6}*"
-    elif vd in table and not (vd >= 8 and va == 2):
-        kind = table[vd]
-    else:
-        raise AssertionError(f"impossible valuation pattern (v(A), v(B), v(D)) = ({va}, {vb}, {vd})")
-    m, e = _kind_profile(kind)
-    return kind, m, e
+    return _kodaira_kind(va, vd)
 
 
 # ---------------------------------------------------------------------------

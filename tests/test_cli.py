@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from k3fermat.cli import main
+from k3fermat.cyclotomic import JACOBI_WORK_LIMIT, jacobi_work
 from k3fermat.field import PrimeField
 
 
@@ -400,6 +401,13 @@ class TestRefusals:
         assert err == ("error: arithmetic in Z[zeta_15015] needs a power table of up to "
                        "53314560 entries, over the limit 10000000\n")
 
+    def test_jacobi_with_too_much_convolution_work(self):
+        # the convolution pairs 10^5 exponent counts with 10^5 others, and
+        # the norm check multiplies two vectors of phi(m) = 40000 coordinates
+        err = self.refuse("jacobi", "--m", "100000", "--q", "700001", "--alpha", "1,2,3")
+        assert err == ("error: the Jacobi sum in Z[zeta_100000] over F_700001 and its norm "
+                       "take about 11600000000 steps, over the limit 1000000000\n")
+
     @pytest.mark.parametrize("equation, weight_one", [
         ("y^2 = x^3 + t^13 + 1", 2),     # once rho = -2
         ("y^2 = x^3 + t^9*x + 1", 2),    # once rho = 4
@@ -416,6 +424,12 @@ def test_zeta_near_a_million_finishes():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["inputs"] == {"k": 66, "q": 1000033}
+
+
+def test_jacobi_work_limit_admits_large_answered_inputs():
+    # jacobi --m 10000 --q 70001 answers in about 17 s, too slow to run here
+    for m, q in [(4620, 4621), (10000, 70001), (12, 13), (2, 5)]:
+        assert jacobi_work(m, q) <= JACOBI_WORK_LIMIT
 
 
 def test_jacobi_under_the_power_table_limit_answers():

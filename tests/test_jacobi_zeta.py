@@ -148,11 +148,11 @@ def test_default_primes():
     assert default_primes(2) == [3, 5]
     assert default_primes(66) == [67, 199]
     assert default_primes(14) == [29, 43]   # covers both q mod 4 branches
-    assert default_primes(1, count=4) == [2, 3, 5, 7]
+    assert default_primes(1) == [2, 3]
     # only primes under the dlog table cap 2^22
     assert default_primes(100000) == [700001, 900001]
     assert default_primes(1000000) == []
-    assert default_primes(1 << 21, count=3) == []
+    assert default_primes(1 << 21) == []
     with pytest.raises(ValueError):
         default_primes(0)
 
@@ -163,9 +163,8 @@ def test_default_primes_match_a_scan_of_every_integer():
         if sieve[i]:
             sieve[i * i::i] = [False] * len(sieve[i * i::i])
     for m in range(1, 300):
-        scan = [q for q in range(2, len(sieve)) if sieve[q] and q % m == 1 % m][:3]
-        for count in (1, 2, 3):
-            assert default_primes(m, count) == scan[:count], (m, count)
+        scan = [q for q in range(2, len(sieve)) if sieve[q] and q % m == 1 % m][:2]
+        assert default_primes(m) == scan, m
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from k3fermat.intmat import det
 from k3fermat.lattice import (
     FiniteQuadraticForm,
     GramLattice,
@@ -19,6 +20,7 @@ from k3fermat.lattice import (
     embedding_check_hyperbolic,
     fqf_equivalent,
     height,
+    kodaira_lattice,
     mirror_split,
     nikulin_complement_check,
     standard_lattice,
@@ -174,6 +176,31 @@ def test_disc_from_height_table():
     assert disc_from_height(1, ["IV", "II*", "II*"]) == -3
 
 
+def d_gram(n):
+    """D_n: a chain of n - 1 nodes with one more node on the second-to-last."""
+    g = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]:
+        g[i][j] = g[j][i] = -1
+    return g
+
+
+def test_kodaira_lattice_matches_explicit_gram_matrices():
+    for kind in ("I0", "I1", "II"):
+        assert kodaira_lattice(kind) == (0, 1)
+    for n in range(2, 9):
+        assert kodaira_lattice(f"I{n}") == (n - 1, det(standard_lattice("A", n - 1).rows()))
+    for n in range(5):
+        assert kodaira_lattice(f"I{n}*") == (n + 4, det(d_gram(n + 4)))
+    named = [("III", "A", 1), ("IV", "A", 2), ("IV*", "E6", None), ("III*", "E7", None),
+             ("II*", "E8", None)]
+    for kind, name, n in named:
+        gram = standard_lattice(name, n).rows()
+        assert kodaira_lattice(kind) == (len(gram), det(gram)), kind
+    for bad in ("", "I", "I*", "X9", "I-1", "IV**", "V"):
+        with pytest.raises(ValueError):
+            kodaira_lattice(bad)
+
+
 def test_disc_from_height_multiplicative_fibers():
     # I_n carries A_{n-1} with determinant n
     assert disc_from_height(Fraction(1, 22), ["I11", "I2"]) == -1
@@ -229,6 +256,8 @@ def test_mirror_split_bounded_search():
     # the search must report failure rather than fake a split.
     with pytest.raises(ValueError):
         mirror_split(standard_lattice("diag", entries=[2, -4]))
+    # the search splits [[0, 1], [1, 2]] ~ U2 completely: empty complement
+    assert mirror_split(standard_lattice("explicit", entries=[[0, 1], [1, 2]])).rank == 0
 
 
 def test_embedding_check():

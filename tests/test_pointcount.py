@@ -35,8 +35,7 @@ PROFILES = {
 
 
 def make_fiber(kind, splitting):
-    m, e = PROFILES[kind]
-    return KodairaFiber(0, kind, splitting, m, e)
+    return KodairaFiber(0, kind, splitting)
 
 
 # ---------------------------------------------------------------------------
@@ -134,19 +133,24 @@ def test_fiber_closed_forms_match_configuration_enumeration():
 
 
 def test_kodaira_profile_validation():
-    with pytest.raises(ValueError):
-        KodairaFiber(0, "IV", "split", 3, 5)
-    with pytest.raises(ValueError):
-        KodairaFiber(0, "I3", "split", 2, 3)
-    f = KodairaFiber("inf", "I4*", "nonsplit", 9, 10)
-    assert f.component_count == 9
-    with pytest.raises(ValueError):
-        KodairaFiber(0, "X9", None, 1, 0)
+    f = KodairaFiber("inf", "I4*", "nonsplit")
+    assert (f.component_count, f.euler_number) == (9, 10)
+    for bad in ("X9", "I", "I*", "I-1", "IV**", "V"):
+        with pytest.raises(ValueError):
+            KodairaFiber(0, bad, None)
+
+
+def test_fiber_invariants_match_the_classical_table():
+    for kind, profile in PROFILES.items():
+        fib = make_fiber(kind, None)
+        assert (fib.component_count, fib.euler_number) == profile, kind
+    fib = make_fiber("I0", None)
+    assert (fib.component_count, fib.euler_number) == (1, 0)
 
 
 def test_smooth_fiber_rejected_by_fiber_points():
     with pytest.raises(ValueError):
-        fiber_points(KodairaFiber(0, "I0", None, 1, 0), 5)
+        fiber_points(KodairaFiber(0, "I0", None), 5)
 
 
 # ---------------------------------------------------------------------------
