@@ -19,9 +19,10 @@ the stored primitives and reports each comparison separately, never
 aborting on the first failure.
 """
 
-from dataclasses import dataclass
+import gc
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .characters import CharacterVector, alpha_norm
 from .cyclotomic import CycInt, IntPoly, totient
@@ -56,8 +57,7 @@ ORDERS = UNIMODULAR_ORDERS + NON_UNIMODULAR_ORDERS
 K11_ALTERNATE_EQUATION = "y^2 = x^3 + x^2 + t^11"
 
 
-@dataclass(frozen=True)
-class SectionRecord:
+class SectionRecord(NamedTuple):
     """A Mordell-Weil generator with the data entering its height.
 
     The coordinates are Laurent polynomials in t over the Gaussian
@@ -81,8 +81,7 @@ class SectionRecord:
         return height(self.data())
 
 
-@dataclass(frozen=True)
-class K3CatalogEntry:
+class K3CatalogEntry(NamedTuple):
     k: int
     m: int                    # Fermat cover degree; None for k=3
     equation: str             # defining model over Q, parseable text
@@ -101,10 +100,6 @@ class K3CatalogEntry:
     expected_characters: tuple  # (a1, a2, a3) triples in fixed order; None for k=3
     mirror_partner: object    # tuple of partner orders, "family", or "none"
     zeta_primes: tuple
-
-    def __post_init__(self):
-        if len(self.action_vars) != len(self.action):
-            raise ValueError("one action exponent per coordinate required")
 
     @property
     def lattice_class(self):
@@ -133,15 +128,13 @@ class K3CatalogEntry:
         return {(i, j): c for i, j, c in self.sextic}
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str   # "pass", "fail", or "skip"
     detail: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     k: int
     checks: tuple
 
@@ -219,6 +212,8 @@ def _build_catalog():
             s_gram, t_gram, fibers, cover_equation, cover, characters,
             mirror, reducible=None, disc_s=None, sextic=None,
             zeta_primes=None):
+        if len(action_vars) != len(action):
+            raise ValueError("one action exponent per coordinate required")
         model = WeierstrassModel(a_poly, b_poly) if b_poly is not None else None
         rows[k] = K3CatalogEntry(
             k=k,
@@ -441,6 +436,10 @@ def load_catalog():
     global _CATALOG
     if _CATALOG is None:
         _CATALOG = _build_catalog()
+        # The catalog and the imported modules live as long as the process:
+        # move them out of the collector's generations so a later gen-1 or
+        # full pass does not traverse the set-up heap again.
+        gc.freeze()
     return list(_CATALOG)
 
 

@@ -7,20 +7,18 @@ two-form eigenspace the vector indexes. Tables elsewhere abbreviate a
 vector by [a1, a2, a3]; a0 is recovered from the sum condition.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 
-@dataclass(frozen=True)
 class CharacterVector:
-    m: int
-    a: tuple
+    """Immutable character vector (m, a) with a reduced into (0, m)."""
 
-    def __post_init__(self):
-        m = self.m
+    __slots__ = ("m", "a")
+
+    def __init__(self, m, a):
         if m < 2:
             raise ValueError("degree must be at least 2")
-        a = tuple(self.a)
+        a = tuple(a)
         if len(a) != 4:
             raise ValueError(f"need four coordinates, got {len(a)}")
         norm = tuple(x % m for x in a)
@@ -28,7 +26,19 @@ class CharacterVector:
             raise ValueError(f"coordinates must be nonzero mod {m}: {a}")
         if sum(norm) % m != 0:
             raise ValueError(f"coordinate sum must vanish mod {m}: {a}")
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "a", norm)
+
+    def __setattr__(self, *a):
+        raise AttributeError("CharacterVector is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m and self.a == other.a
+
+    def __hash__(self):
+        return hash((self.m, self.a))
 
     @classmethod
     def from_triple(cls, m, triple):

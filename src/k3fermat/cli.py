@@ -408,58 +408,72 @@ def cmd_delsarte(args):
 # ---------------------------------------------------------------------------
 # parser
 
-def _build_parser():
+def _build_parser(only=None):
+    """The CLI parser; with only set to a subcommand name, build just that
+    subcommand, since a call reads nothing else. Any other value of only
+    builds the full parser, which reports every choice."""
     parser = argparse.ArgumentParser(
         prog="k3fermat",
         description="Exact zeta, point-count and lattice checks for the catalog "
                     "of K3 surfaces covered by Fermat surfaces.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    names = []
 
     def add(name, fn, helptext):
+        names.append(name)
+        if only is not None and only != name:
+            return None
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--json", action="store_true", help="emit a JSON document")
         p.set_defaults(func=fn)
         return p
 
-    p = add("catalog", cmd_catalog, "list the catalog or show one entry")
-    p.add_argument("--k", type=int, help="automorphism order")
+    if p := add("catalog", cmd_catalog, "list the catalog or show one entry"):
+        p.add_argument("--k", type=int, help="automorphism order")
 
-    p = add("verify", cmd_verify, "recompute and check the stored data")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--k", type=int, help="verify one entry")
-    group.add_argument("--all", action="store_true", help="verify every entry")
-    p.add_argument("--q", type=int, action="append",
-                   help="override the zeta primes (repeatable; repeats are dropped)")
+    if p := add("verify", cmd_verify, "recompute and check the stored data"):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--k", type=int, help="verify one entry")
+        group.add_argument("--all", action="store_true", help="verify every entry")
+        p.add_argument("--q", type=int, action="append",
+                       help="override the zeta primes (repeatable; repeats are dropped)")
 
-    p = add("zeta", cmd_zeta, "zeta factors and predicted count at one prime")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    if p := add("zeta", cmd_zeta, "zeta factors and predicted count at one prime"):
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--q", type=int, required=True)
 
-    p = add("jacobi", cmd_jacobi, "one Jacobi sum with its norm check")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--alpha", required=True, help="a1,a2,a3 residues mod m")
+    if p := add("jacobi", cmd_jacobi, "one Jacobi sum with its norm check"):
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--alpha", required=True, help="a1,a2,a3 residues mod m")
 
-    p = add("count", cmd_count, "brute-force point counts")
-    p.add_argument("--fermat", type=int, help="Fermat surface degree")
-    p.add_argument("--k", type=int, help="catalog entry")
-    p.add_argument("--q", type=int, required=True)
+    if p := add("count", cmd_count, "brute-force point counts"):
+        p.add_argument("--fermat", type=int, help="Fermat surface degree")
+        p.add_argument("--k", type=int, help="catalog entry")
+        p.add_argument("--q", type=int, required=True)
 
-    p = add("lattice", cmd_lattice, "lattice invariants and discriminant forms")
-    p.add_argument("--k", type=int, required=True)
+    if p := add("lattice", cmd_lattice, "lattice invariants and discriminant forms"):
+        p.add_argument("--k", type=int, required=True)
 
-    p = add("mirror", cmd_mirror, "hyperbolic splitting of the transcendental lattice")
-    p.add_argument("--k", type=int, required=True)
+    if p := add("mirror", cmd_mirror, "hyperbolic splitting of the transcendental lattice"):
+        p.add_argument("--k", type=int, required=True)
 
-    p = add("delsarte", cmd_delsarte, "analyze a four-monomial equation")
-    p.add_argument("--equation", required=True)
+    if p := add("delsarte", cmd_delsarte, "analyze a four-monomial equation"):
+        p.add_argument("--equation", required=True)
 
+    if only is not None:
+        if only not in names:
+            return _build_parser()
+        # the top-level usage line, printed with an error, lists every choice
+        sub.metavar = "{" + ",".join(names) + "}"
     return parser
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -17,10 +17,10 @@ characters depend only on exponents, so everything downstream of the
 cover is unaffected by the variant.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .characters import CharacterVector, alpha_norm, is_algebraic
 from .intmat import fraction_inverse, kernel_mod
@@ -34,8 +34,7 @@ class SurfaceSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class DelsarteSurface:
+class DelsarteSurface(NamedTuple):
     variables: tuple  # names, in order of first appearance
     terms: tuple      # ((coeff, exponent tuple aligned with variables), ...)
 
@@ -67,8 +66,7 @@ class DelsarteSurface:
         return " ".join(parts) + " = 0"
 
 
-@dataclass(frozen=True)
-class MonomialMap:
+class MonomialMap(NamedTuple):
     m: int
     images: tuple                 # ((variable, sign, (eU, eV, eW)), ...)
     term_signs: tuple = None      # sign-variant flips, aligned with surface terms
@@ -88,8 +86,7 @@ class MonomialMap:
         return f"-{body}" if sign < 0 else body
 
 
-@dataclass(frozen=True)
-class DeckGroup:
+class DeckGroup(NamedTuple):
     m: int
     generators: tuple  # exponent triples (c1, c2, c3) mod m
     orders: tuple      # invariant-factor orders, aligned with generators

@@ -2,10 +2,11 @@
 
 Small, dependency-free routines used by the lattice and covering-map code:
 Bareiss determinants, Smith normal form with transform tracking, integer
-kernels, rational inverses and signatures of symmetric matrices. The
-rational inverse now serves only delsarte.derive_cover; discriminant forms
-read their values off the Smith transform. Matrix sizes here are tiny
-(rank <= 22), so clarity wins over asymptotics.
+kernels, rational inverses, and the signature and determinant of a
+symmetric matrix from one fraction-free (Bareiss) elimination. Fraction
+serves only fraction_inverse, which only delsarte.derive_cover calls;
+discriminant forms read their values off the Smith transform. Matrix sizes
+here are tiny (rank <= 22), so clarity wins over asymptotics.
 """
 
 from fractions import Fraction
@@ -206,40 +207,55 @@ def fraction_inverse(mat):
     return [row[n:] for row in a]
 
 
-def signature(gram):
-    """Signature (n_plus, n_minus) of a symmetric rational matrix.
+def symmetric_invariants(gram):
+    """((n_plus, n_minus), det) of a symmetric integer matrix in one pass.
 
-    Computed by exact symmetric (Schur-complement) reduction. Raises
-    ValueError on a degenerate form.
+    Fraction-free symmetric elimination: Bareiss steps with symmetric row
+    and column swaps, and, when every remaining diagonal entry is zero, an
+    off-diagonal entry folded into the pivot by adding row and column j to
+    row and column k. Both moves are unimodular congruences, so neither
+    signature nor determinant changes. Pivot k is then the leading minor
+    M_k, the k-th Schur pivot M_k / M_(k-1) has sign sign(M_k) sign(M_(k-1)),
+    and the last pivot is the determinant. Raises ValueError on a
+    degenerate form.
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
+    a = [list(row) for row in gram]
     pos = neg = 0
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
             if swap is not None:
-                for j in range(n):
-                    a[k][j], a[swap][j] = a[swap][j], a[k][j]
-                for i in range(n):
-                    a[i][k], a[i][swap] = a[i][swap], a[i][k]
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
             else:
-                off = next((i for i in range(k + 1, n) if a[k][i] != 0), None)
+                off = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
                 if off is None:
                     raise ValueError("degenerate symmetric form")
-                # fold row/col `off` into k: new diagonal entry 2*a[k][off]
-                for j in range(n):
-                    a[k][j] += a[off][j]
-                for i in range(n):
-                    a[i][k] += a[i][off]
-        p = a[k][k]
-        if p > 0:
+                # new diagonal entry 2*a[k][off]
+                a[k] = [x + y for x, y in zip(a[k], a[off])]
+                for row in a:
+                    row[k] += row[off]
+        ak = a[k]
+        p = ak[k]
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / p
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return pos, neg
+            ai = a[i]
+            f = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (p * ai[j] - f * ak[j]) // prev
+        prev = p
+    return (pos, neg), prev
+
+
+def signature(gram):
+    """Signature (n_plus, n_minus) of a symmetric integer matrix.
+
+    Raises ValueError on a degenerate form.
+    """
+    return symmetric_invariants(gram)[0]

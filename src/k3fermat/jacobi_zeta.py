@@ -9,8 +9,8 @@ pattern in (1 -/+ qT) fixed by k and q mod 4. The order-3 surface has no
 Fermat cover and is handled through its CM structure instead.
 """
 
-from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .characters import CharacterVector, units_mod, enumerate_A
 from .cyclotomic import IntPoly, orbit_product, reduce, totient
@@ -158,13 +158,12 @@ def cm_factor_k3(p):
     return IntPoly([1, -(2 * a * a - 2 * a * b - b * b), p * p])
 
 
-@dataclass(frozen=True)
-class ZetaReport:
+class ZetaReport(NamedTuple):
     """Assembled reciprocal Frobenius data for one catalog surface at one q."""
 
     k: int
     q: int
-    m: "int | None"  # None for the order-3 surface, which has no cover
+    m: int  # None for the order-3 surface, which has no cover
     n_plus: int
     n_minus: int
     r_a: IntPoly

@@ -1,24 +1,23 @@
 """Even lattices and the finite quadratic forms on their discriminant groups.
 
-Gram matrices are plain integer matrices; signatures, determinants and
-Smith forms come from the exact routines in intmat. Discriminant forms are
+Gram matrices are plain integer matrices; a lattice's signature and
+determinant come from one fraction-free elimination of its full Gram
+matrix, and Smith forms from intmat. Discriminant forms are
 compared by brute-force isomorphism search, which certifies genus-level
 equality (signature plus discriminant form) without normal-form theory;
 the groups involved here are tiny. Heights of Mordell-Weil generators and
 the hyperbolic splittings behind mirror partners live here too.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, lcm
 
 from .intmat import (
-    det,
     integer_kernel,
     mat_mul,
-    signature,
     smith_normal_form,
+    symmetric_invariants,
     transpose,
 )
 
@@ -39,12 +38,13 @@ class GramLattice:
             for j in range(i):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError(f"Gram matrix not symmetric at ({i}, {j})")
-        d = det([list(row) for row in rows])
-        if n and d == 0:
-            raise ValueError("Gram matrix is degenerate")
+        try:
+            sig, d = symmetric_invariants(rows)
+        except ValueError:
+            raise ValueError("Gram matrix is degenerate") from None
         object.__setattr__(self, "gram", rows)
         object.__setattr__(self, "rank", n)
-        object.__setattr__(self, "signature", signature(rows) if n else (0, 0))
+        object.__setattr__(self, "signature", sig)
         object.__setattr__(self, "determinant", d)
 
     def __setattr__(self, *a):
@@ -274,7 +274,6 @@ def fqf_equivalent(q1, q2):
     return extend(0, [])
 
 
-@dataclass(frozen=True)
 class SectionData:
     """Mordell-Weil generator data: (P.O) and the fiber correction terms.
 
@@ -282,15 +281,30 @@ class SectionData:
     (I_n, III, IV) met in component j, or ("E6",) / ("E7",).
     """
 
-    pai: int
-    contributions: tuple
+    __slots__ = ("pai", "contributions")
 
-    def __post_init__(self):
-        if self.pai < 0:
+    def __init__(self, pai, contributions):
+        if pai < 0:
             raise ValueError("(P.O) must be nonnegative")
-        object.__setattr__(self, "contributions", tuple(tuple(c) for c in self.contributions))
-        for c in self.contributions:
+        contributions = tuple(tuple(c) for c in contributions)
+        for c in contributions:
             _correction(c)
+        object.__setattr__(self, "pai", pai)
+        object.__setattr__(self, "contributions", contributions)
+
+    def __setattr__(self, *a):
+        raise AttributeError("SectionData is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pai == other.pai and self.contributions == other.contributions
+
+    def __hash__(self):
+        return hash((self.pai, self.contributions))
+
+    def __repr__(self):
+        return f"SectionData(pai={self.pai!r}, contributions={self.contributions!r})"
 
 
 def _correction(term):

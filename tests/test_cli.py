@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from k3fermat.cli import main
+from k3fermat.cli import _build_parser, cmd_zeta, main
 from k3fermat.cyclotomic import JACOBI_WORK_LIMIT, jacobi_work
 from k3fermat.field import PrimeField
 
@@ -452,3 +452,57 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+SUBCOMMANDS = ("catalog", "verify", "zeta", "jacobi", "count", "lattice", "mirror",
+               "delsarte")
+
+
+class TestParserPerSubcommand:
+    """main builds only the named subcommand's parser; what it prints and
+    its exit codes match the full parser's byte for byte."""
+
+    @staticmethod
+    def exits(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    def both(self, argv, capsys):
+        full = self.exits(lambda a: _build_parser().parse_args(a), argv, capsys)
+        assert self.exits(main, argv, capsys) == full
+        return full
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_subcommand_help_is_unchanged(self, name, capsys):
+        code, out, err = self.both([name, "--help"], capsys)
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: k3fermat {name} [-h] [--json]")
+
+    def test_bad_int_is_unchanged(self, capsys):
+        code, out, err = self.both(["zeta", "--k", "x"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: k3fermat zeta [-h] [--json] --k K --q Q\n")
+        assert err.endswith("k3fermat zeta: error: argument --k: invalid int value: 'x'\n")
+
+    def test_unrecognized_argument_lists_every_choice(self, capsys):
+        code, _, err = self.both(["zeta", "--k", "66", "--q", "67", "extra"], capsys)
+        assert code == 2
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in err
+        assert err.endswith("error: unrecognized arguments: extra\n")
+
+    @pytest.mark.parametrize("argv", [["bogus"], [], ["--help"], ["-h"]])
+    def test_no_subcommand_named_builds_the_full_parser(self, argv, capsys):
+        code, out, err = self.both(argv, capsys)
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in out + err
+        if argv == ["bogus"]:
+            assert code == 2
+            assert "invalid choice: 'bogus'" in err
+            assert all(repr(name) in err for name in SUBCOMMANDS)
+
+    def test_named_parser_holds_only_that_subcommand(self, capsys):
+        args = _build_parser("zeta").parse_args(["zeta", "--k", "66", "--q", "67"])
+        assert (args.func, args.k, args.q) == (cmd_zeta, 66, 67)
+        code, _, err = self.exits(_build_parser("zeta").parse_args, ["verify", "--all"], capsys)
+        assert code == 2 and "invalid choice: 'verify'" in err

@@ -2,7 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from k3fermat import intmat
+from k3fermat.catalog import _build_catalog, load_catalog
 from k3fermat.intmat import (
     det,
     fraction_inverse,
@@ -12,6 +16,7 @@ from k3fermat.intmat import (
     mat_mul,
     signature,
     smith_normal_form,
+    symmetric_invariants,
 )
 
 
@@ -35,6 +40,41 @@ def gauss_det(mat):
         out *= a[i][i]
     assert out.denominator == 1
     return out.numerator
+
+
+def reference_signature(gram):
+    """Independent reference: symmetric Schur-complement reduction over Q."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    pos = neg = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if swap is not None:
+                for j in range(n):
+                    a[k][j], a[swap][j] = a[swap][j], a[k][j]
+                for i in range(n):
+                    a[i][k], a[i][swap] = a[i][swap], a[i][k]
+            else:
+                off = next((i for i in range(k + 1, n) if a[k][i] != 0), None)
+                if off is None:
+                    raise ValueError("degenerate symmetric form")
+                # fold row/col `off` into k: new diagonal entry 2*a[k][off]
+                for j in range(n):
+                    a[k][j] += a[off][j]
+                for i in range(n):
+                    a[i][k] += a[i][off]
+        p = a[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] / p
+                for j in range(k, n):
+                    a[i][j] -= f * a[k][j]
+    return pos, neg
 
 
 def random_mat(rng, nr, nc, lo=-9, hi=9):
@@ -162,3 +202,93 @@ def test_signature_congruence_invariance():
         g = mat_mul(mat_mul([list(r) for r in zip(*p)], d), p)
         want = (sum(1 for x in diag if x > 0), sum(1 for x in diag if x < 0))
         assert signature(g) == want
+
+
+def _congruent(gram, p):
+    return mat_mul(mat_mul([list(r) for r in zip(*p)], gram), p)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices of rank 0-10: random entries, optionally a
+    zero diagonal, hyperbolic U blocks and a unimodular change of basis."""
+    n = draw(st.integers(0, 10))
+    entry = st.integers(-6, 6)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(entry)
+    if draw(st.booleans()):
+        for i in range(n):
+            g[i][i] = 0
+    if n >= 2 and draw(st.booleans()):
+        for b in range(0, draw(st.integers(1, n // 2)) * 2, 2):
+            for i in range(n):
+                g[b][i] = g[i][b] = g[b + 1][i] = g[i][b + 1] = 0
+            g[b][b + 1] = g[b + 1][b] = 1
+    if n >= 2 and draw(st.booleans()):
+        p = identity(n)
+        for _ in range(draw(st.integers(1, 4))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            if i != j:
+                c = draw(st.integers(-2, 2))
+                for r in range(n):
+                    p[r][i] += c * p[r][j]
+        g = _congruent(g, p)
+    return g
+
+
+@settings(deadline=None, max_examples=300)
+@given(symmetric_matrices())
+def test_elimination_matches_schur_reference(g):
+    d = det(g)
+    try:
+        want = reference_signature(g)
+    except ValueError:
+        assert d == 0
+        with pytest.raises(ValueError, match="degenerate"):
+            symmetric_invariants(g)
+        with pytest.raises(ValueError, match="degenerate"):
+            signature(g)
+        return
+    assert symmetric_invariants(g) == (want, d)
+    assert signature(g) == want
+
+
+@settings(deadline=None, max_examples=150)
+@given(symmetric_matrices())
+def test_degenerate_input_raises(g):
+    # repeat the first basis vector: E g E^T has rank at most len(g)
+    n = len(g)
+    if n == 0:
+        return
+    e = identity(n) + [[1] + [0] * (n - 1)]
+    singular = mat_mul(mat_mul(e, g), [list(r) for r in zip(*e)])
+    assert det(singular) == 0
+    with pytest.raises(ValueError, match="degenerate"):
+        symmetric_invariants(singular)
+
+
+def test_zero_diagonal_fold():
+    # every diagonal entry zero: the fold makes the pivot 2*a[0][1]
+    g = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+    assert symmetric_invariants(g) == (reference_signature(g), det(g)) == ((1, 2), 12)
+    assert symmetric_invariants([]) == ((0, 0), 1)
+
+
+def test_catalog_lattices_match_both_references():
+    for entry in load_catalog():
+        for lat in (entry.s_gram, entry.t_gram):
+            g = lat.rows()
+            assert lat.signature == reference_signature(g)
+            assert lat.determinant == det(g)
+
+
+def test_catalog_lattices_need_no_fractions(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("Fraction used while building Gram lattices")
+
+    monkeypatch.setattr(intmat, "Fraction", refuse)
+    entries = _build_catalog()
+    assert [(e.s_gram, e.t_gram) for e in entries] == [
+        (e.s_gram, e.t_gram) for e in load_catalog()]
