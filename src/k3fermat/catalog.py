@@ -1,9 +1,10 @@
 """Catalog of sixteen K3 surfaces with a purely non-symplectic automorphism.
 
-Each entry fixes one surface of automorphism order k: a defining model
-over Q (Weierstrass form, or a double sextic for k=25), the diagonal
-coordinate action of the automorphism, Gram matrices of the Neron-Severi
-and transcendental lattices, the geometric fiber profile of the elliptic
+Each entry fixes one surface of automorphism order k: its defining
+equation over Q, the only statement of the surface (the Weierstrass model,
+or the double sextic for k=25, is read off it), the diagonal coordinate
+action of the automorphism, Gram matrices of the Neron-Severi and
+transcendental lattices, the geometric fiber profile of the elliptic
 fibration, section data with height and Neron-Severi discriminant where
 the Mordell-Weil rank is one, a Fermat covering map together with the
 deck-invariant transcendental characters it produces, the mirror partner
@@ -21,6 +22,7 @@ aborting on the first failure.
 
 import gc
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -34,7 +36,7 @@ from .delsarte import (
     transcendental_characters,
     verify_cover,
 )
-from .jacobi_zeta import cm_factor_k3, default_primes, zeta_report
+from .jacobi_zeta import default_primes, zeta_report
 from .lattice import (
     SectionData,
     direct_sum,
@@ -81,12 +83,37 @@ class SectionRecord(NamedTuple):
         return height(self.data())
 
 
+@cache
+def read_equation(text):
+    """(model, sextic) of a defining equation; the one that does not apply is None.
+
+    y^2 = x^3 + A(t)*x + B(t) gives a WeierstrassModel, and y^2 = f(u, v)
+    gives f as ((i, j, coeff), ...) in the equation's term order. Anything
+    else raises ValueError. Cached per text, so an entry parses its equation
+    once, when a caller first reads the model, not when the catalog is built.
+    """
+    surface = parse_surface(text)
+    names, terms = surface.variables, surface.terms
+    y2 = (-1, (2,) + (0,) * (len(names) - 1))
+    if names[:1] != ("y",) or terms[:1] != (y2,) or any(e[0] for _c, e in terms[1:]):
+        raise ValueError(f"{text!r} is not of the form y^2 = f")
+    powers = [(c, dict(zip(names, e))) for c, e in terms[1:]]
+    if set(names) == {"y", "x", "t"}:
+        rhs = {(p["x"], p["t"]): c for c, p in powers}
+        if rhs.pop((3, 0), None) != 1 or any(i > 1 for i, _j in rhs):
+            raise ValueError(f"{text!r} is not y^2 = x^3 + A(t)*x + B(t)")
+        top = max((j for _i, j in rhs), default=0)
+        a, b = ([rhs.get((i, j), 0) for j in range(top + 1)] for i in (1, 0))
+        return WeierstrassModel(a, b), None
+    if set(names) <= {"y", "u", "v"}:
+        return None, tuple((p.get("u", 0), p.get("v", 0), c) for c, p in powers)
+    raise ValueError(f"{text!r} is neither y^2 = x^3 + A(t)*x + B(t) nor y^2 = f(u, v)")
+
+
 class K3CatalogEntry(NamedTuple):
     k: int
     m: int                    # Fermat cover degree; None for k=3
     equation: str             # defining model over Q, parseable text
-    model: WeierstrassModel   # None for the k=25 double sextic
-    sextic: tuple             # ((i, j, coeff), ...) of y^2 = f(u, v), else None
     action_vars: tuple        # coordinate names the automorphism acts on
     action: tuple             # zeta_k exponent per coordinate
     s_gram: object            # GramLattice of the Neron-Severi lattice
@@ -95,7 +122,8 @@ class K3CatalogEntry(NamedTuple):
     reducible_fibers: tuple   # kinds entering the discriminant product, else None
     section: SectionRecord    # None when the Mordell-Weil rank is zero
     disc_s: int               # Neron-Severi discriminant, else None
-    cover_equation: str       # four-monomial form covered by the Fermat surface
+    cover_equation: str       # four-monomial form covered by the Fermat surface;
+                              # equation itself unless a substitution is needed
     cover: MonomialMap        # None for k=3
     expected_characters: tuple  # (a1, a2, a3) triples in fixed order; None for k=3
     mirror_partner: object    # tuple of partner orders, "family", or "none"
@@ -105,6 +133,16 @@ class K3CatalogEntry(NamedTuple):
     def lattice_class(self):
         """'unimodular' for the orders in UNIMODULAR_ORDERS, else 'non-unimodular'."""
         return "unimodular" if self.k in UNIMODULAR_ORDERS else "non-unimodular"
+
+    @property
+    def model(self):
+        """WeierstrassModel read off equation; None for the k=25 double sextic."""
+        return read_equation(self.equation)[0]
+
+    @property
+    def sextic(self):
+        """((i, j, coeff), ...) of y^2 = f(u, v) read off equation, else None."""
+        return read_equation(self.equation)[1]
 
     @property
     def elliptic(self):
@@ -159,16 +197,6 @@ class VerificationReport(NamedTuple):
 # ---------------------------------------------------------------------------
 # fixture construction
 
-def _tpoly(*pairs):
-    """Integer polynomial in t from (degree, coefficient) pairs."""
-    if not pairs:
-        return IntPoly([])
-    coeffs = [0] * (max(d for d, _c in pairs) + 1)
-    for d, c in pairs:
-        coeffs[d] = c
-    return IntPoly(coeffs)
-
-
 def _lat(*parts):
     return direct_sum(*parts) if len(parts) > 1 else parts[0]
 
@@ -208,19 +236,15 @@ def _build_catalog():
 
     rows = {}
 
-    def add(k, m, equation, a_poly, b_poly, action_vars, action,
-            s_gram, t_gram, fibers, cover_equation, cover, characters,
-            mirror, reducible=None, disc_s=None, sextic=None,
-            zeta_primes=None):
+    def add(k, m, equation, action_vars, action, s_gram, t_gram, fibers,
+            cover, characters, mirror, reducible=None, disc_s=None,
+            zeta_primes=None, cover_equation=None):
         if len(action_vars) != len(action):
             raise ValueError("one action exponent per coordinate required")
-        model = WeierstrassModel(a_poly, b_poly) if b_poly is not None else None
         rows[k] = K3CatalogEntry(
             k=k,
             m=m,
             equation=equation,
-            model=model,
-            sextic=sextic,
             action_vars=action_vars,
             action=action,
             s_gram=s_gram,
@@ -229,7 +253,7 @@ def _build_catalog():
             reducible_fibers=reducible,
             section=_SECTIONS.get(k),
             disc_s=disc_s,
-            cover_equation=cover_equation,
+            cover_equation=cover_equation or (equation if cover else None),
             cover=cover,
             expected_characters=characters,
             mirror_partner=mirror,
@@ -239,24 +263,20 @@ def _build_catalog():
     xyt = ("x", "y", "t")
 
     add(66, 66, "y^2 = x^3 - t^12 - t",
-        IntPoly([]), _tpoly((12, -1), (1, -1)),
         xyt, (2, 3, 6),
         u2, _lat(u2, u2, e8m, e8m),
         (("II", 12),),
-        "y^2 = x^3 - 1 - s^11",
         _cover(66, ("y", 1, (0, 33, 0)), ("x", -1, (0, 0, 22)), ("s", 1, (6, 0, 0))),
         ((6, 33, 22), (6, 33, 44), (12, 33, 22), (12, 33, 44), (18, 33, 22),
          (18, 33, 44), (24, 33, 22), (24, 33, 44), (30, 33, 22), (30, 33, 44),
          (36, 33, 22), (36, 33, 44), (42, 33, 22), (42, 33, 44), (48, 33, 22),
          (48, 33, 44), (54, 33, 22), (54, 33, 44), (60, 33, 22), (60, 33, 44)),
-        (12,))
+        (12,), cover_equation="y^2 = x^3 - 1 - s^11")
 
     add(44, 44, "y^2 = x^3 + x + t^11",
-        IntPoly([1]), _tpoly((11, 1)),
         xyt, (22, 11, 2),
         u2, _lat(u2, u2, e8m, e8m),
         (("I1", 22), ("II", 1)),
-        "y^2 = x^3 + x + t^11",
         _cover(44, ("y", 1, (11, 22, 0)), ("x", -1, (22, 0, 0)), ("t", -1, (2, 0, 4))),
         ((1, 22, 24), (3, 22, 28), (5, 22, 32), (7, 22, 36), (9, 22, 40),
          (13, 22, 4), (15, 22, 8), (17, 22, 12), (19, 22, 16), (21, 22, 20),
@@ -265,23 +285,19 @@ def _build_catalog():
         (12,))
 
     add(42, 42, "y^2 = x^3 - t^12 - t^5",
-        IntPoly([]), _tpoly((12, -1), (5, -1)),
         xyt, (2, 3, 18),
         _lat(u2, e8m), _lat(u2, u2, e8m),
         (("II", 7), ("II*", 1)),
-        "y^2 = x^3 - 1 - s^7",
         _cover(42, ("y", 1, (0, 21, 0)), ("x", -1, (0, 0, 14)), ("s", 1, (6, 0, 0))),
         ((6, 21, 14), (6, 21, 28), (12, 21, 14), (12, 21, 28), (18, 21, 14),
          (18, 21, 28), (24, 21, 14), (24, 21, 28), (30, 21, 14), (30, 21, 28),
          (36, 21, 14), (36, 21, 28)),
-        (28, 36, 42))
+        (28, 36, 42), cover_equation="y^2 = x^3 - 1 - s^7")
 
     add(36, 36, "y^2 = x^3 - t^11 - t^5",
-        IntPoly([]), _tpoly((11, -1), (5, -1)),
         xyt, (2, 3, 30),
         _lat(u2, e8m), _lat(u2, u2, e8m),
         (("II", 1), ("II", 6), ("II*", 1)),
-        "y^2 = x^3 - t^11 - t^5",
         _cover(36, ("y", 1, (15, 18, 0)), ("x", -1, (10, 0, 12)), ("t", 1, (6, 0, 0))),
         ((1, 18, 12), (5, 18, 24), (7, 18, 12), (11, 18, 24), (13, 18, 12),
          (17, 18, 24), (19, 18, 12), (23, 18, 24), (25, 18, 12), (29, 18, 24),
@@ -289,11 +305,9 @@ def _build_catalog():
         (28, 36, 42))
 
     add(28, 28, "y^2 = x^3 + x + t^7",
-        IntPoly([1]), _tpoly((7, 1)),
         xyt, (14, 7, 2),
         _lat(u2, e8m), _lat(u2, u2, e8m),
         (("I1", 14), ("II*", 1)),
-        "y^2 = x^3 + x + t^7",
         _cover(28, ("y", 1, (7, 14, 0)), ("x", -1, (14, 0, 0)), ("t", -1, (2, 0, 4))),
         ((1, 14, 16), (3, 14, 20), (5, 14, 24), (9, 14, 4), (11, 14, 8),
          (13, 14, 12), (15, 14, 16), (17, 14, 20), (19, 14, 24), (23, 14, 4),
@@ -301,21 +315,17 @@ def _build_catalog():
         (28, 36, 42))
 
     add(12, 12, "y^2 = x^3 + t^7 + t^5",
-        IntPoly([]), _tpoly((7, 1), (5, 1)),
         xyt, (2, 3, 6),
         _lat(u2, e8m, e8m), _lat(u2, u2),
         (("II", 2), ("II*", 1), ("II*", 1)),
-        "y^2 = x^3 + t^7 + t^5",
         _cover(12, ("y", 1, (15, 6, 0)), ("x", -1, (10, 0, 4)), ("t", -1, (6, 0, 0))),
         ((1, 6, 4), (5, 6, 8), (7, 6, 4), (11, 6, 8)),
         (44, 66))
 
     add(19, 38, "y^2 = x^3 + t^7*x - t",
-        _tpoly((7, 1)), _tpoly((1, -1)),
         xyt, (7, 1, 2),
         _lat(u2, x([[-2, 1], [1, -10]])), _lat(e8m, e8m, x([[2, 1], [1, 10]])),
         (("I1", 19), ("II", 1), ("III", 1)),
-        "y^2 = x^3 + t^7*x - t",
         _cover(38, ("y", 1, (19, -1, 3)), ("x", -1, (0, 12, 2)), ("t", 1, (0, -2, 6))),
         ((19, 1, 35), (19, 3, 29), (19, 5, 23), (19, 7, 17), (19, 9, 11),
          (19, 11, 5), (19, 13, 37), (19, 15, 31), (19, 17, 25), (19, 21, 13),
@@ -324,11 +334,9 @@ def _build_catalog():
         "family", reducible=("III",), disc_s=-19)
 
     add(17, 34, "y^2 = x^3 + t^7*x - t^2",
-        _tpoly((7, 1)), _tpoly((2, -1)),
         xyt, (7, 2, 2),
         _lat(u2, m4), _lat(u2, u2, e8m, m4),
         (("I1", 17), ("III", 1), ("IV", 1)),
-        "y^2 = x^3 + t^7*x - t^2",
         _cover(34, ("y", 1, (17, -2, 6)), ("x", -1, (0, 10, 4)), ("t", 1, (0, -2, 6))),
         ((17, 2, 28), (17, 4, 22), (17, 6, 16), (17, 8, 10), (17, 10, 4),
          (17, 12, 32), (17, 14, 26), (17, 16, 20), (17, 18, 14), (17, 20, 8),
@@ -337,11 +345,9 @@ def _build_catalog():
         "family", reducible=("IV", "III"), disc_s=-17)
 
     add(13, 26, "y^2 = x^3 + t^5*x - t",
-        _tpoly((5, 1)), _tpoly((1, -1)),
         xyt, (5, 1, 2),
         _lat(e8m, x([[-2, 5], [5, -6]])), _lat(u2, e8m, x([[-2, 5], [5, -6]])),
         (("I1", 13), ("II", 1), ("III*", 1)),
-        "y^2 = x^3 + t^5*x - t",
         _cover(26, ("y", 1, (13, -1, 3)), ("x", -1, (0, 8, 2)), ("t", 1, (0, -2, 6))),
         ((13, 1, 23), (13, 3, 17), (13, 5, 11), (13, 7, 5), (13, 9, 25),
          (13, 11, 19), (13, 15, 7), (13, 17, 1), (13, 19, 21), (13, 21, 15),
@@ -349,42 +355,34 @@ def _build_catalog():
         (13,), reducible=("III*",), disc_s=-13)
 
     add(11, 22, "y^2 = x^3 + t^5*x - t^2",
-        _tpoly((5, 1)), _tpoly((2, -1)),
         xyt, (5, 2, 2),
         _lat(u2, a10m), _lat(e8m, x([[2, 1], [1, 6]])),
         (("I1", 11), ("III*", 1), ("IV", 1)),
-        "y^2 = x^3 + t^5*x - t^2",
         _cover(22, ("y", 1, (11, -2, 6)), ("x", -1, (0, 6, 4)), ("t", 1, (0, -2, 6))),
         ((11, 2, 16), (11, 4, 10), (11, 6, 4), (11, 8, 20), (11, 10, 14),
          (11, 12, 8), (11, 14, 2), (11, 16, 18), (11, 18, 12), (11, 20, 6)),
         "family", reducible=("IV", "III*"), disc_s=-11)
 
     add(7, 14, "y^2 = x^3 + t^3*x - t^8",
-        _tpoly((3, 1)), _tpoly((8, -1)),
         xyt, (3, 1, 2),
         _lat(u2, e8m, a6m), _lat(u2, u2, x([[-2, 1], [1, -4]])),
         (("I1", 7), ("III*", 1), ("IV*", 1)),
-        "y^2 = x^3 + t^3*x - t^8",
         _cover(14, ("y", 1, (7, 8, -24)), ("x", -1, (0, 10, -16)), ("t", 1, (0, 2, -6))),
         ((7, 2, 8), (7, 4, 2), (7, 6, 10), (7, 8, 4), (7, 10, 12), (7, 12, 6)),
         "family", reducible=("IV*", "III*"), disc_s=-7)
 
     add(5, 10, "y^2 = x^3 + t^3*x - t^7",
-        _tpoly((3, 1)), _tpoly((7, -1)),
         xyt, (3, 2, 2),
         _lat(e8m, e8m, x([[-2, 3], [3, -2]])), _lat(u2, x([[-2, 3], [3, -2]])),
         (("I1", 5), ("II*", 1), ("III*", 1)),
-        "y^2 = x^3 + t^3*x - t^7",
         _cover(10, ("y", 1, (5, 7, -21)), ("x", -1, (0, 8, -14)), ("t", 1, (0, 2, -6))),
         ((5, 1, 7), (5, 3, 1), (5, 7, 9), (5, 9, 3)),
         (25,), reducible=("III*", "II*"), disc_s=-5)
 
     add(27, 54, "y^2 = x^3 - t^10 - t",
-        IntPoly([]), _tpoly((10, -1), (1, -1)),
         xyt, (2, 3, 6),
         _lat(u2, a2m), _lat(u2, u2, e6m, e8m),
         (("II", 10), ("IV", 1)),
-        "y^2 = x^3 - t^10 - t",
         _cover(54, ("y", 1, (3, 0, 27)), ("x", -1, (2, 18, 0)), ("t", 1, (6, 0, 0))),
         ((1, 36, 27), (5, 18, 27), (7, 36, 27), (11, 18, 27), (13, 36, 27),
          (17, 18, 27), (19, 36, 27), (23, 18, 27), (25, 36, 27), (29, 18, 27),
@@ -393,37 +391,32 @@ def _build_catalog():
         (9,), reducible=("IV",), disc_s=-3)
 
     add(9, 18, "y^2 = x^3 - t^8 - t^5",
-        IntPoly([]), _tpoly((8, -1), (5, -1)),
         xyt, (2, 3, 3),
         _lat(u2, e6m, e8m), _lat(u2, u2, a2m),
         (("II", 3), ("II*", 1), ("IV*", 1)),
-        "y^2 = x^3 - t^8 - t^5",
         _cover(18, ("y", 1, (15, 0, 9)), ("x", -1, (10, 6, 0)), ("t", 1, (6, 0, 0))),
         ((1, 6, 9), (5, 12, 9), (7, 6, 9), (11, 12, 9), (13, 6, 9),
          (17, 12, 9)),
         (27,), reducible=("IV*",), disc_s=-3)
 
     add(3, None, "y^2 = x^3 + t^7 - 2*t^6 + t^5",
-        IntPoly([]), _tpoly((7, 1), (6, -2), (5, 1)),
         xyt, (1, 0, 0),
         _lat(u2, a2m, e8m, e8m), x([[2, 1], [1, 2]]),
         (("II*", 1), ("II*", 1), ("IV", 1)),
-        None, None, None,
+        None, None,
         "none", reducible=("IV", "II*", "II*"), disc_s=-3,
         zeta_primes=(5, 7, 11, 13))
 
     add(25, 50, "y^2 = u^5 + u*v^5 - 1",
-        None, None,
         ("u", "v", "y"), (20, 1, 0),
         x([[-2, 3], [3, -2]]), _lat(u2, e8m, e8m, x([[-2, 3], [3, -2]])),
         None,
-        "y^2 = u^5 + u*v^5 - 1",
         _cover(50, ("y", 1, (25, 0, 0)), ("u", -1, (0, 10, 0)), ("v", 1, (0, -2, 10))),
         ((25, 2, 40), (25, 4, 30), (25, 6, 20), (25, 8, 10), (25, 12, 40),
          (25, 14, 30), (25, 16, 20), (25, 18, 10), (25, 22, 40), (25, 24, 30),
          (25, 26, 20), (25, 28, 10), (25, 32, 40), (25, 34, 30), (25, 36, 20),
          (25, 38, 10), (25, 42, 40), (25, 44, 30), (25, 46, 20), (25, 48, 10)),
-        (5,), sextic=((5, 0, 1), (1, 5, 1), (0, 0, -1)))
+        (5,))
 
     return tuple(rows[k] for k in ORDERS)
 
@@ -654,17 +647,7 @@ def verify_entry(entry, primes=None):
 
     for q in primes or entry.zeta_primes:
         name = f"zeta-q{q}"
-        if k == 3:
-            def chk_cm(p=q):
-                rt = cm_factor_k3(p)
-                trace = -rt.coeff(1)
-                n = count_elliptic_smooth(entry.model, p)
-                if n != 1 + p * p + 20 * p + trace:
-                    raise AssertionError(f"{n} points vs trace {trace}")
-                return f"q={p}: {n} points match CM trace {trace}"
-
-            run(name, chk_cm)
-        elif not entry.elliptic:
+        if not entry.elliptic:
             def chk_sextic(p=q):
                 report = zeta_report(k, p)
                 return ("skip",
@@ -679,6 +662,8 @@ def verify_entry(entry, primes=None):
                 if n != report.predicted_count:
                     raise AssertionError(
                         f"{n} points, zeta predicts {report.predicted_count}")
+                if k == 3:
+                    return f"q={p}: {n} points match CM trace {report.trace}"
                 return (f"q={p}: {n} points match (n+, n-) = "
                         f"({report.n_plus}, {report.n_minus}), trace {report.trace}")
 

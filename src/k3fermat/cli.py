@@ -39,6 +39,7 @@ from .pointcount import (
     count_elliptic_smooth,
     count_fermat,
     double_sextic_terms,
+    elliptic_count_terms,
     fermat_value_pairs,
 )
 
@@ -263,6 +264,11 @@ def cmd_count(args):
         if entry.elliptic:
             if args.q in (2, 3):
                 raise UsageError("point counts need residue characteristic at least 5")
+            terms = elliptic_count_terms(entry.model, args.q)
+            if terms > FERMAT_PAIR_LIMIT:
+                raise UsageError(
+                    f"the smooth elliptic count of the order-{args.k} surface over "
+                    f"F_{args.q} sums over {terms} terms, over the limit {FERMAT_PAIR_LIMIT}")
             count = count_elliptic_smooth(entry.model, args.q)
             what = f"smooth elliptic model of the order-{args.k} surface"
         else:

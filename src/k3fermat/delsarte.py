@@ -45,26 +45,6 @@ class DelsarteSurface(NamedTuple):
         terms = tuple((c * s, e) for (c, e), s in zip(self.terms, term_signs))
         return DelsarteSurface(self.variables, terms)
 
-    def equation_text(self):
-        if not self.terms:
-            return "0 = 0"
-        parts = []
-        for c, e in self.terms:
-            body = "*".join(
-                v if p == 1 else f"{v}^{p}"
-                for v, p in zip(self.variables, e) if p
-            )
-            mag = abs(c)
-            if not body:
-                body = str(mag)
-            elif mag != 1:
-                body = f"{mag}*{body}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts) + " = 0"
-
 
 class MonomialMap(NamedTuple):
     m: int

@@ -209,45 +209,6 @@ def _local_model(model, field, t0):
     return a, b, vd
 
 
-def _instar_data(field, a, b, vd):
-    """n and far-component splitting for a type I_n* fiber (n >= 1).
-
-    The cubic T^3 + a2 T + b3 has a double root alpha; recentering x by
-    alpha*tau gives y^2 = x^3 + c2 x^2 + c1 x + c0 with c2 = e*tau + ...,
-    e = 3*alpha. Round k (Silverman, Advanced Topics, IV.9 step 7) ends
-    with n = 2k - 1 when the tau^(2k+2) coefficient of c0 is nonzero, with
-    n = 2k when e X^2 + c1[k+2] X + c0[2k+3] has distinct roots, and
-    otherwise translates x by the double root times tau^(k+1).
-    """
-    alpha = -3 * b.coeff(3) * field.inv(2 * a.coeff(2))
-    e = 3 * alpha
-    tau = IntPoly([0, 1])
-    c2 = e * tau
-    c1 = a + 3 * alpha * alpha * tau * tau
-    c0 = b + alpha * tau * a + alpha * alpha * alpha * tau * tau * tau
-    k = 1
-    while k <= vd:
-        r = c0.coeff(2 * k + 2)
-        if not field.is_zero(r):
-            n, split = 2 * k - 1, field.chi2(r) == 1
-            break
-        p = c1.coeff(k + 2)
-        disc = p * p - 4 * e * c0.coeff(2 * k + 3)
-        if not field.is_zero(disc):
-            n, split = 2 * k, field.chi2(disc) == 1
-            break
-        shift = IntPoly([0] * (k + 1) + [-p * field.inv(2 * e)])
-        c0 = c0 + shift * c1 + shift * shift * c2 + shift * shift * shift
-        c1 = c1 + 2 * shift * c2 + 3 * shift * shift
-        c2 = c2 + 3 * shift
-        k += 1
-    else:
-        raise AssertionError("I_n* subprocedure failed to terminate")
-    if n != vd - 6:
-        raise AssertionError(f"I_n* loop found n={n} but v(Delta)={vd}")
-    return n, split
-
-
 def tate_fiber(model, q, t0, local=None):
     """Kodaira fiber of the smooth model at t0 (an element of F_q or "inf").
 
@@ -256,7 +217,8 @@ def tate_fiber(model, q, t0, local=None):
     _kodaira_kind on (v(A), v(Delta)) in residue characteristic >= 5; the
     splitting data are the node tangents for I_n, the leading B
     coefficient for IV/IV*, the root field of the associated cubic for
-    I_0*, and the far components for I_n* with n >= 1. An int t0 is
+    I_0*, and for I_n* with n >= 1 the square class of the leading
+    coefficient of Delta, times 2 A2 B3 when n is odd. An int t0 is
     reduced into the field, so every representative of a point gives the
     same fiber.
     """
@@ -282,8 +244,18 @@ def tate_fiber(model, q, t0, local=None):
         split = field.chi2(b.coeff(2 if kind == "IV" else 4)) == 1
     elif kind in ("II", "III", "III*", "II*"):
         split = True
-    else:  # I_n*, n >= 1
-        split = _instar_data(field, a, b, vd)[1]
+    else:  # I_n*, n = vd - 6 >= 1
+        # Silverman's step 7 (Advanced Topics, IV.9) recenters x at the
+        # double root alpha = -3 B3 / (2 A2) of T^3 + A2 T + B3, leaving e*tau
+        # as the x^2 coefficient with e = 3 alpha, and ends with a square test
+        # on c0[n+3] = -Delta[n+6] / (64 e^3) for odd n, or on
+        # c1[n/2+2]^2 - 4 e c0[n+3] = Delta[n+6] / (16 e^2) for even n; its
+        # x-translations change neither Delta nor e, and -e = 9 B3 / (2 A2)
+        # up to squares
+        d = _discriminant(a, b).coeff(vd)
+        if vd % 2:
+            d = 2 * a.coeff(2) * b.coeff(3) * d
+        split = field.chi2(d) == 1
     return KodairaFiber(t0, kind, "split" if split else "nonsplit")
 
 
@@ -348,6 +320,27 @@ def count_elliptic_smooth(model, q):
         total += _degenerate_count(model, field, t0, size, cubic_sum)
     total += _degenerate_count(model, field, "inf", size, cubic_sum)
     return total
+
+
+def elliptic_count_terms(model, q):
+    """Bound on the terms that count_elliptic_smooth sums over F_q, q prime.
+
+    q values of t, and q values of x per chi_cubic_sum call, one per class
+    of (a, b) = (A(t), B(t)) under the scaling of _cubic_sums: at most
+    gcd(4, q-1) classes with b = 0 and gcd(6, q-1) with a = 0. Those with
+    ab != 0 are values of r = a^3/b^2: none when A or B vanishes mod q,
+    the (q-1)/gcd(3i - 2j, q-1) values of alpha^3 beta^-2 t^(3i - 2j) when
+    A = alpha t^i and B = beta t^j, and at most q otherwise.
+    """
+    a = [i for i, c in enumerate(model.a.coeffs) if c % q]
+    b = [j for j, c in enumerate(model.b.coeffs) if c % q]
+    if not a or not b:
+        r = 0
+    elif len(a) == len(b) == 1:
+        r = (q - 1) // gcd(3 * a[0] - 2 * b[0], q - 1)
+    else:
+        r = q
+    return q * (1 + r + gcd(4, q - 1) + gcd(6, q - 1))
 
 
 def _degenerate_count(model, field, t0, size, cubic_sum):
@@ -467,6 +460,10 @@ def _geometric_kind(va, vb, vd):
 # visit 2^40, about 1.1e12, pairs: many hours. The count command holds
 # double_sextic_terms(f, q) to the same limit; at some 3M terms per
 # second on the same machine that is about six minutes of the k = 25 count.
+# So it holds elliptic_count_terms(model, q): chi_cubic_sum visits some 6M
+# terms per second (count --k 19 --q 4001, 1.6e7 terms in 2.8 s), about
+# three minutes at the limit. A step of the loop over t costs more, 41 s
+# for the 4.6e7 terms of count --k 66 --q 4194301, but q <= 2^22 bounds it.
 FERMAT_PAIR_LIMIT = 10 ** 9
 
 

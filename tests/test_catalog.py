@@ -1,5 +1,6 @@
 """Catalog fixtures: shape, equations, actions, covers, lattices, reports."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from k3fermat.catalog import (
     catalog_entry,
     entry_as_dict,
     load_catalog,
+    read_equation,
     section_satisfies,
     transcendental_row,
     verify_entry,
@@ -67,17 +69,72 @@ def test_catalog_entry_unknown_order():
         catalog_entry(14)
 
 
+def tpoly(*pairs):
+    """Integer polynomial in t from (degree, coefficient) pairs."""
+    coeffs = [0] * (1 + max((d for d, _c in pairs), default=-1))
+    for d, c in pairs:
+        coeffs[d] = c
+    return IntPoly(coeffs)
+
+
+# (A, B) of each elliptic entry, typed out independently of its equation
+WEIERSTRASS = {
+    66: (tpoly(), tpoly((12, -1), (1, -1))),
+    44: (tpoly((0, 1)), tpoly((11, 1))),
+    42: (tpoly(), tpoly((12, -1), (5, -1))),
+    36: (tpoly(), tpoly((11, -1), (5, -1))),
+    28: (tpoly((0, 1)), tpoly((7, 1))),
+    12: (tpoly(), tpoly((7, 1), (5, 1))),
+    19: (tpoly((7, 1)), tpoly((1, -1))),
+    17: (tpoly((7, 1)), tpoly((2, -1))),
+    13: (tpoly((5, 1)), tpoly((1, -1))),
+    11: (tpoly((5, 1)), tpoly((2, -1))),
+    7: (tpoly((3, 1)), tpoly((8, -1))),
+    5: (tpoly((3, 1)), tpoly((7, -1))),
+    27: (tpoly(), tpoly((10, -1), (1, -1))),
+    9: (tpoly(), tpoly((8, -1), (5, -1))),
+    3: (tpoly(), tpoly((7, 1), (6, -2), (5, 1))),
+}
+
+
 def test_defining_equations():
-    e66 = catalog_entry(66)
-    assert e66.equation == "y^2 = x^3 - t^12 - t"
-    assert e66.model.a == IntPoly([])
-    assert e66.model.b == IntPoly([0, -1] + [0] * 10 + [-1])
+    assert catalog_entry(66).equation == "y^2 = x^3 - t^12 - t"
     assert catalog_entry(25).equation == "y^2 = u^5 + u*v^5 - 1"
-    assert catalog_entry(3).model.b == IntPoly([0, 0, 0, 0, 0, 1, -2, 1])
     for e in load_catalog():
-        # every defining equation parses; elliptic ones match the model
-        surface = parse_surface(e.equation)
-        assert len(surface.variables) == 3
+        assert len(parse_surface(e.equation).variables) == 3
+        if e.k == 25:
+            assert e.model is None
+            assert e.sextic == ((5, 0, 1), (1, 5, 1), (0, 0, -1))
+        else:
+            # the model is read off the equation, not stated a second time
+            assert (e.model.a, e.model.b) == WEIERSTRASS[e.k], e.k
+            assert e.sextic is None
+    assert sorted(WEIERSTRASS) == sorted(e.k for e in load_catalog() if e.elliptic)
+
+
+def test_cover_equation_defaults_to_the_equation():
+    substituted = {66: "y^2 = x^3 - 1 - s^11", 42: "y^2 = x^3 - 1 - s^7"}
+    for e in load_catalog():
+        if e.cover is None:
+            assert e.cover_equation is None
+        else:
+            assert e.cover_equation == substituted.get(e.k, e.equation), e.k
+
+
+@pytest.mark.parametrize("text, message", [
+    (K11_ALTERNATE_EQUATION, "is not y^2 = x^3 + A(t)*x + B(t)"),
+    ("x^3 = y^2 + t", "not of the form y^2 = f"),
+    ("2*y^2 = x^3 + t", "not of the form y^2 = f"),
+    ("y^2 = x^3 + y*t + 1", "not of the form y^2 = f"),
+    ("y^2 = x^3 + t^9*x + 1", "deg A = 9 exceeds 8"),
+    ("y^2 = t^5*x + 1", "is not y^2 = x^3 + A(t)*x + B(t)"),
+    ("y^2 = 2*x^3 + t", "is not y^2 = x^3 + A(t)*x + B(t)"),
+    ("y^2 = x^3 + u^5 + 1", "neither"),
+    ("y^2 = x^3 + x + 1", "neither"),
+])
+def test_read_equation_refuses_other_shapes(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_equation(text)
 
 
 def test_default_zeta_primes():

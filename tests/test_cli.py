@@ -394,6 +394,14 @@ class TestRefusals:
                        "over F_4194301 sums over 3518435531161 terms, over the limit "
                        "1000000000\n")
 
+    def test_elliptic_count_with_too_many_terms(self):
+        # 19 does not divide q - 1, so r = a^3/b^2 = -t^19 takes q - 1 values
+        # and nearly every fiber needs its own chi_cubic_sum of q terms
+        err = self.refuse("count", "--k", "19", "--q", "4194301")
+        assert err == ("error: the smooth elliptic count of the order-19 surface over "
+                       "F_4194301 sums over 17592202821611 terms, over the limit "
+                       "1000000000\n")
+
     def test_jacobi_degree_with_too_large_a_power_table(self):
         # m = 3*5*7*11*13 is squarefree, so each of its 15015 - 5760 folded
         # rows may hold phi(m) = 5760 terms

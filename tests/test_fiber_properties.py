@@ -1,11 +1,12 @@
 """Property tests for Tate's algorithm over F_p and F_{p^2}, and for the
 F_{p^2} element arithmetic it runs on."""
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from k3fermat.cyclotomic import IntPoly
 from k3fermat.field import PrimeField, QuadElement, QuadExtField
-from k3fermat.pointcount import WeierstrassModel, tate_fiber
+from k3fermat.pointcount import WeierstrassModel, _local_model, tate_fiber
 
 exact = settings(deadline=None, max_examples=50)
 
@@ -74,6 +75,100 @@ def test_unreduced_representatives_give_the_same_fiber(model, p, lift):
         fib = tate_fiber(model, BASE[p], t0)
         other = tate_fiber(model, BASE[p], t0 + lift * p)
         assert other == fib
+
+
+# ---------------------------------------------------------------------------
+# I_n* far components: the closed form against Silverman's step 7
+
+def reference_instar_split(field, a, b, vd):
+    """n and far-component splitting of an I_n* fiber (n >= 1) by the loop of
+    Silverman, Advanced Topics, IV.9 step 7.
+
+    The cubic T^3 + a2 T + b3 has a double root alpha; recentering x by
+    alpha*tau gives y^2 = x^3 + c2 x^2 + c1 x + c0 with c2 = e*tau + ...,
+    e = 3*alpha. Round k ends with n = 2k - 1 when the tau^(2k+2)
+    coefficient of c0 is nonzero, with n = 2k when e X^2 + c1[k+2] X +
+    c0[2k+3] has distinct roots, and otherwise translates x by the double
+    root times tau^(k+1).
+    """
+    alpha = -3 * b.coeff(3) * field.inv(2 * a.coeff(2))
+    e = 3 * alpha
+    tau = IntPoly([0, 1])
+    c2 = e * tau
+    c1 = a + 3 * alpha * alpha * tau * tau
+    c0 = b + alpha * tau * a + alpha * alpha * alpha * tau * tau * tau
+    for k in range(1, vd + 1):
+        r = c0.coeff(2 * k + 2)
+        if not field.is_zero(r):
+            return 2 * k - 1, field.chi2(r) == 1
+        p = c1.coeff(k + 2)
+        disc = p * p - 4 * e * c0.coeff(2 * k + 3)
+        if not field.is_zero(disc):
+            return 2 * k, field.chi2(disc) == 1
+        shift = IntPoly([0] * (k + 1) + [-p * field.inv(2 * e)])
+        c0 = c0 + shift * c1 + shift * shift * c2 + shift * shift * shift
+        c1 = c1 + 2 * shift * c2 + 3 * shift * shift
+        c2 = c2 + 3 * shift
+    raise AssertionError("I_n* subprocedure failed to terminate")
+
+
+def power(poly, n):
+    out = IntPoly([1])
+    for _ in range(n):
+        out = out * poly
+    return out
+
+
+@st.composite
+def double_root_models(draw):
+    """Recipes for models with an I_n* fiber at tau = 0, tau = t or t^2 - r.
+
+    A = c1 - 3 alpha^2 tau^2 and B = c0 - alpha tau c1 + 2 alpha^3 tau^3
+    turn into y^2 = x^3 + 3 alpha tau x^2 + c1 x + c0 when x moves by
+    alpha*tau, so T^3 + A2 T + B3 has the double root alpha(t0) != 0, and
+    the orders of vanishing of c1 and c0 at tau = 0, at least j1 and j0,
+    set n. With
+    tau = t^2 - r (r the non-residue of QuadExtField) the place is
+    sqrt(r), in F_{p^2} only, and alpha = alpha0 + alpha1*t there is not
+    in F_p; the degree caps then halve the ranges of j1 and j0.
+    """
+    quadratic = draw(st.booleans())
+    small = st.integers(-4, 4)
+    alpha = IntPoly([draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])), draw(small)])
+    j1 = draw(st.integers(3, 4 if quadratic else 6))
+    j0 = draw(st.integers(4, 6 if quadratic else 10))
+    deg = 2 if quadratic else 1
+    p1 = IntPoly(draw(st.lists(small, max_size=9 - deg * j1)))
+    p0 = IntPoly(draw(st.lists(small, max_size=13 - deg * j0)))
+    return quadratic, alpha, j1, p1, j0, p0
+
+
+@settings(deadline=None, max_examples=300)
+@given(recipe=double_root_models(), p=st.sampled_from(PRIMES))
+def test_in_star_splitting_matches_the_step_7_loop(recipe, p):
+    quadratic, alpha, j1, p1, j0, p0 = recipe
+    ext = EXT[p]
+    if quadratic:
+        tau = IntPoly([-ext.r, 0, 1])
+        places = [(ext, QuadElement(ext, 0, 1))]
+    else:
+        tau = IntPoly([0, 1])
+        places = [(BASE[p], 0), (ext, ext.from_int(0))]
+    c1 = power(tau, j1) * p1
+    c0 = power(tau, j0) * p0
+    at = alpha * tau
+    try:
+        model = WeierstrassModel(c1 - 3 * at * at, c0 - at * c1 + 2 * at * at * at)
+    except ValueError:  # c1 = c0 = 0: the discriminant vanishes identically
+        assume(False)
+    assume(good_reduction(model, p))
+    for field, t0 in places:
+        fib = tate_fiber(model, field, t0)
+        n, split = reference_instar_split(field, *_local_model(model, field, t0))
+        event(f"{fib.kind if n < 3 else 'n >= 3'} {fib.splitting} over F_{field.q}"
+              + (" at sqrt(r)" if quadratic else ""))
+        assert fib.kind == f"I{n}*"
+        assert fib.splitting == ("split" if split else "nonsplit"), (field, t0, model)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from k3fermat.pointcount import (
     count_elliptic_smooth,
     count_fermat,
     double_sextic_terms,
+    elliptic_count_terms,
     fiber_points,
     tate_fiber,
 )
@@ -160,6 +161,25 @@ def test_elliptic_count_runs_one_cubic_sum_per_class(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["count", "--k", "19", "--q", str(q), "--json"]) == 0
     assert 0 < calls <= (q - 1) // 19 + 2
+
+
+@pytest.mark.parametrize("entry", ELLIPTIC, ids=lambda e: f"k{e.k}")
+def test_elliptic_count_terms_bound_the_cubic_sums(entry, monkeypatch):
+    # the count command's budget: q values of t, and q values of x for
+    # every chi_cubic_sum call
+    calls = 0
+    original = pointcount.chi_cubic_sum
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(pointcount, "chi_cubic_sum", counted)
+    for q in (5, 7, 11, 13, 37, 101, 191, 229, 401):
+        calls = 0
+        outcome(count_elliptic_smooth, entry.model, q)
+        assert q * (1 + calls) <= elliptic_count_terms(entry.model, q), (entry.k, q, calls)
 
 
 # ---------------------------------------------------------------------------

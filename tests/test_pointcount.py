@@ -231,7 +231,7 @@ def test_tate_rejects_small_characteristic():
 def test_tate_refuses_a_discriminant_that_vanishes_mod_p():
     # 4 * 2^3 + 27 * 2^2 = 140 = 0 mod 5 and mod 7; the second model has
     # A = B = 0 mod 5, and the third a double root of the cubic at t = 0
-    # (the I_n* loop would never end)
+    # with Delta = 0 mod 5 to every order (an I_n* fiber with no finite n)
     bad = [
         (WeierstrassModel([2], [2]), 5),
         (WeierstrassModel([2], [2]), 7),

@@ -1,6 +1,7 @@
 """Start-up imports only what a call reads: no dataclasses (which pulls in
-inspect, ast, dis and tokenize), and a frozen set-up heap once the catalog
-is built. Structural checks only; timings live in perfbench."""
+inspect, ast, dis and tokenize), a catalog built without parsing any
+equation, and a frozen set-up heap once it is built. Structural checks
+only; timings live in perfbench."""
 
 import json
 import pathlib
@@ -13,9 +14,13 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 PROBE = """
 import gc, json, sys
 sys.path.insert(0, sys.argv[1])
-import k3fermat.cli
+import k3fermat.catalog, k3fermat.cli, k3fermat.delsarte
+parsed = []
+for module in (k3fermat.catalog, k3fermat.delsarte):
+    module.parse_surface = lambda text, parse=module.parse_surface: parsed.append(text) or parse(text)
 k3fermat.cli.load_catalog()
-print(json.dumps({"modules": sorted(sys.modules), "frozen": gc.get_freeze_count()}))
+print(json.dumps({"modules": sorted(sys.modules), "frozen": gc.get_freeze_count(),
+                  "parsed": parsed}))
 """
 
 
@@ -28,6 +33,8 @@ def test_cli_start_up_skips_dataclasses_and_freezes_the_heap():
     assert "dataclasses" not in doc["modules"]
     assert "inspect" not in doc["modules"]
     assert doc["frozen"] > 0
+    # each entry's model is read off its equation on first use, not at build
+    assert doc["parsed"] == []
 
 
 def test_no_module_imports_dataclasses():
