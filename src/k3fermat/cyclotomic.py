@@ -8,14 +8,14 @@ holds the canonical coordinates of zeta^j for each j < m: reduce, products
 and the Galois action read rows of it and never divide by Phi_m.
 
 IntPoly is the one polynomial type: its coefficients are ints for Z[T],
-Fractions for Q[T], CycInts for Z[zeta_m][T], or finite-field elements
-for the local expansions of pointcount (ints for F_p, QuadElements for
-F_{p^2}).
+CycInts for Z[zeta_m][T], or finite-field elements for the local
+expansions of pointcount (ints for F_p, QuadElements for F_{p^2}). Over Z,
+gcds come from primitive pseudo-remainders and quotients are exact
+integer divisions, so no rational number is ever formed.
 """
 
 from collections import Counter
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .characters import units_mod
 from .field import prime_factors
@@ -96,22 +96,14 @@ class IntPoly:
     def derivative(self):
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def monic(self):
-        """self divided by its leading coefficient, over Q; zero stays zero."""
-        if not self.coeffs:
-            return self
-        lead = Fraction(self.coeffs[-1])
-        return IntPoly([c / lead for c in self.coeffs])
-
     def primitive(self):
-        """The primitive integer multiple of self with positive leading coefficient."""
-        if not self.coeffs:
+        """self over Z divided by its content, with positive leading
+        coefficient; zero stays zero."""
+        c = self.coeffs
+        if not c:
             return self
-        fracs = [Fraction(c) for c in self.coeffs]
-        den = lcm(*(c.denominator for c in fracs))
-        ints = [(c * den).numerator for c in fracs]
-        content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
-        return IntPoly([c // content for c in ints])
+        content = gcd(*c) if c[-1] > 0 else -gcd(*c)
+        return self if content == 1 else IntPoly([x // content for x in c])
 
     def __repr__(self):
         return f"IntPoly({self.format()})"
@@ -138,7 +130,7 @@ class IntPoly:
 
 
 def poly_divmod(num, den):
-    """Quotient and remainder by a monic divisor (over Z, or over Q)."""
+    """Quotient and remainder by a monic divisor."""
     if not den or den.coeffs[-1] != 1:
         raise ValueError("divisor must be monic")
     rem = list(num.coeffs)
@@ -154,19 +146,65 @@ def poly_divmod(num, den):
 
 
 def exact_quotient(num, den):
-    """num / den over Q; raises ArithmeticError unless den divides num."""
-    lead = Fraction(den.coeffs[-1])
-    quo, rem = poly_divmod(num, den.monic())
-    if rem:
+    """num / den in Z[T]; raises ArithmeticError unless den divides num there.
+
+    By Gauss's lemma a primitive den that divides num over Q leaves an
+    integer quotient, so this is the exact division that Yun's algorithm
+    over Z needs.
+    """
+    if not den:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = list(num.coeffs)
+    dn = den.degree
+    d = den.coeffs
+    lead = d[-1]
+    quo = [0] * max(len(rem) - dn, 0)
+    for i in range(len(rem) - dn - 1, -1, -1):
+        c = rem[i + dn]
+        if c:
+            c, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("division was expected to be exact")
+            quo[i] = c
+            for j in range(dn + 1):
+                rem[i + j] -= c * d[j]
+    if any(rem[:dn]):
         raise ArithmeticError("division was expected to be exact")
-    return IntPoly([c / lead for c in quo.coeffs])
+    return IntPoly(quo)
+
+
+def _pseudo_remainder(num, den):
+    """r with lead(den)^k num = quo * den + r and deg r < deg den, den
+    nonzero; k counts the elimination steps whose top coefficient lead(den)
+    does not divide, so r is the plain remainder when every one does."""
+    rem = list(num.coeffs)
+    dn = den.degree
+    d = den.coeffs
+    lead = d[-1]
+    for i in range(len(rem) - dn - 1, -1, -1):
+        c = rem.pop()
+        if c:
+            if c % lead:
+                rem = [lead * x for x in rem]
+            else:
+                c //= lead
+            for j in range(dn):
+                rem[i + j] -= c * d[j]
+    return IntPoly(rem)
 
 
 def poly_gcd(a, b):
-    """Monic greatest common divisor over Q, by Euclid's algorithm."""
+    """Greatest common divisor over Q, as a primitive polynomial in Z[T]
+    with positive leading coefficient (zero when a = b = 0).
+
+    Euclid's algorithm on primitive pseudo-remainders: every remainder is
+    divided by its content, which keeps its coefficients from growing
+    exponentially along the sequence.
+    """
+    a, b = a.primitive(), b.primitive()
     while b:
-        a, b = b, poly_divmod(a, b.monic())[1]
-    return a.monic()
+        a, b = b, _pseudo_remainder(a, b).primitive()
+    return a
 
 
 _cyclo_cache = {}

@@ -7,6 +7,9 @@ needs residue characteristic >= 5 throughout; that keeps Tate's procedure
 in its short-Weierstrass (v(A), v(Delta)) form.
 Tate's table lives in _kodaira_kind, for geometric_fibers over Q and
 tate_fiber over F_q; fiber invariants come from lattice.kodaira_lattice.
+geometric_fibers splits the discriminant over Z[t] (Yun's algorithm on
+primitive polynomials), and the count over F_p walks t through the powers
+of a primitive root, so both sides run in integer arithmetic.
 
 Tate's procedure works on IntPoly expansions in the uniformizer at t0,
 with ordinary + - * on the field elements. Over F_p those are plain ints
@@ -27,11 +30,17 @@ _INF = 10 ** 9
 
 
 # ---------------------------------------------------------------------------
-# factor-free analysis of Delta over Q
+# factor-free analysis of Delta over Z[t]
 
 def _yun_squarefree(f):
-    """Yun decomposition prod g_i^i of a non-constant polynomial over Q,
-    as (g_i, i) pairs with g_i monic and non-constant."""
+    """Yun decomposition of a nonzero f in Z[t]: (g_i, i) pairs with g_i
+    primitive, non-constant and of positive leading coefficient, whose
+    product of g_i^i is f.primitive().
+
+    Each step divides by a primitive gcd, so by Gauss's lemma every
+    quotient stays in Z[t]; c and w carry one common scalar throughout,
+    which the gcds do not see.
+    """
     d = f.derivative()
     g = poly_gcd(f, d)
     c = exact_quotient(f, g)
@@ -52,8 +61,9 @@ def _yun_squarefree(f):
 def _split_by_valuation(f, target):
     """Partition the roots of squarefree f by their multiplicity in target.
 
-    Returns (piece, v) pairs whose product is f; target identically zero
-    sends everything to valuation _INF.
+    f is primitive in Z[t] with positive leading coefficient. Returns
+    (piece, v) pairs of such polynomials whose product is f; target
+    identically zero sends everything to valuation _INF.
     """
     if not target:
         return [(f, _INF)] if f.degree > 0 else []
@@ -298,27 +308,46 @@ def count_elliptic_smooth(model, q):
     if field.p in (2, 3):
         raise ValueError("residue characteristic must be at least 5")
     size = field.q
-    disc = model.discriminant()
     cubic_sum = _cubic_sums(field)
-    fast = isinstance(field, PrimeField)
-    if fast:
-        p = field.p
-        a_mod = [c % p for c in model.a.coeffs]
-        b_mod = [c % p for c in model.b.coeffs]
-        d_mod = [c % p for c in disc.coeffs]
-    total = 0
-    for t0 in field.elements():
-        if fast:
-            if _horner_mod(d_mod, t0, p) != 0:
-                a0 = _horner_mod(a_mod, t0, p)
-                b0 = _horner_mod(b_mod, t0, p)
-                total += size + 1 + cubic_sum(a0, b0)
-                continue
-        elif not field.is_zero(disc(t0)):
-            total += size + 1 + cubic_sum(model.a(t0), model.b(t0))
-            continue
-        total += _degenerate_count(model, field, t0, size, cubic_sum)
+    if isinstance(field, PrimeField):
+        total = _prime_field_fibers(model, field, cubic_sum)
+    else:
+        disc = model.discriminant()
+        total = 0
+        for t0 in field.elements():
+            if field.is_zero(disc(t0)):
+                total += _degenerate_count(model, field, t0, size, cubic_sum)
+            else:
+                total += size + 1 + cubic_sum(model.a(t0), model.b(t0))
     total += _degenerate_count(model, field, "inf", size, cubic_sum)
+    return total
+
+
+def _prime_field_fibers(model, field, cubic_sum):
+    """The points over t in F_p: t = 0 from its local model, then the walk
+    t = g^d, d < p - 1.
+
+    Along the walk each term c t^i of A and B steps by one product with
+    g^i, and the fiber is good when -16(4 a0^3 + 27 b0^2) is nonzero, that
+    is (p >= 5) when 4 a0^3 + 27 b0^2 != 0 mod p.
+    """
+    p, g = field.p, field.g
+    a_vals = [c % p for c in model.a.coeffs]
+    b_vals = [c % p for c in model.b.coeffs]
+    a_steps = [pow(g, i, p) for i, c in enumerate(a_vals) if c]
+    b_steps = [pow(g, j, p) for j, c in enumerate(b_vals) if c]
+    a_vals = [c for c in a_vals if c]
+    b_vals = [c for c in b_vals if c]
+    total = _degenerate_count(model, field, 0, p, cubic_sum)
+    for d in range(p - 1):
+        a0 = sum(a_vals) % p
+        b0 = sum(b_vals) % p
+        if (4 * a0 * a0 * a0 + 27 * b0 * b0) % p:
+            total += p + 1 + cubic_sum(a0, b0)
+        else:
+            total += _degenerate_count(model, field, pow(g, d, p), p, cubic_sum)
+        a_vals = [v * w % p for v, w in zip(a_vals, a_steps)]
+        b_vals = [v * w % p for v, w in zip(b_vals, b_steps)]
     return total
 
 
@@ -358,9 +387,11 @@ def _cubic_sums(field):
 
     Over F_p, x -> mu x gives S(mu^2 a, mu^3 b) = chi2(mu) S(a, b), so
     chi_cubic_sum runs once per class of that scaling, and a dict keeps
-    each result under the class's representative:
+    each result under a dlog residue that names the class:
       ab != 0: mu = a/b reaches (r, r) with r = a^3/b^2, so
-        S(a, b) = chi2(a/b) S(r, r) = chi2(ab) S(r, r);
+        S(a, b) = chi2(a/b) S(r, r) = chi2(ab) S(r, r); the key is
+        dlog(r) = 3 dlog(a) - 2 dlog(b) mod p-1, and chi2(ab) is
+        (-1)^(dlog(a) + dlog(b));
       a = 0: S(0, b) = S(0, g^e) with e = dlog(b) mod gcd(6, p-1);
       b = 0: S(a, 0) = S(g^e, 0) with e = dlog(a) mod gcd(4, p-1);
       a = b = 0: S = sum chi2(x^3) = sum chi2(x) = 0.
@@ -370,39 +401,42 @@ def _cubic_sums(field):
     if 4 | p-1, each mu with mu^2 = a/g^e = g^(4j) is +-g^(2j), a square
     because -1 is; otherwise chi2(-1) = -1 and x -> -x gives
     S(a, 0) = -S(a, 0) = 0.
+    A representative is raised from its key only when the class is new.
     """
     if not isinstance(field, PrimeField):
         return lambda a, b: sum(field.chi2(x * x * x + a * x + b) for x in field.elements())
     p, g, dlog = field.p, field.g, field.dlog_table
+    order = p - 1
     chi2_table = field.chi2_table()
     cubes = [x * x * x % p for x in range(p)]
-    sums = {}
+    sums = {}  # dlog(r) -> S(r, r)
+    a_only = {}  # dlog(a) mod gcd(4, p-1) -> S(g^e, 0)
+    b_only = {}  # dlog(b) mod gcd(6, p-1) -> S(0, g^e)
+    four, six = gcd(4, order), gcd(6, order)
 
     def cubic_sum(a, b):
         a %= p
         b %= p
         if a and b:
-            sign = chi2_table[a * b % p]
-            r = a * a * a * pow(b * b, -1, p) % p
-            key = (r, r)
-        elif a:
-            sign, key = 1, (pow(g, dlog[a] % gcd(4, p - 1), p), 0)
-        elif b:
-            sign, key = 1, (0, pow(g, dlog[b] % gcd(6, p - 1), p))
-        else:
-            return 0
-        if key not in sums:
-            sums[key] = chi_cubic_sum(chi2_table, cubes, key[0], key[1], p)
-        return sign * sums[key]
+            da, db = dlog[a], dlog[b]
+            key = (3 * da - 2 * db) % order
+            if key not in sums:
+                r = pow(g, key, p)
+                sums[key] = chi_cubic_sum(chi2_table, cubes, r, r, p)
+            return -sums[key] if (da + db) & 1 else sums[key]
+        if a:
+            e = dlog[a] % four
+            if e not in a_only:
+                a_only[e] = chi_cubic_sum(chi2_table, cubes, pow(g, e, p), 0, p)
+            return a_only[e]
+        if b:
+            e = dlog[b] % six
+            if e not in b_only:
+                b_only[e] = chi_cubic_sum(chi2_table, cubes, 0, pow(g, e, p), p)
+            return b_only[e]
+        return 0
 
     return cubic_sum
-
-
-def _horner_mod(coeffs, x, p):
-    out = 0
-    for c in reversed(coeffs):
-        out = (out * x + c) % p
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +457,7 @@ def geometric_fibers(model):
             for piece, vb in _split_by_valuation(piece_a, model.b):
                 kind = _geometric_kind(va, vb, vd)
                 if kind != "I0":  # I0: non-minimal model, good fiber after reduction
-                    poly = piece.primitive()
-                    rows.append(_fiber_row(poly.format("t"), poly.degree, kind))
+                    rows.append(_fiber_row(piece.format("t"), piece.degree, kind))
     va = 8 - model.a.degree if model.a else _INF
     vb = 12 - model.b.degree if model.b else _INF
     kind = _geometric_kind(va, vb, 24 - disc.degree)
@@ -462,8 +495,9 @@ def _geometric_kind(va, vb, vd):
 # second on the same machine that is about six minutes of the k = 25 count.
 # So it holds elliptic_count_terms(model, q): chi_cubic_sum visits some 6M
 # terms per second (count --k 19 --q 4001, 1.6e7 terms in 2.8 s), about
-# three minutes at the limit. A step of the loop over t costs more, 41 s
-# for the 4.6e7 terms of count --k 66 --q 4194301, but q <= 2^22 bounds it.
+# three minutes at the limit. A step of the walk over t costs more, 20 s
+# and a 368 MB peak RSS for the 4.6e7 terms of count --k 66 --q 4194301,
+# but q <= 2^22 bounds it.
 FERMAT_PAIR_LIMIT = 10 ** 9
 
 

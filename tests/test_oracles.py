@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_fiber_properties import models
 
 import k3fermat
 from k3fermat import pointcount
@@ -141,6 +142,41 @@ def models_with_every_good_fiber_shape(draw):
 @given(models_with_every_good_fiber_shape())
 def test_elliptic_count_matches_the_fiber_loop_at_random(case):
     model, q = case
+    assert outcome(count_elliptic_smooth, model, q) == outcome(reference_elliptic_count, model, q)
+
+
+def edge_models(q):
+    """Models that stress the walk over t = g^d at the prime q."""
+    return {
+        "A = 0": WeierstrassModel([], [1, 0, 0, 0, 0, 1]),
+        # non-minimal at infinity (deg A <= 4, deg B <= 6)
+        "B = 0": WeierstrassModel([1, 0, 0, 0, 1], []),
+        "A = 0 mod q": WeierstrassModel([q, 0, 0, q], [0, -1, 0, 0, 0, 0, 0, 1]),
+        "B = 0 mod q": WeierstrassModel([2, 0, 0, 0, 0, 1], [0, 0, q]),
+        "A constant mod q": WeierstrassModel([3, 0, 0, 0, q], [0, 1, 0, 0, 0, 0, 1]),
+        "B constant mod q": WeierstrassModel([0, -1, 0, 1], [2] + [0] * 8 + [q]),
+        "A and B constant": WeierstrassModel([1], [1]),
+        # II at t = 0 and III at infinity
+        "k = 19": WeierstrassModel([0] * 7 + [1], [0, -1]),
+        # non-minimal at t = 0, I0* at infinity
+        "non-minimal": WeierstrassModel([0, 0, 0, 0, 1, 1], [0] * 6 + [2, 0, 0, 1]),
+        # I2* at t = 0 and IV* at infinity
+        "additive": WeierstrassModel([0, 0, -3, 0, 1], [0, 0, 0, 2, 0, 1, 0, 0, 1]),
+    }
+
+
+@pytest.mark.parametrize("q", [5, 7, 11])
+@pytest.mark.parametrize("name", sorted(edge_models(5)))
+def test_elliptic_count_matches_the_fiber_loop_on_edge_models(name, q):
+    model = edge_models(q)[name]
+    assert outcome(count_elliptic_smooth, model, q) == outcome(reference_elliptic_count, model, q)
+
+
+@settings(deadline=None, max_examples=60)
+@given(models(), st.sampled_from([5, 7, 11]))
+def test_elliptic_count_matches_the_fiber_loop_with_fibers_at_zero_and_infinity(model, q):
+    # models() adds powers of t, so additive fibers at t = 0 are common,
+    # and its short A and B leave degenerate fibers at infinity
     assert outcome(count_elliptic_smooth, model, q) == outcome(reference_elliptic_count, model, q)
 
 
