@@ -9,7 +9,9 @@ Tate's table lives in _kodaira_kind, for geometric_fibers over Q and
 tate_fiber over F_q; fiber invariants come from lattice.kodaira_lattice.
 geometric_fibers splits the discriminant over Z[t] (Yun's algorithm on
 primitive polynomials), and the count over F_p walks t through the powers
-of a primitive root, so both sides run in integer arithmetic.
+of a primitive root, so both sides run in integer arithmetic. When A and B
+are monomials mod p, and when v occurs in one term of a double sextic, the
+count is instead a character sum over cosets of a subgroup of F_p^*, O(p).
 
 Tate's procedure works on IntPoly expansions in the uniformizer at t0,
 with ordinary + - * on the field elements. Over F_p those are plain ints
@@ -303,6 +305,11 @@ def count_elliptic_smooth(model, q):
     Good fibers via the quadratic character, degenerate fibers via their
     Kodaira configuration. Only t0 in P^1(F_q) can carry F_q-points, so
     degenerate fibers over higher-degree closed points never contribute.
+    Over F_p, a model whose A and B are each one monomial mod p (the
+    catalog's k = 5, 7, 11, 13, 17, 19, 28, 44) sums its fibers with t != 0
+    over cosets in O(p), with no cubic sum per class (_monomial_fibers);
+    every other model walks t (_prime_field_fibers), one chi_cubic_sum per
+    class of _cubic_sums. Over F_{p^2}, t runs over every element.
     """
     field = as_field(q)
     if field.p in (2, 3):
@@ -310,7 +317,11 @@ def count_elliptic_smooth(model, q):
     size = field.q
     cubic_sum = _cubic_sums(field)
     if isinstance(field, PrimeField):
-        total = _prime_field_fibers(model, field, cubic_sum)
+        a, b = _monomial(model.a, size), _monomial(model.b, size)
+        if a and b:
+            total = _monomial_fibers(model, field, a, b, cubic_sum)
+        else:
+            total = _prime_field_fibers(model, field, cubic_sum)
     else:
         disc = model.discriminant()
         total = 0
@@ -351,6 +362,98 @@ def _prime_field_fibers(model, field, cubic_sum):
     return total
 
 
+def _monomial(poly, p):
+    """(i, c) with poly = c t^i mod p, c != 0 mod p; None when poly has
+    no term or more than one mod p."""
+    terms = [(i, c % p) for i, c in enumerate(poly.coeffs) if c % p]
+    return terms[0] if len(terms) == 1 else None
+
+
+def _monomial_fibers(model, field, a, b, cubic_sum):
+    """The points over t in F_p when A = alpha t^i and B = beta t^j mod p,
+    alpha beta != 0, without a cubic sum per class.
+
+    For t != 0, S(A(t), B(t)) = chi2(alpha beta t^(i+j)) S(r, r) with
+    r = c t^e, c = alpha^3 beta^-2 and e = 3i - 2j (see _cubic_sums), and
+    S(r, r) = chi2(-1) + sum over x != -1 of chi2(x + 1) chi2(x^3/(x + 1) + r).
+    So S summed over t != 0 is
+      chi2(-1) sum_s M(s) + sum over x != -1 of chi2(x + 1) D(x^3/(x + 1)),
+    where M(s) sums chi2(alpha beta t^(i+j)) over the t with c t^e = s and
+    D(w) = sum_s M(s) chi2(w + s). Putting t = lambda t' shows
+    D(lambda^e w) = chi2(lambda)^(e+i+j) D(w), so _coset_sums reads D off
+    gcd(e, p-1) representatives. M has (p-1)/gcd(e, p-1) values of s, each
+    reached by gcd(e, p-1) values of t, whose characters cancel unless
+    ((p-1)/gcd) (i+j) is even. The fibers with t != 0 are bad exactly
+    where r = -27/4: their S comes out again (one class, one cubic sum)
+    and their configuration goes in. Everything is O(p).
+    """
+    (i, alpha), (j, beta) = a, b
+    p, g, dlog = field.p, field.g, field.dlog_table
+    n = p - 1
+    e = (3 * i - 2 * j) % n
+    d = gcd(e, n)
+    reach = n // d  # values of c t^e
+    weight = 0
+    if reach * (i + j) % 2 == 0:
+        weight = -d if dlog[alpha * beta % p] & 1 else d
+    c = alpha ** 3 * pow(beta, -2, p) % p
+    node = -27 * pow(4, -1, p) % p
+    step = pow(g, e, p)
+    weights = []
+    bad = []  # dlog t of the bad fibers with t != 0
+    s = c
+    for tau in range(reach):
+        weights.append((s, -weight if tau * (i + j) & 1 else weight))
+        if s == node:
+            bad = range(tau, n, reach)
+        s = s * step % p
+    at_zero, table = _coset_sums(field, weights, e, e + i + j)
+    # x = -1 and x = 0
+    total_s = field.chi2(-1) * sum(m for _, m in weights) + at_zero
+    # x = 1 .. p-2: chi2(x + 1) and D at dlog(x^3/(x + 1))
+    for dx, dx1 in zip(dlog[1:n], dlog[2:]):
+        v = table[(3 * dx - dx1) % n]
+        total_s += -v if dx1 & 1 else v
+    total = _degenerate_count(model, field, 0, p, cubic_sum)
+    total += n * (p + 1) + total_s
+    for tau in bad:
+        t = pow(g, tau, p)
+        total += _degenerate_count(model, field, t, p, cubic_sum)
+        total -= p + 1 + cubic_sum(alpha * pow(t, i, p), beta * pow(t, j, p))
+    return total
+
+
+def _coset_sums(field, weights, e, parity):
+    """The character sums sum over (s, m) in weights of m chi2(w + s), at
+    w = 0 and at every w = g^k: (the sum at 0, the list of sums by k).
+
+    The weights must make the sum at lambda^e w equal chi2(lambda)^parity
+    times the sum at w for every lambda != 0. So it is summed directly only
+    at the gcd(e, p-1) representatives g^k, k < gcd(e, p-1), and carried
+    along each coset g^k <g^e> with one sign per step: O(p + gcd(e, p-1)
+    len(weights)) in all.
+    """
+    p, g = field.p, field.g
+    n = p - 1
+    chi2 = field.chi2_table()
+    e %= n
+    d = gcd(e, n)
+    flip = parity % 2
+    table = [0] * n
+    w = 1
+    for k in range(d):  # w = g^k
+        value = 0
+        for s, m in weights:
+            value += m * chi2[(w + s) % p]
+        for _ in range(n // d):
+            table[k] = value
+            k = (k + e) % n  # on to g^e w
+            if flip:
+                value = -value
+        w = w * g % p
+    return sum(m * chi2[s] for s, m in weights), table
+
+
 def elliptic_count_terms(model, q):
     """Bound on the terms that count_elliptic_smooth sums over F_q, q prime.
 
@@ -360,6 +463,9 @@ def elliptic_count_terms(model, q):
     ab != 0 are values of r = a^3/b^2: none when A or B vanishes mod q,
     the (q-1)/gcd(3i - 2j, q-1) values of alpha^3 beta^-2 t^(3i - 2j) when
     A = alpha t^i and B = beta t^j, and at most q otherwise.
+    In that monomial case count_elliptic_smooth sums cosets instead, O(q)
+    with at most a few cubic sums, so the bound overstates its work by
+    about the r term; the count command still refuses by it.
     """
     a = [i for i, c in enumerate(model.a.coeffs) if c % q]
     b = [j for j, c in enumerate(model.b.coeffs) if c % q]
@@ -497,7 +603,8 @@ def _geometric_kind(va, vb, vd):
 # terms per second (count --k 19 --q 4001, 1.6e7 terms in 2.8 s), about
 # three minutes at the limit. A step of the walk over t costs more, 20 s
 # and a 368 MB peak RSS for the 4.6e7 terms of count --k 66 --q 4194301,
-# but q <= 2^22 bounds it.
+# but q <= 2^22 bounds it. The coset sums of the monomial models and of
+# k = 25 do far less work than both budgets count.
 FERMAT_PAIR_LIMIT = 10 ** 9
 
 
@@ -528,7 +635,10 @@ def double_sextic_terms(f, q):
     """Terms that count_affine_double_sextic sums over F_q, q prime.
 
     One row of q values of u per value of the powers v^j that f uses, and
-    those take 1 + (q-1)/gcd(g, q-1) values with g the gcd of the j.
+    those take 1 + (q-1)/gcd(g, q-1) values with g the gcd of the j. When
+    v occurs in one term, as for k = 25, count_affine_double_sextic sums
+    cosets in O(q) instead, so this overstates its work by about the row
+    count; the count command still refuses by it.
     """
     g = gcd(*(j for (_, j), c in f.items() if c % q))
     return q * (1 + (q - 1) // gcd(g, q - 1))
@@ -537,9 +647,11 @@ def double_sextic_terms(f, q):
 def count_affine_double_sextic(f, q):
     """Affine points of y^2 = f(u, v) over F_q, f given as {(i, j): coeff}.
 
-    f(u, v) depends on v only through the powers v^j that f uses, so the
-    v with equal powers share one row sum over u, weighted by their number
-    (for u^5 + u v^5 - 1, one row per value of v^5).
+    When v occurs in a single term c u^i v^j (u^5 + u v^5 - 1 for k = 25),
+    the sum over v at each u is one value of a coset character sum
+    (_single_v_term_sum), O(q) in all. Otherwise f(u, v) depends on v only
+    through the powers v^j that f uses, so the v with equal powers share
+    one row sum over u, weighted by their number.
     """
     if q % 2 == 0:
         raise ValueError("need odd q")
@@ -548,6 +660,9 @@ def count_affine_double_sextic(f, q):
     terms = [(i, j, c % q) for (i, j), c in sorted(f.items()) if c % q]
     if not terms:
         return q * q
+    v_terms = [term for term in terms if term[1]]
+    if len(v_terms) == 1:
+        return q * q + _single_v_term_sum(field, terms, *v_terms[0])
     js = sorted({j for _, j, _ in terms})
     max_i = max(i for i, _, _ in terms)
     upow = [[pow(u, i, q) for i in range(max_i + 1)] for u in range(q)]
@@ -566,4 +681,45 @@ def count_affine_double_sextic(f, q):
                 val += c * pu[i]
             row_sum += chi2_table[val % q]
         total += size * row_sum
+    return total
+
+
+def _single_v_term_sum(field, terms, i, j, c):
+    """Sum of chi2(f(u, v)) over F_p^2 for f = g(u) + c u^i v^j, c != 0
+    mod p and j > 0; terms are f's (i, j, c) triples.
+
+    For u with b = c u^i != 0 the row over v is chi2(b) B(g(u)/b), where
+    B(w) = sum over v of chi2(v^j + w) = sum over s of N(s) chi2(w + s) and
+    N(s) counts the v with v^j = s: 1 at s = 0, gcd(j, p-1) at each of the
+    (p-1)/gcd(j, p-1) nonzero j-th powers. B(lambda^j w) =
+    chi2(lambda)^j B(w), so _coset_sums reads B off gcd(j, p-1)
+    representatives. The row at b = 0 (u = 0, i > 0) is p chi2(g(0)).
+    Everything is O(p deg g).
+    """
+    p, g, dlog = field.p, field.g, field.dlog_table
+    n = p - 1
+    d = gcd(j, n)
+    step = pow(g, j, p)
+    weights = [(0, 1)]
+    s = 1
+    for _ in range(n // d):
+        weights.append((s, d))
+        s = s * step % p
+    at_zero, table = _coset_sums(field, weights, j, j)
+    coeffs = [0] * (max(k for k, _, _ in terms) + 1)  # g, highest first
+    for k, jk, ck in terms:
+        if not jk:
+            coeffs[-1 - k] = ck
+    dc = dlog[c]
+    total = 0
+    for u in range(p):
+        gu = 0
+        for coeff in coeffs:
+            gu = (gu * u + coeff) % p
+        if u == 0 and i:
+            total += p * field.chi2(gu)
+        else:
+            db = dc + i * dlog[u] if u else dc  # dlog(c u^i)
+            v = table[(dlog[gu] - db) % n] if gu else at_zero
+            total += -v if db & 1 else v
     return total

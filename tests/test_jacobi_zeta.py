@@ -221,6 +221,15 @@ def test_zeta_report_predicts_counts():
         assert rep.predicted_count == count_elliptic_smooth(catalog_entry(k).model, q)
 
 
+@pytest.mark.parametrize("k", [5, 7, 11, 13, 17, 19, 28, 44])
+def test_zeta_report_predicts_counts_past_20000(k):
+    # A and B are monomials, so the oracle sums over cosets in O(q) and
+    # reaches far past the stored zeta primes
+    entry = catalog_entry(k)
+    q = next(q for q in range(20001, 10 ** 6) if q % entry.m == 1 and is_prime(q))
+    assert count_elliptic_smooth(entry.model, q) == zeta_report(k, q).predicted_count
+
+
 def test_cm_factor_order_3():
     from k3fermat.jacobi_zeta import cm_factor_k3
 

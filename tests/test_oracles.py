@@ -2,8 +2,9 @@
 that keep them fast and independent of the closed form.
 
 count_elliptic_smooth, count_fermat and count_affine_double_sextic count
-over classes of an elementary symmetry rather than over every point. The
-reference loops below are the point-by-point versions: one chi_cubic_sum
+over classes of an elementary symmetry rather than over every point, and
+the monomial models and single-v-term sextics as coset character sums
+with no sum per class. The reference loops below are the point-by-point versions: one chi_cubic_sum
 per good fiber, the double loop over (u, v) for the Fermat chart, and one
 row over u per v for the double sextic.
 """
@@ -11,10 +12,12 @@ row over u per v for the double sextic.
 import ast
 import contextlib
 import io
+import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_fiber_properties import models
 
@@ -180,10 +183,57 @@ def test_elliptic_count_matches_the_fiber_loop_with_fibers_at_zero_and_infinity(
     assert outcome(count_elliptic_smooth, model, q) == outcome(reference_elliptic_count, model, q)
 
 
-def test_elliptic_count_runs_one_cubic_sum_per_class(monkeypatch):
-    # y^2 = x^3 + t^7 x - t: every good fiber with t != 0 falls in the class
-    # of r = t^21 / t^2 = t^19, which takes (q-1)/19 values; a fall back to
-    # one sum per fiber makes about q calls
+PRIMES_5_100 = [q for q in PRIMES_5_400 if q < 100]
+
+
+@st.composite
+def monomial_models(draw):
+    """(model, q) with A = alpha t^i, B = beta t^j, 0 <= i <= 8, 0 <= j <= 12.
+
+    Besides free draws: alpha or beta = 0 mod q, which the walk over t
+    counts; e = 3i - 2j = 0 mod q-1, which makes r = c t^e constant; and a
+    bad fiber at a rational t0 != 0, from alpha t0^i = -3 w^2 and
+    beta t0^j = 2 w^3, which make 4A^3 + 27B^2 vanish there.
+    """
+    q = draw(st.sampled_from(PRIMES_5_100))
+    i = draw(st.integers(0, 8))
+    shape = draw(st.sampled_from(["free", "zero", "e = 0", "bad fiber"]))
+    if shape == "e = 0":
+        j = draw(st.sampled_from([j for j in range(13) if (3 * i - 2 * j) % (q - 1) == 0]
+                                 or [0]))
+    else:
+        j = draw(st.integers(0, 12))
+    unit = st.integers(-2 * q, 2 * q).filter(lambda c: c % q)
+    alpha, beta = draw(unit), draw(unit)
+    if shape == "zero":
+        zero = draw(st.sampled_from([0, q, -q]))
+        alpha, beta = draw(st.sampled_from([(zero, beta), (alpha, zero)]))
+    elif shape == "bad fiber":
+        t0, w = draw(st.integers(1, q - 1)), draw(st.integers(1, q - 1))
+        alpha = -3 * w * w * pow(t0, -i, q) % q
+        beta = 2 * w ** 3 * pow(t0, -j, q) % q
+    try:
+        return WeierstrassModel([0] * i + [alpha], [0] * j + [beta]), q
+    except ValueError:  # discriminant vanishes identically
+        assume(False)
+
+
+@settings(deadline=None, max_examples=100)
+@given(monomial_models())
+@example((WeierstrassModel([0, 0, 0, 5], [0, 1]), 5))  # A = 0 mod q
+@example((WeierstrassModel([1], [0] * 7 + [1]), 13))  # i = 0, as for k = 28
+@example((WeierstrassModel([0, 0, 1], [0, 0, 0, 1]), 7))  # e = 0
+@example((WeierstrassModel([0, 0, 1], [1]), 7))  # e = 6 = 0 mod q-1
+@example((WeierstrassModel([0, 4], [0, 2]), 7))  # I1 at t = 1
+@example((WeierstrassModel([3], [0] * 5 + [1]), 5))  # split I5 at t = 1, 4
+@example((WeierstrassModel([0, 0, -3], [0, 0, 0, 13]), 11))  # Delta = 0 mod q
+def test_monomial_elliptic_count_matches_the_fiber_loop(case):
+    model, q = case
+    assert outcome(count_elliptic_smooth, model, q) == outcome(reference_elliptic_count, model, q)
+
+
+def count_cubic_sums(monkeypatch, argv):
+    """chi_cubic_sum calls made by one `k3fermat ... --json` call."""
     calls = 0
     original = pointcount.chi_cubic_sum
 
@@ -193,10 +243,53 @@ def test_elliptic_count_runs_one_cubic_sum_per_class(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(pointcount, "chi_cubic_sum", counted)
-    q = 1901
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["count", "--k", "19", "--q", str(q), "--json"]) == 0
-    assert 0 < calls <= (q - 1) // 19 + 2
+        assert main(argv + ["--json"]) == 0
+    monkeypatch.setattr(pointcount, "chi_cubic_sum", original)
+    return calls
+
+
+def test_elliptic_count_runs_one_cubic_sum_per_class(monkeypatch):
+    # y^2 = x^3 + t^7 x - t has monomial A and B, so its fibers with t != 0
+    # are summed over cosets with no cubic sum per class: the class of
+    # r = t^19 alone would take (q-1)/19 = 100 sums
+    assert count_cubic_sums(monkeypatch, ["count", "--k", "19", "--q", "1901"]) <= 2
+    # y^2 = x^3 - t - t^12 walks t: A = 0, so its good fibers fall in the
+    # gcd(6, q-1) classes of b, plus t = 0 and infinity at most; a fall
+    # back to one sum per fiber makes about q calls
+    q = 2113
+    calls = count_cubic_sums(monkeypatch, ["count", "--k", "66", "--q", str(q)])
+    assert 0 < calls <= gcd(6, q - 1) + 2
+
+
+@pytest.mark.parametrize("k", [19, 25])
+def test_monomial_counts_are_linear_in_q(k):
+    # Line events, not time, over everything the count calls, field
+    # included. At these q, gcd(19, q-1) = gcd(5, q-1) = 1, so one cubic
+    # sum per class of r = t^19, or one row per value of v^5, would cost
+    # about q^2 events; the coset sums cost a few dozen per element.
+    entry = next(e for e in load_catalog() if e.k == k)
+    count, arg = ((count_elliptic_smooth, entry.model) if entry.elliptic
+                  else (count_affine_double_sextic, entry.sextic_coeffs()))
+    for q in (1009, 4003):
+        limit = 50 * q
+        lines = 0
+
+        def count_lines(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+                if lines > limit:
+                    raise AssertionError(f"over {limit} line events at q = {q}")
+            return count_lines
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: count_lines)
+        try:
+            count(arg, q)
+        finally:
+            sys.settrace(previous)
+        assert 0 < lines <= limit
 
 
 @pytest.mark.parametrize("entry", ELLIPTIC, ids=lambda e: f"k{e.k}")
@@ -249,6 +342,25 @@ def test_k25_double_sextic_matches_the_row_loop_below_400():
        st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6)),
                        st.integers(-40, 40), max_size=5))
 def test_double_sextic_matches_the_row_loop_at_random(q, f):
+    assert count_affine_double_sextic(f, q) == reference_double_sextic(f, q)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([3] + PRIMES_5_100),
+       st.dictionaries(st.integers(0, 6), st.integers(-40, 40), max_size=4),
+       st.integers(0, 6), st.integers(1, 6),
+       st.one_of(st.sampled_from([0, 37, -37]), st.integers(-40, 40)))
+@example(37, {5: 1, 0: -1}, 1, 5, 37)  # c = 0 mod q: no v at all
+@example(7, {1: 2}, 0, 1, 3)  # i = 0, gcd(j, q-1) = 1
+@example(5, {5: 1, 0: -1}, 1, 2, 1)  # gcd 2
+@example(7, {0: 3}, 0, 3, -1)  # gcd 3
+@example(13, {6: 1}, 2, 4, 5)  # gcd 4
+@example(11, {5: 1, 0: -1}, 1, 5, 1)  # gcd 5, as for k = 25
+@example(13, {}, 0, 6, 2)  # gcd 6
+def test_single_v_term_double_sextic_matches_the_row_loop(q, g, i, j, c):
+    # f = g(u) + c u^i v^j: v occurs in one term, so rows are coset sums
+    f = {(k, 0): gk for k, gk in g.items()}
+    f[(i, j)] = c
     assert count_affine_double_sextic(f, q) == reference_double_sextic(f, q)
 
 
