@@ -38,8 +38,6 @@ from .pointcount import (
     count_affine_double_sextic,
     count_elliptic_smooth,
     count_fermat,
-    double_sextic_terms,
-    elliptic_count_terms,
     fermat_value_pairs,
 )
 
@@ -264,21 +262,11 @@ def cmd_count(args):
         if entry.elliptic:
             if args.q in (2, 3):
                 raise UsageError("point counts need residue characteristic at least 5")
-            terms = elliptic_count_terms(entry.model, args.q)
-            if terms > FERMAT_PAIR_LIMIT:
-                raise UsageError(
-                    f"the smooth elliptic count of the order-{args.k} surface over "
-                    f"F_{args.q} sums over {terms} terms, over the limit {FERMAT_PAIR_LIMIT}")
             count = count_elliptic_smooth(entry.model, args.q)
             what = f"smooth elliptic model of the order-{args.k} surface"
         else:
             if args.q == 2:
                 raise UsageError("the double sextic needs odd q")
-            terms = double_sextic_terms(entry.sextic_coeffs(), args.q)
-            if terms > FERMAT_PAIR_LIMIT:
-                raise UsageError(
-                    f"the affine double sextic count of the order-{args.k} surface over "
-                    f"F_{args.q} sums over {terms} terms, over the limit {FERMAT_PAIR_LIMIT}")
             count = count_affine_double_sextic(entry.sextic_coeffs(), args.q)
             what = f"affine double sextic chart of the order-{args.k} surface"
             note = "affine chart only; smooth count out of scope"

@@ -19,7 +19,7 @@ that may stay unreduced mod p; every decision (zero test, valuation,
 chi2, inverse) goes through the field, which reduces them.
 """
 
-from collections import Counter
+from itertools import islice
 from math import gcd
 
 from .cyclotomic import IntPoly, exact_quotient, poly_gcd
@@ -309,7 +309,8 @@ def count_elliptic_smooth(model, q):
     catalog's k = 5, 7, 11, 13, 17, 19, 28, 44) sums its fibers with t != 0
     over cosets in O(p), with no cubic sum per class (_monomial_fibers);
     every other model walks t (_prime_field_fibers), one chi_cubic_sum per
-    class of _cubic_sums. Over F_{p^2}, t runs over every element.
+    class of _cubic_sums, which is O(p) when the classes are few, as for
+    every other catalog model. Over F_{p^2}, t runs over every element.
     """
     field = as_field(q)
     if field.p in (2, 3):
@@ -379,13 +380,15 @@ def _monomial_fibers(model, field, a, b, cubic_sum):
     So S summed over t != 0 is
       chi2(-1) sum_s M(s) + sum over x != -1 of chi2(x + 1) D(x^3/(x + 1)),
     where M(s) sums chi2(alpha beta t^(i+j)) over the t with c t^e = s and
-    D(w) = sum_s M(s) chi2(w + s). Putting t = lambda t' shows
-    D(lambda^e w) = chi2(lambda)^(e+i+j) D(w), so _coset_sums reads D off
-    gcd(e, p-1) representatives. M has (p-1)/gcd(e, p-1) values of s, each
-    reached by gcd(e, p-1) values of t, whose characters cancel unless
-    ((p-1)/gcd) (i+j) is even. The fibers with t != 0 are bad exactly
-    where r = -27/4: their S comes out again (one class, one cubic sum)
-    and their configuration goes in. Everything is O(p).
+    D(w) = sum_s M(s) chi2(w + s). M lives on the (p-1)/gcd(e, p-1) values
+    s = c g^(e tau) of the coset c <g^e>, each reached by the gcd(e, p-1)
+    values of t with dlog t = tau mod (p-1)/gcd, whose characters cancel
+    unless ((p-1)/gcd) (i+j) is even; then M(s) is
+    chi2(alpha beta) gcd (-1)^(tau (i+j)), and D is that constant times
+    _coset_sums. The fibers with t != 0 are bad exactly where r = -27/4,
+    at the tau with e tau = dlog(-27/4) - dlog(c): their S comes out again
+    (one class, one cubic sum) and their configuration goes in. Everything
+    is O(p).
     """
     (i, alpha), (j, beta) = a, b
     p, g, dlog = field.p, field.g, field.dlog_table
@@ -393,89 +396,65 @@ def _monomial_fibers(model, field, a, b, cubic_sum):
     e = (3 * i - 2 * j) % n
     d = gcd(e, n)
     reach = n // d  # values of c t^e
-    weight = 0
-    if reach * (i + j) % 2 == 0:
-        weight = -d if dlog[alpha * beta % p] & 1 else d
     c = alpha ** 3 * pow(beta, -2, p) % p
-    node = -27 * pow(4, -1, p) % p
-    step = pow(g, e, p)
-    weights = []
-    bad = []  # dlog t of the bad fibers with t != 0
-    s = c
-    for tau in range(reach):
-        weights.append((s, -weight if tau * (i + j) & 1 else weight))
-        if s == node:
-            bad = range(tau, n, reach)
-        s = s * step % p
-    at_zero, table = _coset_sums(field, weights, e, e + i + j)
-    # x = -1 and x = 0
-    total_s = field.chi2(-1) * sum(m for _, m in weights) + at_zero
-    # x = 1 .. p-2: chi2(x + 1) and D at dlog(x^3/(x + 1))
-    for dx, dx1 in zip(dlog[1:n], dlog[2:]):
-        v = table[(3 * dx - dx1) % n]
-        total_s += -v if dx1 & 1 else v
-    total = _degenerate_count(model, field, 0, p, cubic_sum)
-    total += n * (p + 1) + total_s
-    for tau in bad:
-        t = pow(g, tau, p)
-        total += _degenerate_count(model, field, t, p, cubic_sum)
-        total -= p + 1 + cubic_sum(alpha * pow(t, i, p), beta * pow(t, j, p))
+    total = _degenerate_count(model, field, 0, p, cubic_sum) + n * (p + 1)
+    if reach * (i + j) % 2 == 0:
+        at_zero, table = _coset_sums(field, c, e, i + j)
+        # x = -1 and x = 0; sum_s M(s) vanishes when i + j is odd
+        total_s = at_zero + (0 if (i + j) & 1 else field.chi2(-1) * reach)
+        # x = 1 .. p-2: chi2(x + 1) and D at dlog(x^3/(x + 1))
+        for dx, dx1 in zip(islice(dlog, 1, n), islice(dlog, 2, None)):
+            v = table[(3 * dx - dx1) % n]
+            total_s += -v if dx1 & 1 else v
+        total += field.chi2(alpha * beta) * d * total_s
+    # c g^(e tau) = -27/4 for tau = tau0 mod reach, when d divides the shift
+    shift = dlog[-27 * pow(4, -1, p) % p] - dlog[c]
+    if shift % d == 0:
+        tau0 = shift // d * pow(e // d, -1, reach) % reach
+        for tau in range(tau0, n, reach):
+            t = pow(g, tau, p)
+            total += _degenerate_count(model, field, t, p, cubic_sum)
+            total -= p + 1 + cubic_sum(alpha * pow(t, i, p), beta * pow(t, j, p))
     return total
 
 
-def _coset_sums(field, weights, e, parity):
-    """The character sums sum over (s, m) in weights of m chi2(w + s), at
-    w = 0 and at every w = g^k: (the sum at 0, the list of sums by k).
+def _coset_sums(field, c, e, alternate):
+    """The character sums D(w) = sum over tau < r of
+    (-1)^(alternate tau) chi2(w + c g^(e tau)), r = (p-1)/gcd(e, p-1), over
+    the coset c <g^e> of F_p^*: (D(0), the list of D(g^k) by k < p-1).
 
-    The weights must make the sum at lambda^e w equal chi2(lambda)^parity
-    times the sum at w for every lambda != 0. So it is summed directly only
-    at the gcd(e, p-1) representatives g^k, k < gcd(e, p-1), and carried
-    along each coset g^k <g^e> with one sign per step: O(p + gcd(e, p-1)
-    len(weights)) in all.
+    r must be even or alternate even. Then g^e w shifts the coset by one
+    step, so D(g^e w) = (-1)^(e + alternate) D(w), and D is summed directly
+    only at the gcd(e, p-1) representatives g^k, k < gcd(e, p-1), walking
+    the coset, and carried along each coset g^k <g^e> with one sign per
+    step. D(0) = chi2(c) sum over tau of (-1)^((e + alternate) tau). O(p),
+    and the list of p-1 sums is the only table it builds.
     """
     p, g = field.p, field.g
     n = p - 1
     chi2 = field.chi2_table()
     e %= n
     d = gcd(e, n)
-    flip = parity % 2
+    reach = n // d
+    step = pow(g, e, p)
+    turn = -1 if alternate & 1 else 1
+    flip = (e + alternate) & 1
     table = [0] * n
     w = 1
     for k in range(d):  # w = g^k
         value = 0
-        for s, m in weights:
-            value += m * chi2[(w + s) % p]
-        for _ in range(n // d):
-            table[k] = value
+        sign = 1
+        s = c
+        for _ in range(reach):
+            value += sign * chi2[(w + s) % p]
+            s = s * step % p
+            sign *= turn
+        carried = -value if flip else value
+        for steps in range(reach):
+            table[k] = carried if steps & 1 else value
             k = (k + e) % n  # on to g^e w
-            if flip:
-                value = -value
         w = w * g % p
-    return sum(m * chi2[s] for s, m in weights), table
-
-
-def elliptic_count_terms(model, q):
-    """Bound on the terms that count_elliptic_smooth sums over F_q, q prime.
-
-    q values of t, and q values of x per chi_cubic_sum call, one per class
-    of (a, b) = (A(t), B(t)) under the scaling of _cubic_sums: at most
-    gcd(4, q-1) classes with b = 0 and gcd(6, q-1) with a = 0. Those with
-    ab != 0 are values of r = a^3/b^2: none when A or B vanishes mod q,
-    the (q-1)/gcd(3i - 2j, q-1) values of alpha^3 beta^-2 t^(3i - 2j) when
-    A = alpha t^i and B = beta t^j, and at most q otherwise.
-    In that monomial case count_elliptic_smooth sums cosets instead, O(q)
-    with at most a few cubic sums, so the bound overstates its work by
-    about the r term; the count command still refuses by it.
-    """
-    a = [i for i, c in enumerate(model.a.coeffs) if c % q]
-    b = [j for j, c in enumerate(model.b.coeffs) if c % q]
-    if not a or not b:
-        r = 0
-    elif len(a) == len(b) == 1:
-        r = (q - 1) // gcd(3 * a[0] - 2 * b[0], q - 1)
-    else:
-        r = q
-    return q * (1 + r + gcd(4, q - 1) + gcd(6, q - 1))
+    return chi2[c] * (reach & 1 if flip else reach), table
 
 
 def _degenerate_count(model, field, t0, size, cubic_sum):
@@ -593,18 +572,15 @@ def _geometric_kind(va, vb, vd):
 # ---------------------------------------------------------------------------
 # Fermat surfaces and double sextics
 
-# Largest fermat_value_pairs(m, q) that the count command accepts: about
-# a minute of fermat_affine, which visits some 17M value pairs per second
+# Largest fermat_value_pairs(m, q) that count --fermat accepts: about a
+# minute of fermat_affine, which visits some 17M value pairs per second
 # in pure Python on a 2-vCPU machine. count --fermat 4 --q 4194301 would
-# visit 2^40, about 1.1e12, pairs: many hours. The count command holds
-# double_sextic_terms(f, q) to the same limit; at some 3M terms per
-# second on the same machine that is about six minutes of the k = 25 count.
-# So it holds elliptic_count_terms(model, q): chi_cubic_sum visits some 6M
-# terms per second (count --k 19 --q 4001, 1.6e7 terms in 2.8 s), about
-# three minutes at the limit. A step of the walk over t costs more, 20 s
-# and a 368 MB peak RSS for the 4.6e7 terms of count --k 66 --q 4194301,
-# but q <= 2^22 bounds it. The coset sums of the monomial models and of
-# k = 25 do far less work than both budgets count.
+# visit 2^40, about 1.1e12, pairs: many hours. The Fermat count is the
+# one count that grows faster than q. The elliptic and double-sextic
+# counts of every catalog entry are O(q), so the cap q <= 2^22 bounds
+# them: count --k K --q 4194301 takes 8-14 s and a 240-400 MB peak RSS
+# on the coset paths, and 22-27 s and 368 MB on the walk over t, on the
+# same machine.
 FERMAT_PAIR_LIMIT = 10 ** 9
 
 
@@ -631,95 +607,57 @@ def count_fermat(m, q):
     return affine + curve
 
 
-def double_sextic_terms(f, q):
-    """Terms that count_affine_double_sextic sums over F_q, q prime.
-
-    One row of q values of u per value of the powers v^j that f uses, and
-    those take 1 + (q-1)/gcd(g, q-1) values with g the gcd of the j. When
-    v occurs in one term, as for k = 25, count_affine_double_sextic sums
-    cosets in O(q) instead, so this overstates its work by about the row
-    count; the count command still refuses by it.
-    """
-    g = gcd(*(j for (_, j), c in f.items() if c % q))
-    return q * (1 + (q - 1) // gcd(g, q - 1))
-
-
 def count_affine_double_sextic(f, q):
     """Affine points of y^2 = f(u, v) over F_q, f given as {(i, j): coeff}.
 
-    When v occurs in a single term c u^i v^j (u^5 + u v^5 - 1 for k = 25),
-    the sum over v at each u is one value of a coset character sum
-    (_single_v_term_sum), O(q) in all. Otherwise f(u, v) depends on v only
-    through the powers v^j that f uses, so the v with equal powers share
-    one row sum over u, weighted by their number.
+    f = rest(u) + c u^i v^j, with v in at most one term mod q
+    (u^5 + u v^5 - 1 for k = 25); any other f raises ValueError. The sum
+    over v at each u is one value of a coset character sum
+    (_single_v_term_sum), O(q) in all, and a v-free f counts
+    q (1 + chi2(rest(u))) points over each u.
     """
     if q % 2 == 0:
         raise ValueError("need odd q")
-    field = make_field(q)
-    chi2_table = field.chi2_table()
-    terms = [(i, j, c % q) for (i, j), c in sorted(f.items()) if c % q]
-    if not terms:
-        return q * q
+    terms = [(i, j, c % q) for (i, j), c in f.items() if c % q]
     v_terms = [term for term in terms if term[1]]
-    if len(v_terms) == 1:
-        return q * q + _single_v_term_sum(field, terms, *v_terms[0])
-    js = sorted({j for _, j, _ in terms})
-    max_i = max(i for i, _, _ in terms)
-    upow = [[pow(u, i, q) for i in range(max_i + 1)] for u in range(q)]
-    rows = Counter(tuple(pow(v, j, q) for j in js) for v in range(q))
-    total = q * q
-    for powers, size in rows.items():
-        pv = dict(zip(js, powers))
-        row = [0] * (max_i + 1)
-        for i, j, c in terms:
-            row[i] += c * pv[j]
-        row_terms = [(i, c % q) for i, c in enumerate(row) if c % q]
-        row_sum = 0
-        for pu in upow:
-            val = 0
-            for i, c in row_terms:
-                val += c * pu[i]
-            row_sum += chi2_table[val % q]
-        total += size * row_sum
-    return total
+    if len(v_terms) > 1:
+        raise ValueError("v occurs in more than one term of f")
+    field = make_field(q)
+    free = {i: c for i, j, c in terms if not j}
+    rest = IntPoly([free.get(i, 0) for i in range(max(free, default=-1) + 1)])
+    if not v_terms:
+        chi2 = field.chi2_table()
+        return q * q + q * sum(chi2[rest(u) % q] for u in range(q))
+    return q * q + _single_v_term_sum(field, rest, *v_terms[0])
 
 
-def _single_v_term_sum(field, terms, i, j, c):
-    """Sum of chi2(f(u, v)) over F_p^2 for f = g(u) + c u^i v^j, c != 0
-    mod p and j > 0; terms are f's (i, j, c) triples.
+def _single_v_term_sum(field, rest, i, j, c):
+    """Sum of chi2(f(u, v)) over F_p^2 for f = rest(u) + c u^i v^j, c != 0
+    mod p and j > 0.
 
-    For u with b = c u^i != 0 the row over v is chi2(b) B(g(u)/b), where
-    B(w) = sum over v of chi2(v^j + w) = sum over s of N(s) chi2(w + s) and
-    N(s) counts the v with v^j = s: 1 at s = 0, gcd(j, p-1) at each of the
-    (p-1)/gcd(j, p-1) nonzero j-th powers. B(lambda^j w) =
-    chi2(lambda)^j B(w), so _coset_sums reads B off gcd(j, p-1)
-    representatives. The row at b = 0 (u = 0, i > 0) is p chi2(g(0)).
-    Everything is O(p deg g).
+    For u with b = c u^i != 0 the row over v is chi2(b) B(rest(u)/b), where
+    B(w) = sum over v of chi2(v^j + w) = chi2(w) + gcd(j, p-1) D(w), the
+    v = 0 term and one term per value of v^j != 0, each reached
+    gcd(j, p-1) times: D is _coset_sums over <g^j>. As chi2(b) chi2(w) =
+    chi2(rest(u)), the row is chi2(rest(u)) + gcd(j, p-1) chi2(b) D(w). The
+    row at b = 0 (u = 0, i > 0) is p chi2(rest(0)). Everything is
+    O(p deg rest).
     """
-    p, g, dlog = field.p, field.g, field.dlog_table
+    p, dlog, chi2 = field.p, field.dlog_table, field.chi2_table()
     n = p - 1
-    d = gcd(j, n)
-    step = pow(g, j, p)
-    weights = [(0, 1)]
-    s = 1
-    for _ in range(n // d):
-        weights.append((s, d))
-        s = s * step % p
-    at_zero, table = _coset_sums(field, weights, j, j)
-    coeffs = [0] * (max(k for k, _, _ in terms) + 1)  # g, highest first
-    for k, jk, ck in terms:
-        if not jk:
-            coeffs[-1 - k] = ck
+    at_zero, table = _coset_sums(field, 1, j, 0)
+    coeffs = rest.coeffs[::-1]  # highest first
     dc = dlog[c]
-    total = 0
+    total = rows = 0
     for u in range(p):
         gu = 0
         for coeff in coeffs:
             gu = (gu * u + coeff) % p
         if u == 0 and i:
-            total += p * field.chi2(gu)
+            total += p * chi2[gu]
         else:
+            total += chi2[gu]
             db = dc + i * dlog[u] if u else dc  # dlog(c u^i)
             v = table[(dlog[gu] - db) % n] if gu else at_zero
-            total += -v if db & 1 else v
-    return total
+            rows += -v if db & 1 else v
+    return total + gcd(j, n) * rows
