@@ -9,9 +9,7 @@ is_zero, inv and chi2 reduce their argument, and elements() and from_int
 return reduced values.
 """
 
-from math import gcd
-
-# Eager dlog tables make nth_power_count and character sums O(1) per lookup.
+# Eager dlog tables make character sums O(1) per lookup.
 # Jacobi sums are linear in q, so zeta runs at q near 10^6 in about a
 # second; the hard cap keeps an accidental huge p from allocating gigabytes.
 MAX_PRIME = 1 << 22
@@ -86,7 +84,6 @@ class PrimeField:
             table[acc] = j
             acc = acc * self.g % p
         self.dlog_table = table
-        self._power_tables = {}
         self._chi2_table = None
 
     def __repr__(self):
@@ -97,20 +94,6 @@ class PrimeField:
         if v == 0:
             raise ValueError("dlog(0) is undefined")
         return self.dlog_table[v]
-
-    def nth_power_count(self, c, m):
-        """#{u in F_p : u^m = c}."""
-        c %= self.p
-        if c == 0:
-            return 1
-        d = gcd(m, self.p - 1)
-        return d if self.dlog_table[c] % d == 0 else 0
-
-    def power_count_table(self, m):
-        """List t with t[c] = nth_power_count(c, m), for the counting loops."""
-        if m not in self._power_tables:
-            self._power_tables[m] = [self.nth_power_count(c, m) for c in range(self.p)]
-        return self._power_tables[m]
 
     def chi2(self, v):
         """Quadratic character: 0 at 0, else +/-1 by dlog parity.
@@ -124,8 +107,14 @@ class PrimeField:
         return 1 if self.dlog_table[v] % 2 == 0 else -1
 
     def chi2_table(self):
+        """[chi2(v) for v in range(p)], read off the dlog parities on first use."""
         if self._chi2_table is None:
-            self._chi2_table = [self.chi2(v) for v in range(self.p)]
+            if self.p == 2:
+                self._chi2_table = [0, 0]
+            else:
+                sign = (1, -1)
+                self._chi2_table = [sign[j & 1] for j in self.dlog_table]
+                self._chi2_table[0] = 0
         return self._chi2_table
 
     # -- elements are plain ints --

@@ -3,12 +3,12 @@
 Plain lists in, ints or lists out: each is a tight loop over a finite
 field, kept free of package imports. jacobi_counts is O(q + m^2), a
 change of variables that splits the pair sum into two marginals;
-chi_cubic_sum is O(q). fermat_affine is O(q + n^2) for the n =
-1 + (q-1)/gcd(m, q-1) distinct values of u^m: it counts over pairs of
-values, each weighted by how often it occurs.
+chi_cubic_sum is O(q). fermat_affine counts the affine cone over a
+Fermat surface through the scaling symmetry alone, in one walk over the
+subgroup of m-th powers.
 """
 
-from collections import Counter
+from math import gcd
 
 
 def backend_name():
@@ -59,17 +59,30 @@ def chi_cubic_sum(chi2, cubes, a, b, q):
     return total
 
 
-def fermat_affine(powm, rootcnt, q):
-    """Points on 1 + u^m + v^m + w^m = 0 in affine 3-space over F_q.
+def fermat_affine(dlog, m, q):
+    """Points of x0^m + x1^m + x2^m + x3^m = 0 in F_q^4, in O(q).
 
-    powm[v] = v^m mod q and rootcnt[c] counts the m-th roots of c. The
-    count over (u, v) depends only on the values u^m and v^m, so each pair
-    of values (a, b) adds n_a * n_b * rootcnt[-1 - a - b], where n_a is the
-    number of u with u^m = a.
+    dlog[v] is the discrete log of v to a primitive root g (unused at
+    v=0). With d = gcd(m, q-1) and H = <g^d>, the number of w with
+    w^m = x is d on H, 1 at 0 and 0 elsewhere. So for c != 0,
+    N2(c) = #{(u, v) : u^m + v^m = c} is d^2 times the number of pairs
+    (h, c - h) in H^2, plus 2d when c lies in H. Those pairs map one to
+    one, by (h, h') -> h'/h, onto the t in H with 1 + t in the class
+    dlog(c) mod d, so one walk over H tallies N2 for every class.
+    N2(0) is 1, plus (q-1)d when -1 lies in H. The cone count is the
+    sum of N2(c) N2(-c) over c, and each class holds (q-1)/d values.
     """
-    tally = list(Counter(powm).items())
-    total = 0
-    for a, na in tally:
-        w = -1 - a
-        total += na * sum(nb * rootcnt[(w - b) % q] for b, nb in tally)
-    return total
+    d = gcd(m, q - 1)
+    n = (q - 1) // d
+    step = dlog.index(d % (q - 1))  # g^d
+    pairs = [0] * d
+    t = 1
+    for _ in range(n):
+        if t != q - 1:
+            pairs[dlog[t + 1] % d] += 1
+        t = t * step % q
+    n2 = [d * d * count for count in pairs]
+    n2[0] += 2 * d
+    minus = dlog[q - 1]
+    n2_zero = 1 + (q - 1) * d if minus % d == 0 else 1
+    return n2_zero ** 2 + n * sum(n2[k] * n2[(k + minus) % d] for k in range(d))

@@ -1,10 +1,11 @@
 """Brute-force point counting oracles.
 
-Three counters live here: projective Fermat surfaces (chart by chart),
-elliptic surfaces y^2 = x^3 + A(t)x + B(t) counted fiberwise on the smooth
-model via Kodaira types, and affine double sextics. The elliptic counter
-needs residue characteristic >= 5 throughout; that keeps Tate's procedure
-in its short-Weierstrass (v(A), v(Delta)) form.
+Three counters live here: projective Fermat surfaces (from the affine
+cone, O(q)), elliptic surfaces y^2 = x^3 + A(t)x + B(t) counted
+fiberwise on the smooth model via Kodaira types, and affine double
+sextics. The elliptic counter needs residue characteristic >= 5
+throughout; that keeps Tate's procedure in its short-Weierstrass
+(v(A), v(Delta)) form.
 Tate's table lives in _kodaira_kind, for geometric_fibers over Q and
 tate_fiber over F_q; fiber invariants come from lattice.kodaira_lattice.
 geometric_fibers splits the discriminant over Z[t] (Yun's algorithm on
@@ -572,39 +573,18 @@ def _geometric_kind(va, vb, vd):
 # ---------------------------------------------------------------------------
 # Fermat surfaces and double sextics
 
-# Largest fermat_value_pairs(m, q) that count --fermat accepts: about a
-# minute of fermat_affine, which visits some 17M value pairs per second
-# in pure Python on a 2-vCPU machine. count --fermat 4 --q 4194301 would
-# visit 2^40, about 1.1e12, pairs: many hours. The Fermat count is the
-# one count that grows faster than q. The elliptic and double-sextic
-# counts of every catalog entry are O(q), so the cap q <= 2^22 bounds
-# them: count --k K --q 4194301 takes 8-14 s and a 240-400 MB peak RSS
-# on the coset paths, and 22-27 s and 368 MB on the walk over t, on the
-# same machine.
-FERMAT_PAIR_LIMIT = 10 ** 9
-
-
-def fermat_value_pairs(m, q):
-    """Pairs of values of u^m that count_fermat visits over F_q, q prime."""
-    return (1 + (q - 1) // gcd(m, q - 1)) ** 2
-
-
 def count_fermat(m, q):
-    """Points of x0^m + x1^m + x2^m + x3^m = 0 in P^3(F_q).
+    """Points of x0^m + x1^m + x2^m + x3^m = 0 in P^3(F_q), q prime.
 
-    Chart x0 = 1 is a double sum over the fermat_value_pairs(m, q) pairs
-    of values of u^m and v^m, each weighted by how often it occurs, so
-    O(q + (q/gcd(m, q-1))^2) rather than O(q^2); the leftover x0 = 0 locus
-    is the plane Fermat curve, an O(q) sum over u.
+    The affine cone (kernels.fermat_affine, O(q)) less its vertex, over
+    the q - 1 nonzero scalars.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    field = make_field(q)
-    powm = [pow(v, m, q) for v in range(q)]
-    rootcnt = field.power_count_table(m)
-    affine = fermat_affine(powm, rootcnt, q)
-    curve = sum(rootcnt[(-1 - powm[u]) % q] for u in range(q)) + rootcnt[(q - 1) % q]
-    return affine + curve
+    points, rest = divmod(fermat_affine(make_field(q).dlog_table, m, q) - 1, q - 1)
+    if rest:
+        raise ArithmeticError(f"the degree-{m} Fermat cone over F_{q} is not a union of lines")
+    return points
 
 
 def count_affine_double_sextic(f, q):

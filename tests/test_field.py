@@ -60,23 +60,6 @@ def test_dlog_round_trip():
         f13.dlog(0)
 
 
-def brute_power_count(p, c, m):
-    return sum(1 for u in range(p) if pow(u, m, p) == c % p)
-
-
-def test_nth_power_count():
-    f = make_field(13)
-    assert f.nth_power_count(0, 5) == 1
-    assert f.nth_power_count(1, 12) == 12
-    assert f.nth_power_count(2, 12) == 0
-    for p in [2, 3, 13]:
-        f = make_field(p)
-        for m in range(1, 7):
-            for c in range(p):
-                assert f.nth_power_count(c, m) == brute_power_count(p, c, m)
-            assert sum(f.power_count_table(m)) == p
-
-
 def test_quadratic_character():
     f = make_field(13)
     assert f.chi2(0) == 0
@@ -87,6 +70,12 @@ def test_quadratic_character():
         for v in range(p):
             solutions = sum(1 for y in range(p) if y * y % p == v)
             assert solutions == 1 + f.chi2(v)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 101, 4001])
+def test_chi2_table_matches_chi2(p):
+    f = make_field(p)
+    assert f.chi2_table() == [f.chi2(v) for v in range(p)]
 
 
 def test_quad_ext_field():

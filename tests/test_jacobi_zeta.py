@@ -108,6 +108,13 @@ def test_fermat_zeta_degree_and_count():
         assert 1 + q * q - poly.coeff(1) == count_fermat(m, q), (m, q)
 
 
+@pytest.mark.parametrize("m,q", [(4, 40009), (6, 10009)])
+def test_fermat_zeta_matches_the_count_at_large_q(m, q):
+    # the coefficient of T is -q - (sum of the Jacobi sums)
+    jacobi_total = -fermat_zeta_factor(m, q).coeff(1) - q
+    assert count_fermat(m, q) == 1 + q + q * q + jacobi_total
+
+
 def test_fermat_zeta_is_primitive_root_independent():
     canonical = fermat_zeta_factor(4, 5)
     assert fermat_zeta_factor(4, PrimeField(5, primitive_root=3)) == canonical

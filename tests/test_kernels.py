@@ -2,6 +2,7 @@
 
 import sys
 from collections import Counter
+from itertools import product
 from operator import add
 
 import pytest
@@ -117,11 +118,10 @@ def test_chi_cubic_sum_matches_definition(q):
 
 @pytest.mark.parametrize("q,m", [(5, 1), (5, 2), (7, 3), (11, 10), (13, 4)])
 def test_fermat_affine_matches_definition(q, m):
-    field = make_field(q)
+    # every point (x0, x1, x2, x3) of F_q^4, one at a time
     powm = [pow(v, m, q) for v in range(q)]
-    want = sum(1 for u in range(q) for v in range(q) for w in range(q)
-               if (1 + u ** m + v ** m + w ** m) % q == 0)
-    assert fermat_affine(powm, field.power_count_table(m), q) == want
+    want = sum(1 for x in product(powm, repeat=4) if sum(x) % q == 0)
+    assert fermat_affine(make_field(q).dlog_table, m, q) == want
 
 
 def test_counts_total_is_complete():

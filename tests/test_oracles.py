@@ -14,6 +14,7 @@ import contextlib
 import io
 import sys
 import tracemalloc
+from collections import Counter
 from math import gcd
 from pathlib import Path
 
@@ -66,22 +67,22 @@ def reference_elliptic_count(model, q):
     return total
 
 
-def reference_fermat_affine(powm, rootcnt, q):
-    """fermat_affine as the double loop over every (u, v)."""
-    total = 0
-    for u in range(q):
-        w = -1 - powm[u]
-        for v in range(q):
-            total += rootcnt[(w - powm[v]) % q]
-    return total
+def reference_fermat_cone(m, q):
+    """fermat_affine as the double loop: u^m + v^m tallied over every
+    (u, v), each sum c then paired with -c."""
+    powm = [pow(v, m, q) for v in range(q)]
+    n2 = Counter((a + b) % q for a in powm for b in powm)
+    return sum(n * n2[-c % q] for c, n in n2.items())
 
 
 def reference_fermat_count(m, q):
-    field = make_field(q)
+    """count_fermat chart by chart: the double loop over (u, v) on
+    x0 = 1, then the plane curve on x0 = 0."""
     powm = [pow(v, m, q) for v in range(q)]
-    rootcnt = field.power_count_table(m)
-    curve = sum(rootcnt[(-1 - c) % q] for c in powm) + rootcnt[(q - 1) % q]
-    return reference_fermat_affine(powm, rootcnt, q) + curve
+    roots = Counter(powm)
+    affine = sum(roots[(-1 - a - b) % q] for a in powm for b in powm)
+    curve = sum(roots[(-1 - a) % q] for a in powm) + roots[q - 1]
+    return affine + curve
 
 
 def reference_double_sextic(f, q):
@@ -268,15 +269,19 @@ def catalog_count(entry):
     return count_affine_double_sextic, entry.sextic_coeffs()
 
 
-@pytest.mark.parametrize("k", [e.k for e in load_catalog()])
-def test_monomial_counts_are_linear_in_q(k):
+LINEAR_COUNTS = [pytest.param(*catalog_count(e), id=str(e.k)) for e in load_catalog()] + [
+    pytest.param(count_fermat, m, id=f"fermat{m}") for m in (4, 66)]
+
+
+@pytest.mark.parametrize("count,arg", LINEAR_COUNTS)
+def test_monomial_counts_are_linear_in_q(count, arg):
     # Line events, not time, over everything the count calls, field
-    # included; count --k has no budget but the cap q <= 2^22, so this
-    # keeps every catalog count linear. At these q, gcd(19, q-1) =
-    # gcd(5, q-1) = 1, so one cubic sum per class of r = t^19, or one row
-    # per value of v^5, would cost about q^2 events; the coset sums cost a
-    # few dozen per element, the walk over t about 45.
-    count, arg = catalog_count(next(e for e in load_catalog() if e.k == k))
+    # included; count has no budget but the cap q <= 2^22, so this keeps
+    # every catalog count and the Fermat count linear. At these q,
+    # gcd(19, q-1) = gcd(5, q-1) = 1, so one cubic sum per class of
+    # r = t^19, or one row per value of v^5, would cost about q^2 events;
+    # the coset sums cost a few dozen per element, the walk over t about
+    # 45. A sum over pairs of values of u^4 would cost some q^2/16.
     for q in (1009, 4003):
         limit = 50 * q
         lines = 0
@@ -335,10 +340,24 @@ def test_fermat_count_matches_the_double_loop_below_200(m):
 
 @pytest.mark.parametrize("q,m", [(2, 3), (3, 2), (37, 5), (61, 12), (67, 66), (101, 7)])
 def test_fermat_affine_matches_the_double_loop(q, m):
-    field = make_field(q)
-    powm = [pow(v, m, q) for v in range(q)]
-    rootcnt = field.power_count_table(m)
-    assert fermat_affine(powm, rootcnt, q) == reference_fermat_affine(powm, rootcnt, q)
+    assert fermat_affine(make_field(q).dlog_table, m, q) == reference_fermat_cone(m, q)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 3] + PRIMES_5_100[:12]), st.integers(1, 150))
+@example(2, 3)  # q - 1 = 1 divides every m
+@example(3, 2)  # m a multiple of q - 1; -1 lies outside H = {1}
+@example(5, 4)  # H = {1} again
+@example(13, 24)  # m a multiple of q - 1 = 12
+@example(5, 2)  # -1 in H = {1, 4}
+@example(7, 3)  # -1 in H = {1, 6}
+@example(7, 2)  # -1 outside H = {1, 2, 4}
+@example(11, 5)  # -1 in H = {1, 10}
+@example(13, 6)  # d = 6, -1 in H
+def test_fermat_count_matches_the_double_loop_at_random(q, m):
+    # H = <g^d>, d = gcd(m, q-1), the nonzero values of u^m
+    assert fermat_affine(make_field(q).dlog_table, m, q) == reference_fermat_cone(m, q)
+    assert count_fermat(m, q) == reference_fermat_count(m, q)
 
 
 # ---------------------------------------------------------------------------
