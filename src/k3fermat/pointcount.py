@@ -9,10 +9,11 @@ throughout; that keeps Tate's procedure in its short-Weierstrass
 Tate's table lives in _kodaira_kind, for geometric_fibers over Q and
 tate_fiber over F_q; fiber invariants come from lattice.kodaira_lattice.
 geometric_fibers splits the discriminant over Z[t] (Yun's algorithm on
-primitive polynomials), and the count over F_p walks t through the powers
-of a primitive root, so both sides run in integer arithmetic. When A and B
-are monomials mod p, and when v occurs in one term of a double sextic, the
-count is instead a character sum over cosets of a subgroup of F_p^*, O(p).
+primitive polynomials), and the counts over F_p run in integer arithmetic
+too. When A and B are monomials mod p, when A = 0 mod p (the fibers of
+y^2 = x^3 + B(t) are the rows of a double sextic in (t, x)), and when v
+occurs in one term of a double sextic, the count is a character sum over
+cosets of a subgroup of F_p^*, O(p); any other model runs over every t.
 
 Tate's procedure works on IntPoly expansions in the uniformizer at t0,
 with ordinary + - * on the field elements. Over F_p those are plain ints
@@ -306,24 +307,30 @@ def count_elliptic_smooth(model, q):
     Good fibers via the quadratic character, degenerate fibers via their
     Kodaira configuration. Only t0 in P^1(F_q) can carry F_q-points, so
     degenerate fibers over higher-degree closed points never contribute.
-    Over F_p, a model whose A and B are each one monomial mod p (the
-    catalog's k = 5, 7, 11, 13, 17, 19, 28, 44) sums its fibers with t != 0
-    over cosets in O(p), with no cubic sum per class (_monomial_fibers);
-    every other model walks t (_prime_field_fibers), one chi_cubic_sum per
-    class of _cubic_sums, which is O(p) when the classes are few, as for
-    every other catalog model. Over F_{p^2}, t runs over every element.
+    Over F_p, two shapes of model skip the loop over t and count in O(p):
+    A and B each one monomial mod p (the catalog's k = 5, 7, 11, 13, 17,
+    19, 28, 44) sum their fibers with t != 0 over cosets, with no cubic
+    sum per class (_monomial_fibers); A = 0 mod p (k = 3, 9, 12, 27, 36,
+    42, 66) has Delta = -432 B^2, so its bad fibers are the roots of B,
+    S(0, 0) = 0 there, and the sum of S(0, B(t)) over every t is the row
+    sum of the sextic B(t) + x^3 (_single_v_term_sum). Every other model,
+    and every model over F_{p^2}, runs over every t, one chi_cubic_sum per
+    class of _cubic_sums.
     """
     field = as_field(q)
     if field.p in (2, 3):
         raise ValueError("residue characteristic must be at least 5")
     size = field.q
     cubic_sum = _cubic_sums(field)
-    if isinstance(field, PrimeField):
-        a, b = _monomial(model.a, size), _monomial(model.b, size)
-        if a and b:
-            total = _monomial_fibers(model, field, a, b, cubic_sum)
-        else:
-            total = _prime_field_fibers(model, field, cubic_sum)
+    prime = isinstance(field, PrimeField)
+    a, b = (_monomial(model.a, size), _monomial(model.b, size)) if prime else (None, None)
+    if a and b:
+        total = _monomial_fibers(model, field, a, b, cubic_sum)
+    elif prime and not any(c % size for c in model.a.coeffs):
+        rows, roots = _single_v_term_sum(field, model.b, 0, 3, 1)
+        total = size * (size + 1) + rows
+        for t0 in roots:
+            total += _degenerate_count(model, field, t0, size, cubic_sum) - size - 1
     else:
         disc = model.discriminant()
         total = 0
@@ -333,34 +340,6 @@ def count_elliptic_smooth(model, q):
             else:
                 total += size + 1 + cubic_sum(model.a(t0), model.b(t0))
     total += _degenerate_count(model, field, "inf", size, cubic_sum)
-    return total
-
-
-def _prime_field_fibers(model, field, cubic_sum):
-    """The points over t in F_p: t = 0 from its local model, then the walk
-    t = g^d, d < p - 1.
-
-    Along the walk each term c t^i of A and B steps by one product with
-    g^i, and the fiber is good when -16(4 a0^3 + 27 b0^2) is nonzero, that
-    is (p >= 5) when 4 a0^3 + 27 b0^2 != 0 mod p.
-    """
-    p, g = field.p, field.g
-    a_vals = [c % p for c in model.a.coeffs]
-    b_vals = [c % p for c in model.b.coeffs]
-    a_steps = [pow(g, i, p) for i, c in enumerate(a_vals) if c]
-    b_steps = [pow(g, j, p) for j, c in enumerate(b_vals) if c]
-    a_vals = [c for c in a_vals if c]
-    b_vals = [c for c in b_vals if c]
-    total = _degenerate_count(model, field, 0, p, cubic_sum)
-    for d in range(p - 1):
-        a0 = sum(a_vals) % p
-        b0 = sum(b_vals) % p
-        if (4 * a0 * a0 * a0 + 27 * b0 * b0) % p:
-            total += p + 1 + cubic_sum(a0, b0)
-        else:
-            total += _degenerate_count(model, field, pow(g, d, p), p, cubic_sum)
-        a_vals = [v * w % p for v, w in zip(a_vals, a_steps)]
-        b_vals = [v * w % p for v, w in zip(b_vals, b_steps)]
     return total
 
 
@@ -488,6 +467,9 @@ def _cubic_sums(field):
     because -1 is; otherwise chi2(-1) = -1 and x -> -x gives
     S(a, 0) = -S(a, 0) = 0.
     A representative is raised from its key only when the class is new.
+    count_elliptic_smooth calls it on every fiber of a model it runs over
+    every t, and elsewhere only on the few fibers its coset and row sums
+    leave out: t = 0, infinity and the bad fibers.
     """
     if not isinstance(field, PrimeField):
         return lambda a, b: sum(field.chi2(x * x * x + a * x + b) for x in field.elements())
@@ -608,36 +590,48 @@ def count_affine_double_sextic(f, q):
     if not v_terms:
         chi2 = field.chi2_table()
         return q * q + q * sum(chi2[rest(u) % q] for u in range(q))
-    return q * q + _single_v_term_sum(field, rest, *v_terms[0])
+    return q * q + _single_v_term_sum(field, rest, *v_terms[0])[0]
 
 
 def _single_v_term_sum(field, rest, i, j, c):
-    """Sum of chi2(f(u, v)) over F_p^2 for f = rest(u) + c u^i v^j, c != 0
-    mod p and j > 0.
+    """(Sum of chi2(f(u, v)) over F_p^2, the roots of rest in F_p) for
+    f = rest(u) + c u^i v^j, c != 0 mod p and j > 0. With rest = B, i = 0,
+    j = 3 and c = 1 the sum is that of S(0, B(t)) over every t, the cubic
+    sums of the fibers of y^2 = x^3 + B(t).
 
     For u with b = c u^i != 0 the row over v is chi2(b) B(rest(u)/b), where
     B(w) = sum over v of chi2(v^j + w) = chi2(w) + gcd(j, p-1) D(w), the
     v = 0 term and one term per value of v^j != 0, each reached
     gcd(j, p-1) times: D is _coset_sums over <g^j>. As chi2(b) chi2(w) =
     chi2(rest(u)), the row is chi2(rest(u)) + gcd(j, p-1) chi2(b) D(w). The
-    row at b = 0 (u = 0, i > 0) is p chi2(rest(0)). Everything is
-    O(p deg rest).
+    row at b = 0 (u = 0, i > 0) is p chi2(rest(0)). After u = 0, u walks
+    g^d, d < p - 1, so dlog u = d, and each term of rest steps by one
+    product with g^k. Everything is O(p) times the terms of rest.
     """
-    p, dlog, chi2 = field.p, field.dlog_table, field.chi2_table()
+    p, g, dlog, chi2 = field.p, field.g, field.dlog_table, field.chi2_table()
     n = p - 1
     at_zero, table = _coset_sums(field, 1, j, 0)
-    coeffs = rest.coeffs[::-1]  # highest first
+    terms = [(k, coeff % p) for k, coeff in enumerate(rest.coeffs) if coeff % p]
+    vals = [coeff for _, coeff in terms]
+    steps = [pow(g, k, p) for k, _ in terms]
     dc = dlog[c]
-    total = rows = 0
-    for u in range(p):
-        gu = 0
-        for coeff in coeffs:
-            gu = (gu * u + coeff) % p
-        if u == 0 and i:
-            total += p * chi2[gu]
+    gu = rest.coeff(0) % p  # u = 0
+    roots = [] if gu else [0]
+    if i:  # b = 0
+        total, rows = p * chi2[gu], 0
+    else:
+        v = table[(dlog[gu] - dc) % n] if gu else at_zero
+        total, rows = chi2[gu], -v if dc & 1 else v
+    for d in range(n):  # u = g^d
+        gu = sum(vals) % p
+        total += chi2[gu]
+        db = dc + i * d  # dlog(c u^i)
+        if gu:
+            v = table[(dlog[gu] - db) % n]
         else:
-            total += chi2[gu]
-            db = dc + i * dlog[u] if u else dc  # dlog(c u^i)
-            v = table[(dlog[gu] - db) % n] if gu else at_zero
-            rows += -v if db & 1 else v
-    return total + gcd(j, n) * rows
+            v = at_zero
+            roots.append(pow(g, d, p))
+        rows += -v if db & 1 else v
+        for k, step in enumerate(steps):
+            vals[k] = vals[k] * step % p
+    return total + gcd(j, n) * rows, roots

@@ -3,10 +3,11 @@ that keep them fast and independent of the closed form.
 
 count_elliptic_smooth, count_fermat and count_affine_double_sextic count
 over classes of an elementary symmetry rather than over every point, and
-the monomial models and single-v-term sextics as coset character sums
-with no sum per class. The reference loops below are the point-by-point versions: one chi_cubic_sum
-per good fiber, the double loop over (u, v) for the Fermat chart, and one
-row over u per v for the double sextic.
+the monomial models, the A = 0 models and single-v-term sextics as coset
+character sums with no sum per class. The reference loops below are the
+point-by-point versions: one chi_cubic_sum per good fiber, the double
+loop over (u, v) for the Fermat chart, and one row over u per v for the
+double sextic.
 """
 
 import ast
@@ -149,7 +150,9 @@ def test_elliptic_count_matches_the_fiber_loop_at_random(case):
 
 
 def edge_models(q):
-    """Models that stress the walk over t = g^d at the prime q."""
+    """Models that stress each path of count_elliptic_smooth at the prime q:
+    the row sum of y^2 = x^3 + B(t) when A = 0 mod q, the coset sums when
+    A and B are monomials mod q, and the loop over every t otherwise."""
     return {
         "A = 0": WeierstrassModel([], [1, 0, 0, 0, 0, 1]),
         # non-minimal at infinity (deg A <= 4, deg B <= 6)
@@ -187,12 +190,57 @@ PRIMES_5_100 = [q for q in PRIMES_5_400 if q < 100]
 
 
 @st.composite
+def j_zero_models(draw):
+    """(model, q) with A = 0 mod q and B of degree <= 12 over Z.
+
+    B is a random cofactor times forced factors: rational roots mod q, a
+    repeated root, and t^6, which makes the model non-minimal at t = 0
+    (A = 0 mod q has every valuation there). A is q times a random
+    polynomial, or 0. q runs over both classes mod 3: for q = 2 mod 3,
+    x -> x^3 is a bijection and every good fiber has q + 1 points.
+    """
+    q = draw(st.sampled_from(PRIMES_5_100))
+    forced = IntPoly([1])
+    for r in draw(st.lists(st.integers(0, q - 1), max_size=4)):
+        forced = forced * IntPoly([-r, 1])
+    if draw(st.booleans()):
+        r = draw(st.integers(0, q - 1))
+        forced = forced * IntPoly([r * r, -2 * r, 1])
+    if draw(st.booleans()):
+        forced = forced * IntPoly([0] * 6 + [1])
+    assume(forced.degree <= 12)
+    small = st.integers(-q, q)
+    b = forced * IntPoly(draw(st.lists(small, min_size=1, max_size=13 - forced.degree)))
+    a = IntPoly(draw(st.lists(small, max_size=9))) * q
+    try:
+        return WeierstrassModel(a, b), q
+    except ValueError:  # discriminant vanishes identically
+        assume(False)
+
+
+@settings(deadline=None, max_examples=80)
+@given(j_zero_models())
+@example((WeierstrassModel([], [0, -1] + [0] * 10 + [-1]), 13))  # k = 66, q = 1 mod 3
+@example((WeierstrassModel([], [0, -1] + [0] * 10 + [-1]), 11))  # k = 66, q = 2 mod 3
+@example((WeierstrassModel([0, 7], [0] * 6 + [1, 1]), 7))  # t^6 | B, A = 7t
+@example((WeierstrassModel([], [-2, 3, 0, -1]), 7))  # -(t - 1)^2 (t + 2)
+@example((WeierstrassModel([], [0] * 5 + [1, -2, 1]), 13))  # k = 3
+@example((WeierstrassModel([5], [5, 0, 5]), 5))  # A = B = 0 mod q
+def test_j_zero_elliptic_count_matches_the_fiber_loop(case):
+    # A = 0 mod q: the good fibers are one row sum of x^3 + B(t), the bad
+    # ones are the roots of B
+    model, q = case
+    assert outcome(count_elliptic_smooth, model, q) == outcome(reference_elliptic_count, model, q)
+
+
+@st.composite
 def monomial_models(draw):
     """(model, q) with A = alpha t^i, B = beta t^j, 0 <= i <= 8, 0 <= j <= 12.
 
-    Besides free draws: alpha or beta = 0 mod q, which the walk over t
-    counts; e = 3i - 2j = 0 mod q-1, which makes r = c t^e constant; and a
-    bad fiber at a rational t0 != 0, from alpha t0^i = -3 w^2 and
+    Besides free draws: alpha or beta = 0 mod q, which the row sum
+    (alpha = 0) or the loop over every t (beta = 0) counts;
+    e = 3i - 2j = 0 mod q-1, which makes r = c t^e constant; and a bad
+    fiber at a rational t0 != 0, from alpha t0^i = -3 w^2 and
     beta t0^j = 2 w^3, which make 4A^3 + 27B^2 vanish there.
     """
     q = draw(st.sampled_from(PRIMES_5_100))
@@ -232,8 +280,8 @@ def test_monomial_elliptic_count_matches_the_fiber_loop(case):
     assert outcome(count_elliptic_smooth, model, q) == outcome(reference_elliptic_count, model, q)
 
 
-def count_cubic_sums(monkeypatch, argv):
-    """chi_cubic_sum calls made by one `k3fermat ... --json` call."""
+def count_cubic_sums(monkeypatch, count):
+    """chi_cubic_sum calls made by count()."""
     calls = 0
     original = pointcount.chi_cubic_sum
 
@@ -243,23 +291,36 @@ def count_cubic_sums(monkeypatch, argv):
         return original(*args)
 
     monkeypatch.setattr(pointcount, "chi_cubic_sum", counted)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv + ["--json"]) == 0
+    count()
     monkeypatch.setattr(pointcount, "chi_cubic_sum", original)
     return calls
+
+
+def command_line_count(k, q):
+    """`k3fermat count --k K --q Q --json`, as a function of no arguments."""
+    def count():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["count", "--k", str(k), "--q", str(q), "--json"]) == 0
+    return count
 
 
 def test_elliptic_count_runs_one_cubic_sum_per_class(monkeypatch):
     # y^2 = x^3 + t^7 x - t has monomial A and B, so its fibers with t != 0
     # are summed over cosets with no cubic sum per class: the class of
     # r = t^19 alone would take (q-1)/19 = 100 sums
-    assert count_cubic_sums(monkeypatch, ["count", "--k", "19", "--q", "1901"]) <= 2
-    # y^2 = x^3 - t - t^12 walks t: A = 0, so its good fibers fall in the
-    # gcd(6, q-1) classes of b, plus t = 0 and infinity at most; a fall
-    # back to one sum per fiber makes about q calls
+    assert count_cubic_sums(monkeypatch, command_line_count(19, 1901)) <= 2
+    # y^2 = x^3 - t - t^12 has A = 0, so its fibers with t in F_q are one
+    # row sum with no cubic sum, and its roots of B are bad; only infinity
+    # may take one. A cubic sum per class of b would make up to
+    # gcd(6, q-1) = 6 calls, and one per fiber about q
     q = 2113
-    calls = count_cubic_sums(monkeypatch, ["count", "--k", "66", "--q", str(q)])
-    assert 0 < calls <= gcd(6, q - 1) + 2
+    assert count_cubic_sums(monkeypatch, command_line_count(66, q)) <= 2
+    # y^2 = x^3 + (1 + t^4) x runs over every t: B = 0, so its good fibers
+    # fall in the gcd(4, q-1) classes of a, plus t = 0 and infinity at
+    # most
+    model = edge_models(q)["B = 0"]
+    calls = count_cubic_sums(monkeypatch, lambda: count_elliptic_smooth(model, q))
+    assert 0 < calls <= gcd(4, q - 1) + 2
 
 
 def catalog_count(entry):
@@ -280,8 +341,9 @@ def test_monomial_counts_are_linear_in_q(count, arg):
     # every catalog count and the Fermat count linear. At these q,
     # gcd(19, q-1) = gcd(5, q-1) = 1, so one cubic sum per class of
     # r = t^19, or one row per value of v^5, would cost about q^2 events;
-    # the coset sums cost a few dozen per element, the walk over t about
-    # 45. A sum over pairs of values of u^4 would cost some q^2/16.
+    # the coset sums cost a few dozen per element, the row sums of the
+    # A = 0 models about 26. A sum over pairs of values of u^4 would cost
+    # some q^2/16.
     for q in (1009, 4003):
         limit = 50 * q
         lines = 0
@@ -311,7 +373,7 @@ def field_100003():
     return field
 
 
-@pytest.mark.parametrize("k", [7, 19, 28, 25])
+@pytest.mark.parametrize("k", [7, 19, 28, 25, 66])
 def test_coset_sums_hold_one_list_of_q_sums(k, field_100003, monkeypatch):
     # Peak bytes allocated per field element, over a field whose tables
     # exist already: the cubes list of _cubic_sums (about 40) and the
