@@ -13,7 +13,8 @@ primitive polynomials), and the counts over F_p run in integer arithmetic
 too. When A and B are monomials mod p, when A = 0 mod p (the fibers of
 y^2 = x^3 + B(t) are the rows of a double sextic in (t, x)), and when v
 occurs in one term of a double sextic, the count is a character sum over
-cosets of a subgroup of F_p^*, O(p); any other model runs over every t.
+cosets of a subgroup of F_p^*, O(p); any other model runs over every t,
+one O(p) cubic sum per good fiber.
 
 Tate's procedure works on IntPoly expansions in the uniformizer at t0,
 with ordinary + - * on the field elements. Over F_p those are plain ints
@@ -309,13 +310,13 @@ def count_elliptic_smooth(model, q):
     degenerate fibers over higher-degree closed points never contribute.
     Over F_p, two shapes of model skip the loop over t and count in O(p):
     A and B each one monomial mod p (the catalog's k = 5, 7, 11, 13, 17,
-    19, 28, 44) sum their fibers with t != 0 over cosets, with no cubic
-    sum per class (_monomial_fibers); A = 0 mod p (k = 3, 9, 12, 27, 36,
-    42, 66) has Delta = -432 B^2, so its bad fibers are the roots of B,
-    S(0, 0) = 0 there, and the sum of S(0, B(t)) over every t is the row
-    sum of the sextic B(t) + x^3 (_single_v_term_sum). Every other model,
-    and every model over F_{p^2}, runs over every t, one chi_cubic_sum per
-    class of _cubic_sums.
+    19, 28, 44) sum their fibers with t != 0 over cosets and count the
+    bad ones in closed form, with no cubic sum (_monomial_fibers);
+    A = 0 mod p (k = 3, 9, 12, 27, 36, 42, 66) has Delta = -432 B^2, so
+    its bad fibers are the roots of B, S(0, 0) = 0 there, and the sum of
+    S(0, B(t)) over every t is the row sum of the sextic B(t) + x^3
+    (_single_v_term_sum). Every other model, and every model over
+    F_{p^2}, runs over every t, one cubic sum per good fiber.
     """
     field = as_field(q)
     if field.p in (2, 3):
@@ -352,10 +353,12 @@ def _monomial(poly, p):
 
 def _monomial_fibers(model, field, a, b, cubic_sum):
     """The points over t in F_p when A = alpha t^i and B = beta t^j mod p,
-    alpha beta != 0, without a cubic sum per class.
+    alpha beta != 0, with no cubic sum for t != 0.
 
-    For t != 0, S(A(t), B(t)) = chi2(alpha beta t^(i+j)) S(r, r) with
-    r = c t^e, c = alpha^3 beta^-2 and e = 3i - 2j (see _cubic_sums), and
+    x -> mu x gives S(mu^2 a, mu^3 b) = chi2(mu) S(a, b), and mu = A/B
+    takes (A, B) to (r, r). So for t != 0,
+    S(A(t), B(t)) = chi2(alpha beta t^(i+j)) S(r, r) with
+    r = c t^e, c = alpha^3 beta^-2 and e = 3i - 2j, and
     S(r, r) = chi2(-1) + sum over x != -1 of chi2(x + 1) chi2(x^3/(x + 1) + r).
     So S summed over t != 0 is
       chi2(-1) sum_s M(s) + sum over x != -1 of chi2(x + 1) D(x^3/(x + 1)),
@@ -367,8 +370,9 @@ def _monomial_fibers(model, field, a, b, cubic_sum):
     chi2(alpha beta) gcd (-1)^(tau (i+j)), and D is that constant times
     _coset_sums. The fibers with t != 0 are bad exactly where r = -27/4,
     at the tau with e tau = dlog(-27/4) - dlog(c): their S comes out again
-    (one class, one cubic sum) and their configuration goes in. Everything
-    is O(p).
+    and their configuration goes in. There x^3 + Ax + B = (x - u)^2 (x + 2u)
+    with A = -3u^2 and B = 2u^3, so S = -chi2(3u) = -chi2(-2AB), the sign
+    of the node. Everything is O(p).
     """
     (i, alpha), (j, beta) = a, b
     p, g, dlog = field.p, field.g, field.dlog_table
@@ -394,7 +398,7 @@ def _monomial_fibers(model, field, a, b, cubic_sum):
         for tau in range(tau0, n, reach):
             t = pow(g, tau, p)
             total += _degenerate_count(model, field, t, p, cubic_sum)
-            total -= p + 1 + cubic_sum(alpha * pow(t, i, p), beta * pow(t, j, p))
+            total -= p + 1 - field.chi2(-2 * alpha * beta * pow(t, i + j, p))
     return total
 
 
@@ -448,61 +452,16 @@ def _degenerate_count(model, field, t0, size, cubic_sum):
 
 def _cubic_sums(field):
     """The function (a, b) -> S(a, b), the sum of chi2(x^3 + a x + b) over
-    every x in the field.
-
-    Over F_p, x -> mu x gives S(mu^2 a, mu^3 b) = chi2(mu) S(a, b), so
-    chi_cubic_sum runs once per class of that scaling, and a dict keeps
-    each result under a dlog residue that names the class:
-      ab != 0: mu = a/b reaches (r, r) with r = a^3/b^2, so
-        S(a, b) = chi2(a/b) S(r, r) = chi2(ab) S(r, r); the key is
-        dlog(r) = 3 dlog(a) - 2 dlog(b) mod p-1, and chi2(ab) is
-        (-1)^(dlog(a) + dlog(b));
-      a = 0: S(0, b) = S(0, g^e) with e = dlog(b) mod gcd(6, p-1);
-      b = 0: S(a, 0) = S(g^e, 0) with e = dlog(a) mod gcd(4, p-1);
-      a = b = 0: S = sum chi2(x^3) = sum chi2(x) = 0.
-    The a = 0 rule: if 3 | p-1, b/g^e = g^(6j) and each mu with
-    mu^3 = g^(6j) is g^(2j) times a cube root of 1, a square; otherwise
-    x -> x^3 is a bijection and S(0, b) = 0 for every b. The b = 0 rule:
-    if 4 | p-1, each mu with mu^2 = a/g^e = g^(4j) is +-g^(2j), a square
-    because -1 is; otherwise chi2(-1) = -1 and x -> -x gives
-    S(a, 0) = -S(a, 0) = 0.
-    A representative is raised from its key only when the class is new.
-    count_elliptic_smooth calls it on every fiber of a model it runs over
-    every t, and elsewhere only on the few fibers its coset and row sums
-    leave out: t = 0, infinity and the bad fibers.
-    """
+    every x in the field, one O(q) sum per call."""
     if not isinstance(field, PrimeField):
         return lambda a, b: sum(field.chi2(x * x * x + a * x + b) for x in field.elements())
-    p, g, dlog = field.p, field.g, field.dlog_table
-    order = p - 1
-    chi2_table = field.chi2_table()
-    cubes = [x * x * x % p for x in range(p)]
-    sums = {}  # dlog(r) -> S(r, r)
-    a_only = {}  # dlog(a) mod gcd(4, p-1) -> S(g^e, 0)
-    b_only = {}  # dlog(b) mod gcd(6, p-1) -> S(0, g^e)
-    four, six = gcd(4, order), gcd(6, order)
+    p, chi2 = field.p, field.chi2_table()
+    cubes = []
 
     def cubic_sum(a, b):
-        a %= p
-        b %= p
-        if a and b:
-            da, db = dlog[a], dlog[b]
-            key = (3 * da - 2 * db) % order
-            if key not in sums:
-                r = pow(g, key, p)
-                sums[key] = chi_cubic_sum(chi2_table, cubes, r, r, p)
-            return -sums[key] if (da + db) & 1 else sums[key]
-        if a:
-            e = dlog[a] % four
-            if e not in a_only:
-                a_only[e] = chi_cubic_sum(chi2_table, cubes, pow(g, e, p), 0, p)
-            return a_only[e]
-        if b:
-            e = dlog[b] % six
-            if e not in b_only:
-                b_only[e] = chi_cubic_sum(chi2_table, cubes, 0, pow(g, e, p), p)
-            return b_only[e]
-        return 0
+        if not cubes:  # built on the first sum; most counts make none
+            cubes.extend(x * x * x % p for x in range(p))
+        return chi_cubic_sum(chi2, cubes, a % p, b % p, p)
 
     return cubic_sum
 

@@ -6,7 +6,7 @@ from itertools import product
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3fermat.field import is_prime, make_field
@@ -114,6 +114,25 @@ def test_chi_cubic_sum_matches_definition(q):
     for a, b in ((0, 1), (1, 0), (2, 3), (q - 1, q - 2)):
         want = sum(field.chi2(x ** 3 + a * x + b) for x in range(q))
         assert chi_cubic_sum(field.chi2_table(), cubes, a, b, q) == want
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from([p for p in range(5, 400) if is_prime(p)])
+       .flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p - 1))))
+@example((5, 2))  # p = 2 mod 3: x -> x^3 is a bijection
+@example((7, 3))  # p = 3 mod 4: chi2(-1) = -1
+@example((11, 10))  # both
+def test_chi_cubic_sum_of_a_nodal_cubic_is_the_sign_of_its_node(case):
+    # x^3 - 3w^2 x + 2w^3 = (x - w)^2 (x + 2w): every x != w adds
+    # chi2(x + 2w), and x = w would add chi2(3w), so the sum is
+    # -chi2(3w) = -chi2(-2ab)
+    p, w = case
+    field = make_field(p)
+    chi2 = field.chi2_table()
+    cubes = [x * x * x % p for x in range(p)]
+    a, b = -3 * w * w % p, 2 * w ** 3 % p
+    assert chi_cubic_sum(chi2, cubes, a, b, p) == -field.chi2(-2 * a * b) == -field.chi2(3 * w)
+    assert chi_cubic_sum(chi2, cubes, 0, 0, p) == 0
 
 
 @pytest.mark.parametrize("q,m", [(5, 1), (5, 2), (7, 3), (11, 10), (13, 4)])

@@ -1,22 +1,20 @@
 """The brute-force oracles against the loops they replaced, and the rules
 that keep them fast and independent of the closed form.
 
-count_elliptic_smooth, count_fermat and count_affine_double_sextic count
-over classes of an elementary symmetry rather than over every point, and
-the monomial models, the A = 0 models and single-v-term sextics as coset
-character sums with no sum per class. The reference loops below are the
-point-by-point versions: one chi_cubic_sum per good fiber, the double
-loop over (u, v) for the Fermat chart, and one row over u per v for the
-double sextic.
+count_fermat counts over classes of the scaling symmetry rather than over
+every point. count_elliptic_smooth sums the monomial models and the A = 0
+models, and count_affine_double_sextic the single-v-term sextics, as
+coset character sums with no sum per fiber or row; any other elliptic
+model takes one chi_cubic_sum per good fiber. The reference loops below
+are the point-by-point versions: one chi_cubic_sum per good fiber, the
+double loop over (u, v) for the Fermat chart, and one row over u per v
+for the double sextic.
 """
 
 import ast
-import contextlib
-import io
 import sys
 import tracemalloc
 from collections import Counter
-from math import gcd
 from pathlib import Path
 
 import pytest
@@ -28,7 +26,6 @@ import k3fermat
 from k3fermat import pointcount
 from k3fermat.catalog import load_catalog
 from k3fermat.cyclotomic import IntPoly
-from k3fermat.cli import main
 from k3fermat.field import PrimeField, is_prime, make_field
 from k3fermat.kernels import chi_cubic_sum, fermat_affine
 from k3fermat.pointcount import (
@@ -152,7 +149,8 @@ def test_elliptic_count_matches_the_fiber_loop_at_random(case):
 def edge_models(q):
     """Models that stress each path of count_elliptic_smooth at the prime q:
     the row sum of y^2 = x^3 + B(t) when A = 0 mod q, the coset sums when
-    A and B are monomials mod q, and the loop over every t otherwise."""
+    A and B are monomials mod q, and otherwise the loop over every t, one
+    cubic sum per good fiber."""
     return {
         "A = 0": WeierstrassModel([], [1, 0, 0, 0, 0, 1]),
         # non-minimal at infinity (deg A <= 4, deg B <= 6)
@@ -296,31 +294,17 @@ def count_cubic_sums(monkeypatch, count):
     return calls
 
 
-def command_line_count(k, q):
-    """`k3fermat count --k K --q Q --json`, as a function of no arguments."""
-    def count():
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["count", "--k", str(k), "--q", str(q), "--json"]) == 0
-    return count
+# The catalog counts leave at most one fiber to a cubic sum: infinity for
+# the A = 0 models k = 66 and 42, t = 0 for the monomial models k = 44
+# and 28. Every other fiber is a coset or row sum, or a bad fiber counted
+# in closed form.
+ONE_CUBIC_SUM = {66, 42, 44, 28}
 
 
-def test_elliptic_count_runs_one_cubic_sum_per_class(monkeypatch):
-    # y^2 = x^3 + t^7 x - t has monomial A and B, so its fibers with t != 0
-    # are summed over cosets with no cubic sum per class: the class of
-    # r = t^19 alone would take (q-1)/19 = 100 sums
-    assert count_cubic_sums(monkeypatch, command_line_count(19, 1901)) <= 2
-    # y^2 = x^3 - t - t^12 has A = 0, so its fibers with t in F_q are one
-    # row sum with no cubic sum, and its roots of B are bad; only infinity
-    # may take one. A cubic sum per class of b would make up to
-    # gcd(6, q-1) = 6 calls, and one per fiber about q
-    q = 2113
-    assert count_cubic_sums(monkeypatch, command_line_count(66, q)) <= 2
-    # y^2 = x^3 + (1 + t^4) x runs over every t: B = 0, so its good fibers
-    # fall in the gcd(4, q-1) classes of a, plus t = 0 and infinity at
-    # most
-    model = edge_models(q)["B = 0"]
-    calls = count_cubic_sums(monkeypatch, lambda: count_elliptic_smooth(model, q))
-    assert 0 < calls <= gcd(4, q - 1) + 2
+def test_elliptic_catalog_counts_make_one_cubic_sum_or_none(monkeypatch):
+    calls = {(e.k, q): count_cubic_sums(monkeypatch, lambda: count_elliptic_smooth(e.model, q))
+             for e in ELLIPTIC for q in (1009, 1901, 2113, 4003)}
+    assert calls == {(k, q): int(k in ONE_CUBIC_SUM) for k, q in calls}
 
 
 def catalog_count(entry):
@@ -376,8 +360,10 @@ def field_100003():
 @pytest.mark.parametrize("k", [7, 19, 28, 25, 66])
 def test_coset_sums_hold_one_list_of_q_sums(k, field_100003, monkeypatch):
     # Peak bytes allocated per field element, over a field whose tables
-    # exist already: the cubes list of _cubic_sums (about 40) and the
-    # coset sums' list of q - 1 sums (8), and no list of q tuples.
+    # exist already: the coset sums' list of q - 1 sums (8), and no list of
+    # q tuples. k = 28 and 66 make one cubic sum, so they also hold the
+    # cubes list of _cubic_sums (about 40); k = 7 and 19 make none, so
+    # _cubic_sums builds no cubes, and the double sextic k = 25 has none.
     field = field_100003
     q = field.p
     monkeypatch.setattr(pointcount, "make_field", lambda p: field)
@@ -388,7 +374,7 @@ def test_coset_sums_hold_one_list_of_q_sums(k, field_100003, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * q, peak / q
+    assert peak <= (64 if k in ONE_CUBIC_SUM else 16) * q, peak / q
 
 
 # ---------------------------------------------------------------------------
