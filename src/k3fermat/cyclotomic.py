@@ -449,22 +449,40 @@ def _orbit_factor(v, size):
     """prod (1 - wT) over the `size` distinct conjugates w of v, in Z[T].
 
     The power sums p_k = Tr(v^k) / s, s = phi(m) / size the stabiliser
-    order, take size - 1 multiplications in Z[zeta_m]. Newton's identities
+    order, take one multiplication in Z[zeta_m] each. Newton's identities
     for the coefficients a_k = (-1)^k e_k of the factor read
     k a_k = -sum_{i=1..k} a_(k-i) p_i.
+
+    A non-real Weil number needs only half of them: when conj(v) != v and
+    v conj(v) is a rational integer Q, every conjugate w has w conj(w) = Q
+    (the Galois group is abelian, so sigma commutes with complex
+    conjugation), and conjugation pairs the orbit without a fixed point.
+    So size is even, w -> Q / w permutes the orbit, and the factor obeys
+    the functional equation a_(size-j) = a_j Q^(size/2 - j). Newton runs
+    for k <= size/2, size/2 products with v conj(v), and the top half is
+    read off the bottom half; the top coefficient is Q^(size/2), so the
+    factor of an orbit of Jacobi sums records |j|^2 = q^2. Any other v
+    runs the full loop: a real v too, for which v conj(v) = v^2 may well
+    be rational ({sqrt 3, -sqrt 3} gives 1 - 3T^2, while the functional
+    equation would give 1 + 3T^2).
     """
     trace = _trace_vector(v.m)
     stabiliser = totient(v.m) // size
+    bar = v.conj()
+    norm = None if bar == v else (v * bar).as_rational_integer()
+    steps = size if norm is None else size // 2
     power = v
     sums = []
     coeffs = [1]
-    for k in range(1, size + 1):
+    for k in range(1, steps + 1):
         if k > 1:
             power = power * v
         tr = sum(t * c for t, c in zip(trace, power.coeffs))
         sums.append(_exact_div(tr, stabiliser, f"trace of v^{k}"))
         newton = -sum(coeffs[k - i] * sums[i - 1] for i in range(1, k + 1))
         coeffs.append(_exact_div(newton, k, f"Newton sum {k}"))
+    for j in range(steps + 1, size + 1):
+        coeffs.append(coeffs[size - j] * norm ** (j - steps))
     return IntPoly(coeffs)
 
 
@@ -475,8 +493,13 @@ def orbit_product(values):
     checks. The multiset is split into Galois orbits {sigma_u(v)}, and each
     orbit must be present in full with the same multiplicity c for every
     member; the orbit's factor comes from _orbit_factor and enters as its
-    c-th power. A value that is not a CycInt, mixed conductors, a missing
-    conjugate, uneven multiplicities or an inexact division raise ValueError.
+    c-th power. For a non-real Weil orbit (conj(v) != v, v conj(v) = Q in
+    Z), the factor's top half comes from its functional equation
+    a_(n-j) = a_j Q^(n/2-j), so it takes n/2 products in Z[zeta_m] instead
+    of n - 1, and its top coefficient Q^(n/2) certifies |v|^2 = Q exactly:
+    q^2 for an orbit of Jacobi sums j(alpha) over F_q. A value that is not
+    a CycInt, mixed conductors, a missing conjugate, uneven multiplicities
+    or an inexact division raise ValueError.
     """
     counts = Counter()
     m = None

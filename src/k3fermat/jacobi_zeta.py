@@ -9,7 +9,7 @@ pattern in (1 -/+ qT) fixed by k and q mod 4. The order-3 surface has no
 Fermat cover and is handled through its CM structure instead.
 """
 
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from typing import NamedTuple
 
 from .characters import CharacterVector, units_mod, enumerate_A
@@ -111,12 +111,9 @@ def algebraic_factor(k, q):
     else:
         n_minus = K_MINUS_TABLE.get(k, 0)
     n_plus = 22 - totient(k) - n_minus
-    poly = IntPoly([1])
-    for _ in range(n_plus):
-        poly = poly * IntPoly([1, -q])
-    for _ in range(n_minus):
-        poly = poly * IntPoly([1, q])
-    return n_minus, n_plus, poly
+    plus = IntPoly([comb(n_plus, i) * (-q) ** i for i in range(n_plus + 1)])
+    minus = IntPoly([comb(n_minus, i) * q ** i for i in range(n_minus + 1)])
+    return n_minus, n_plus, plus * minus
 
 
 def primary_prime(p):

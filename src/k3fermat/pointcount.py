@@ -187,6 +187,25 @@ def _valuation(poly, field):
     return next((i for i, c in enumerate(poly.coeffs) if not field.is_zero(c)), _INF)
 
 
+def _discriminant_valuation(a, b, field):
+    """_valuation of -16(4A^3 + 27B^2), from its coefficients in ascending
+    order up to the first that is nonzero in the field; A^2 is kept only
+    that far, and no full product is formed."""
+    a, b = a.coeffs, b.coeffs
+    a2 = []
+    for i in range(max(3 * len(a) - 2, 2 * len(b) - 1)):
+        a2.append(_product_coeff(a, a, i))
+        delta = -16 * (4 * _product_coeff(a2, a, i) + 27 * _product_coeff(b, b, i))
+        if not field.is_zero(delta):
+            return i
+    return _INF
+
+
+def _product_coeff(x, y, i):
+    """Coefficient i of the product of the coefficient lists x and y."""
+    return sum(x[j] * y[i - j] for j in range(max(0, i - len(y) + 1), min(i + 1, len(x))))
+
+
 def _taylor_shift(poly, t0):
     """poly(t + t0), by repeated synthetic division."""
     c = list(poly.coeffs)
@@ -218,7 +237,7 @@ def _local_model(model, field, t0):
     while (a or b) and _valuation(a, field) >= 4 and _valuation(b, field) >= 6:
         a = IntPoly(a.coeffs[4:])
         b = IntPoly(b.coeffs[6:])
-    vd = _valuation(_discriminant(a, b), field)
+    vd = _discriminant_valuation(a, b, field)
     if vd == _INF:
         raise ValueError(f"discriminant vanishes identically mod {field.p}")
     return a, b, vd

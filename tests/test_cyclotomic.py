@@ -1,11 +1,11 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from k3fermat.catalog import ORDERS, catalog_entry, transcendental_row
-from k3fermat.characters import units_mod
+from k3fermat.characters import CharacterVector, units_mod
 from k3fermat.cyclotomic import (
     CycInt,
     IntPoly,
@@ -17,8 +17,8 @@ from k3fermat.cyclotomic import (
     reduce,
     totient,
 )
-from k3fermat.field import make_field
-from k3fermat.jacobi_zeta import _orbit_values, default_primes, zeta_report
+from k3fermat.field import is_prime, make_field
+from k3fermat.jacobi_zeta import _orbit_values, default_primes, jacobi_sum, zeta_report
 
 
 def brute_totient(m):
@@ -368,9 +368,76 @@ def test_orbit_product_counts_a_nontrivial_stabiliser():
     assert orbit_product([r, r, -r, -r]) == IntPoly([1, 0, 6, 0, 9])
 
 
+def test_a_real_orbit_takes_no_functional_equation():
+    # sqrt(3) = zeta_12 + zeta_12^11 is real and sqrt(3) conj(sqrt(3)) = 3
+    # is rational, yet its factor is 1 - 3T^2: the functional equation of a
+    # Weil orbit, which needs conj(v) != v, would give 1 + 3T^2
+    r = reduce([0, 1] + [0] * 9 + [1], 12)
+    assert r.conj() == r and (r * r.conj()).as_rational_integer() == 3
+    assert orbit_product([r, -r]) == reference_orbit_product([r, -r]) == IntPoly([1, 0, -3])
+
+
+def test_primitive_roots_of_unity_give_the_cyclotomic_polynomial():
+    # the Q = 1 case of the functional equation: prod (1 - zeta T) over the
+    # primitive m-th roots is T^phi Phi_m(1/T), which is Phi_m for m >= 2
+    # (Phi_m is palindromic) and 1 - T for m = 1
+    for m in range(1, 61):
+        roots = [reduce([0] * u + [1], m) for u in range(m) if gcd(u, m) == 1]
+        poly = orbit_product(roots)
+        assert poly == reference_orbit_product(roots), m
+        assert poly == (cyclotomic_poly(m) if m > 1 else IntPoly([1, -1])), m
+
+
+def admissible_primes(m, bound=400):
+    return [q for q in range(m + 1, bound, m) if is_prime(q)]
+
+
+JACOBI_CONDUCTORS = [m for m in range(3, 25) if admissible_primes(m)]
+
+
+@st.composite
+def jacobi_orbits(draw):
+    """(q, the Galois orbit of j(alpha) over F_q listed once per unit) at a
+    random conductor m < 25, admissible prime q < 400 and vector alpha. A
+    vector alpha = d beta with d | m, d > 1, is fixed by the units u = 1
+    mod m/d, so its Jacobi sum has a stabiliser of order > 1 and each
+    conjugate occurs that many times."""
+    m = draw(st.sampled_from(JACOBI_CONDUCTORS))
+    q = draw(st.sampled_from(admissible_primes(m)))
+    d = draw(st.sampled_from([d for d in range(1, m) if m % d == 0 and m // d > 1]))
+    n = m // d
+    triple = draw(st.lists(st.integers(1, n - 1), min_size=3, max_size=3))
+    assume(sum(triple) % n)
+    alpha = CharacterVector.from_triple(m, [d * a for a in triple])
+    j = jacobi_sum(make_field(q), m, alpha)
+    return q, [j.galois_apply(u) for u in units_mod(m)]
+
+
+@settings(deadline=None, max_examples=80)
+@given(jacobi_orbits())
+def test_jacobi_orbit_factors_match_the_factor_by_factor_product(case):
+    q, values = case
+    poly = orbit_product(values)
+    assert poly == reference_orbit_product(values)
+    # |j|^2 = q^2 for each of the phi(m) values
+    assert poly.coeffs[-1] == q ** len(values)
+
+
+def test_a_weil_orbit_with_one_conjugate_missing_is_refused():
+    field = make_field(13)
+    j = jacobi_sum(field, 12, CharacterVector.from_triple(12, (1, 2, 4)))
+    assert (j * j.conj()).as_rational_integer() == 13 ** 2 and j.conj() != j
+    orbit = [j.galois_apply(u) for u in units_mod(12)]
+    assert orbit_product(orbit) == reference_orbit_product(orbit)
+    for i in range(len(orbit)):
+        with pytest.raises(ValueError):
+            orbit_product(orbit[:i] + orbit[i + 1:])
+
+
 def test_zeta_report_makes_a_linear_number_of_multiplications(monkeypatch):
-    # Newton's identities need |orbit| - 1 = 19 products for k = 66; the
-    # factor-by-factor product made 380
+    # Newton's identities need |orbit| / 2 = 10 products for k = 66, v^2 ..
+    # v^10 and v conj(v); the full loop made 19 and the factor-by-factor
+    # product 380
     calls = []
     mul = CycInt.__mul__
 
@@ -380,7 +447,7 @@ def test_zeta_report_makes_a_linear_number_of_multiplications(monkeypatch):
 
     monkeypatch.setattr(CycInt, "__mul__", counting_mul)
     zeta_report(66, 4027)
-    assert 0 < len(calls) <= 2 * totient(66)
+    assert 0 < len(calls) <= totient(66) // 2 + 1
 
 
 def test_cycint_immutable_and_hashable():

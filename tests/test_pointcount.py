@@ -10,12 +10,19 @@ behavior is known in closed form.
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from k3fermat.cyclotomic import IntPoly
 from k3fermat.field import QuadExtField, make_field
 from k3fermat.pointcount import (
+    _INF,
     KodairaFiber,
     WeierstrassModel,
+    _discriminant,
+    _discriminant_valuation,
+    _taylor_shift,
+    _valuation,
     count_affine_double_sextic,
     count_elliptic_smooth,
     count_fermat,
@@ -246,6 +253,41 @@ def test_tate_refuses_a_discriminant_that_vanishes_mod_p():
             count_elliptic_smooth(model, p)
         with pytest.raises(ValueError, match="vanishes identically mod"):
             count_elliptic_smooth(model, QuadExtField(p))
+
+
+@st.composite
+def local_expansions(draw):
+    """A random (A, B) over Z read in F_p or F_{p^2}, p = 5 .. 13, and the
+    points to expand at: inf, 0 and every root of Delta in the field.
+    Coefficients are not reduced mod p, and extra powers of t make deep
+    valuations at t0 = 0 common."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    field = draw(st.sampled_from([make_field(p), QuadExtField(p)]))
+    small = st.integers(-2 * p, 2 * p)
+    a = [0] * draw(st.integers(0, 4)) + draw(st.lists(small, max_size=9))
+    b = [0] * draw(st.integers(0, 6)) + draw(st.lists(small, max_size=13))
+    return field, IntPoly(a[:9]), IntPoly(b[:13])
+
+
+@settings(deadline=None, max_examples=80)
+@given(local_expansions())
+@example((make_field(5), IntPoly([2]), IntPoly([2])))               # Delta = 0 mod 5
+@example((QuadExtField(7), IntPoly([0, 0, 2]), IntPoly([0, 0, 0, 2])))
+def test_discriminant_valuation_matches_the_full_product(case):
+    field, a, b = case
+    disc = _discriminant(a, b)
+    roots = [t for t in field.elements() if field.is_zero(disc(t))]
+    expansions = [(IntPoly([a.coeff(8 - i) for i in range(9)]),     # t0 = inf
+                   IntPoly([b.coeff(12 - i) for i in range(13)]))]
+    for t0 in [field.from_int(0)] + roots:
+        expansions.append((_taylor_shift(a, t0), _taylor_shift(b, t0)))
+    for la, lb in expansions:
+        # each pair also with the tau^4, tau^6 of one minimality step divided out
+        for la, lb in ((la, lb), (IntPoly(la.coeffs[4:]), IntPoly(lb.coeffs[6:]))):
+            expected = _valuation(_discriminant(la, lb), field)
+            assert _discriminant_valuation(la, lb, field) == expected
+    if not any(c % field.p for c in disc.coeffs):
+        assert _discriminant_valuation(a, b, field) == _INF
 
 
 def test_tate_k19_fibers():
