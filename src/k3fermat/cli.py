@@ -8,10 +8,10 @@ milliseconds). Exit codes: 0 success, 1 verification failure, 2 usage
 or input error.
 """
 
-import argparse
 import json
 import sys
 import time
+import types
 
 from .catalog import (
     ORDERS,
@@ -82,7 +82,7 @@ def _check_zeta_prime(entry, q):
 
 
 def _ms(t0):
-    return int((time.time() - t0) * 1000)
+    return int((time.perf_counter() - t0) * 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def cmd_catalog(args):
 
 
 def cmd_verify(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     ks = list(ORDERS) if args.all else [args.k]
     entries = [_entry_or_usage(k) for k in ks]
     primes = tuple(dict.fromkeys(args.q)) if args.q else None
@@ -390,72 +390,128 @@ def cmd_delsarte(args):
 # ---------------------------------------------------------------------------
 # parser
 
+# Option kinds.
+FLAG, INT, INTS, STR = "flag", "int", "ints", "str"
+# An option's required status: ONE_OF marks the options of which a command
+# line names exactly one (verify's --k and --all).
+ONE_OF = "one of"
+
+# The one declaration of the command line. Each subcommand maps to
+# (handler, help, options), each option is (flag, kind, required, help),
+# and every subcommand takes COMMON's options first.
+COMMON = (("--json", FLAG, False, "emit a JSON document"),)
+COMMANDS = {
+    "catalog": (cmd_catalog, "list the catalog or show one entry", (
+        ("--k", INT, False, "automorphism order"),
+    )),
+    "verify": (cmd_verify, "recompute and check the stored data", (
+        ("--k", INT, ONE_OF, "verify one entry"),
+        ("--all", FLAG, ONE_OF, "verify every entry"),
+        ("--q", INTS, False, "override the zeta primes (repeatable; repeats are dropped)"),
+    )),
+    "zeta": (cmd_zeta, "zeta factors and predicted count at one prime", (
+        ("--k", INT, True, None),
+        ("--q", INT, True, None),
+    )),
+    "jacobi": (cmd_jacobi, "one Jacobi sum with its norm check", (
+        ("--m", INT, True, None),
+        ("--q", INT, True, None),
+        ("--alpha", STR, True, "a1,a2,a3 residues mod m"),
+    )),
+    "count": (cmd_count, "brute-force point counts", (
+        ("--fermat", INT, False, "Fermat surface degree"),
+        ("--k", INT, False, "catalog entry"),
+        ("--q", INT, True, None),
+    )),
+    "lattice": (cmd_lattice, "lattice invariants and discriminant forms", (
+        ("--k", INT, True, None),
+    )),
+    "mirror": (cmd_mirror, "hyperbolic splitting of the transcendental lattice", (
+        ("--k", INT, True, None),
+    )),
+    "delsarte": (cmd_delsarte, "analyze a four-monomial equation", (
+        ("--equation", STR, True, None),
+    )),
+}
+
+
+def _read_argv(argv):
+    """The namespace argparse would return for a well-formed command line:
+    the exact subcommand, then exact long flags, each at most once unless
+    repeatable, each value not starting with '-'. Anything else (help,
+    abbreviations, --flag=value, errors) gives None and is left to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    fn, _help, options = COMMANDS[argv[0]]
+    options = {flag: (kind, required) for flag, kind, required, _help in COMMON + options}
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in options:
+            return None
+        kind = options[token][0]
+        value = True
+        if kind != FLAG:
+            value = next(tokens, "-")  # a missing value declines like a flag
+            if value.startswith("-"):
+                return None
+            if kind != STR:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+        if kind == INTS:
+            values.setdefault(token, []).append(value)
+        elif token in values:
+            return None
+        else:
+            values[token] = value
+    if any(required is True and flag not in values
+           for flag, (_kind, required) in options.items()):
+        return None
+    one_of = [flag in values for flag, (_kind, required) in options.items()
+              if required == ONE_OF]
+    if one_of and sum(one_of) != 1:
+        return None
+    ns = {flag[2:]: values.get(flag, False if kind == FLAG else None)
+          for flag, (kind, _required) in options.items()}
+    return types.SimpleNamespace(subcommand=argv[0], func=fn, **ns)
+
+
 def _build_parser(only=None):
-    """The CLI parser; with only set to a subcommand name, build just that
-    subcommand, since a call reads nothing else. Any other value of only
-    builds the full parser, which reports every choice."""
+    """The argparse parser for COMMANDS; with only set to a subcommand name,
+    build just that subcommand, since a call reads nothing else. Any other
+    value of only builds the full parser, which reports every choice."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="k3fermat",
         description="Exact zeta, point-count and lattice checks for the catalog "
                     "of K3 surfaces covered by Fermat surfaces.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    names = []
-
-    def add(name, fn, helptext):
-        names.append(name)
-        if only is not None and only != name:
-            return None
+    kinds = {FLAG: {"action": "store_true"}, INT: {"type": int},
+             INTS: {"type": int, "action": "append"}, STR: {}}
+    for name in [only] if only in COMMANDS else COMMANDS:
+        fn, helptext, options = COMMANDS[name]
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--json", action="store_true", help="emit a JSON document")
         p.set_defaults(func=fn)
-        return p
-
-    if p := add("catalog", cmd_catalog, "list the catalog or show one entry"):
-        p.add_argument("--k", type=int, help="automorphism order")
-
-    if p := add("verify", cmd_verify, "recompute and check the stored data"):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--k", type=int, help="verify one entry")
-        group.add_argument("--all", action="store_true", help="verify every entry")
-        p.add_argument("--q", type=int, action="append",
-                       help="override the zeta primes (repeatable; repeats are dropped)")
-
-    if p := add("zeta", cmd_zeta, "zeta factors and predicted count at one prime"):
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--q", type=int, required=True)
-
-    if p := add("jacobi", cmd_jacobi, "one Jacobi sum with its norm check"):
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--alpha", required=True, help="a1,a2,a3 residues mod m")
-
-    if p := add("count", cmd_count, "brute-force point counts"):
-        p.add_argument("--fermat", type=int, help="Fermat surface degree")
-        p.add_argument("--k", type=int, help="catalog entry")
-        p.add_argument("--q", type=int, required=True)
-
-    if p := add("lattice", cmd_lattice, "lattice invariants and discriminant forms"):
-        p.add_argument("--k", type=int, required=True)
-
-    if p := add("mirror", cmd_mirror, "hyperbolic splitting of the transcendental lattice"):
-        p.add_argument("--k", type=int, required=True)
-
-    if p := add("delsarte", cmd_delsarte, "analyze a four-monomial equation"):
-        p.add_argument("--equation", required=True)
-
-    if only is not None:
-        if only not in names:
-            return _build_parser()
+        group = None
+        for flag, kind, required, helptext in COMMON + options:
+            target = p
+            if required == ONE_OF:
+                group = target = group or p.add_mutually_exclusive_group(required=True)
+            target.add_argument(flag, required=required is True, help=helptext, **kinds[kind])
+    if only in COMMANDS:
         # the top-level usage line, printed with an error, lists every choice
-        sub.metavar = "{" + ",".join(names) + "}"
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
     return parser
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read_argv(argv) or _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

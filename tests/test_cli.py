@@ -1,14 +1,20 @@
 """CLI contract: exit codes, report text, JSON stability."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from k3fermat.cli import _build_parser, cmd_zeta, main
+import k3fermat.cli as cli
+from k3fermat.cli import _build_parser, _read_argv, cmd_count, cmd_verify, cmd_zeta, main
 from k3fermat.cyclotomic import JACOBI_WORK_LIMIT, jacobi_work
 from k3fermat.field import PrimeField
 
@@ -117,6 +123,14 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify"])
         assert exc.value.code == 2
+
+    def test_elapsed_time_survives_a_wall_clock_step_back(self, capsys, monkeypatch):
+        clock = iter(range(10**6, 0, -3600))
+        monkeypatch.setattr(cli.time, "time", lambda: float(next(clock)))
+        code, out, _ = run(capsys, "verify", "--k", "3")
+        assert code == 0
+        ms = re.fullmatch(r"PASS \(1 entry, (-?\d+) ms\)", out.splitlines()[-1])
+        assert ms and int(ms.group(1)) >= 0
 
 
 class TestZetaCommand:
@@ -515,3 +529,55 @@ class TestParserPerSubcommand:
         assert (args.func, args.k, args.q) == (cmd_zeta, 66, 67)
         code, _, err = self.exits(_build_parser("zeta").parse_args, ["verify", "--all"], capsys)
         assert code == 2 and "invalid choice: 'verify'" in err
+
+
+_FULL_PARSER = _build_parser()
+OPTION_TOKENS = ("--json", "--k", "--q", "--all", "--m", "--alpha", "--fermat", "--equation",
+                 "--j", "--al", "--eq", "--fer", "--k=3", "--q=67", "--all=1", "--", "-h",
+                 "--help")
+VALUE_TOKENS = ("3", "66", "67", "-5", "", " 5", "1_000", "+7", "x", "1,2,3", "zeta")
+
+
+def reference(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return vars(_FULL_PARSER.parse_args(list(argv)))
+    except SystemExit:
+        return None
+
+
+class TestCommandLineReader:
+    """_read_argv reads a well-formed command line without argparse and
+    returns None for anything else, which main hands to argparse."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.lists(st.sampled_from(SUBCOMMANDS + ("bogus",)), max_size=1),
+           st.lists(st.sampled_from(OPTION_TOKENS + VALUE_TOKENS), max_size=7))
+    @example(["jacobi"], ["--m", "3", "--q", "7", "--alpha", "1,1,1", "--json"])
+    @example(["delsarte"], ["--equation", ""])
+    def test_agrees_with_argparse_or_declines(self, command, tokens):
+        argv = command + tokens
+        mine = _read_argv(argv)
+        assert mine is None or vars(mine) == reference(argv)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["verify", "--all", "--q", "67", "--q", "67"],
+         {"subcommand": "verify", "func": cmd_verify, "json": False, "k": None,
+          "all": True, "q": [67, 67]}),
+        (["count", "--fermat", "4", "--q", "5", "--json"],
+         {"subcommand": "count", "func": cmd_count, "json": True, "fermat": 4,
+          "k": None, "q": 5}),
+    ])
+    def test_reads_well_formed_lines(self, argv, expected):
+        assert vars(_read_argv(argv)) == expected == reference(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--k", "3", "--all"],
+        ["zeta", "--k=66", "--q", "67"],
+        ["zeta", "--k", "66", "--q"],
+        ["zeta", "--k", "66", "--q", "67", "-h"],
+    ])
+    def test_declines_everything_else(self, argv):
+        assert _read_argv(argv) is None

@@ -1,7 +1,8 @@
 """Start-up imports only what a call reads: no dataclasses (which pulls in
 inspect, ast, dis and tokenize), a catalog built without parsing any
-equation, and a frozen set-up heap once it is built. Structural checks
-only; timings live in perfbench."""
+equation, a frozen set-up heap once it is built, and no argparse (nor the
+gettext and locale it pulls in) for a well-formed command line. Structural
+checks only; timings live in perfbench."""
 
 import json
 import pathlib
@@ -42,3 +43,34 @@ def test_no_module_imports_dataclasses():
     sources = sorted((SRC / "k3fermat").glob("*.py"))
     assert sources
     assert [p.name for p in sources if pattern.search(p.read_text())] == []
+
+
+CALL_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import k3fermat.cli
+k3fermat.cli.load_catalog()
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["zeta", "--k", "66", "--q", "67", "--json"],
+                 ["count", "--k", "19", "--q", "191", "--json"]):
+        codes.append(k3fermat.cli.main(argv))
+loaded = sorted({"argparse", "gettext", "locale"} & set(sys.modules))
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        k3fermat.cli.main(["zeta", "--help"])
+except SystemExit as exc:
+    codes.append(exc.code)
+print(json.dumps({"codes": codes, "loaded": loaded, "argparse": "argparse" in sys.modules}))
+"""
+
+
+def test_well_formed_calls_import_no_argparse():
+    proc = subprocess.run([sys.executable, "-I", "-c", CALL_PROBE, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["loaded"] == []
+    # help still goes through argparse and exits 0
+    assert doc["codes"] == [0, 0, 0]
+    assert doc["argparse"]
