@@ -22,8 +22,10 @@ that may stay unreduced mod p; every decision (zero test, valuation,
 chi2, inverse) goes through the field, which reduces them.
 """
 
-from itertools import islice
+from collections import Counter
+from itertools import compress, islice, repeat
 from math import gcd
+from operator import mod
 
 from .cyclotomic import IntPoly, exact_quotient, poly_gcd
 from .field import PrimeField, as_field, make_field
@@ -336,6 +338,14 @@ def count_elliptic_smooth(model, q):
     S(0, B(t)) over every t is the row sum of the sextic B(t) + x^3
     (_single_v_term_sum). Every other model, and every model over
     F_{p^2}, runs over every t, one cubic sum per good fiber.
+
+    A fiber of type I1 or II is the singular cubic itself (Silverman,
+    Advanced Topics, IV.9), with the q + 1 + S(A(t0), B(t0)) points that
+    the good-fiber formula gives. So both O(p) paths run Tate's algorithm
+    only where the fiber may have more components: at the roots of B
+    with B'(t0) = 0 mod p when A = 0, which leaves the cusps (II) of the
+    simple roots to the row sum, and off t = 0 for monomials only when
+    p | 3i - 2j, as below.
     """
     field = as_field(q)
     if field.p in (2, 3):
@@ -349,8 +359,10 @@ def count_elliptic_smooth(model, q):
     elif prime and not any(c % size for c in model.a.coeffs):
         rows, roots = _single_v_term_sum(field, model.b, 0, 3, 1)
         total = size * (size + 1) + rows
+        slope = model.b.derivative()
         for t0 in roots:
-            total += _degenerate_count(model, field, t0, size, cubic_sum) - size - 1
+            if slope(t0) % size == 0:  # a simple root is type II, q + 1 points
+                total += _degenerate_count(model, field, t0, size, cubic_sum) - size - 1
     else:
         disc = model.discriminant()
         total = 0
@@ -387,11 +399,16 @@ def _monomial_fibers(model, field, a, b, cubic_sum):
     values of t with dlog t = tau mod (p-1)/gcd, whose characters cancel
     unless ((p-1)/gcd) (i+j) is even; then M(s) is
     chi2(alpha beta) gcd (-1)^(tau (i+j)), and D is that constant times
-    _coset_sums. The fibers with t != 0 are bad exactly where r = -27/4,
-    at the tau with e tau = dlog(-27/4) - dlog(c): their S comes out again
-    and their configuration goes in. There x^3 + Ax + B = (x - u)^2 (x + 2u)
+    _coset_sums, read off its period table at dlog(x^3/(x + 1)). The
+    fibers with t != 0 are bad exactly where r = -27/4, at the tau with
+    e tau = dlog(-27/4) - dlog(c). There x^3 + Ax + B = (x - u)^2 (x + 2u)
     with A = -3u^2 and B = 2u^3, so S = -chi2(3u) = -chi2(-2AB), the sign
-    of the node. Everything is O(p).
+    of the node. Off t = 0, Delta is a power of t times
+    4 alpha^3 t^(3i-2j) + 27 beta^2 (or its mirror when 3i < 2j), whose
+    roots are simple unless p | 3i - 2j. A simple root with A(t0) != 0 is
+    a fiber of type I1, the nodal cubic, which the coset sum has counted.
+    Only when p | 3i - 2j does each such fiber's S come out again and its
+    configuration from Tate's algorithm go in. Everything is O(p).
     """
     (i, alpha), (j, beta) = a, b
     p, g, dlog = field.p, field.g, field.dlog_table
@@ -403,16 +420,18 @@ def _monomial_fibers(model, field, a, b, cubic_sum):
     total = _degenerate_count(model, field, 0, p, cubic_sum) + n * (p + 1)
     if reach * (i + j) % 2 == 0:
         at_zero, table = _coset_sums(field, c, e, i + j)
+        period = len(table)
         # x = -1 and x = 0; sum_s M(s) vanishes when i + j is odd
         total_s = at_zero + (0 if (i + j) & 1 else field.chi2(-1) * reach)
         # x = 1 .. p-2: chi2(x + 1) and D at dlog(x^3/(x + 1))
         for dx, dx1 in zip(islice(dlog, 1, n), islice(dlog, 2, None)):
-            v = table[(3 * dx - dx1) % n]
+            v = table[(3 * dx - dx1) % period]
             total_s += -v if dx1 & 1 else v
         total += field.chi2(alpha * beta) * d * total_s
-    # c g^(e tau) = -27/4 for tau = tau0 mod reach, when d divides the shift
+    # c g^(e tau) = -27/4 for tau = tau0 mod reach, when d divides the
+    # shift; these t are simple roots of Delta unless p | 3i - 2j
     shift = dlog[-27 * pow(4, -1, p) % p] - dlog[c]
-    if shift % d == 0:
+    if (3 * i - 2 * j) % p == 0 and shift % d == 0:
         tau0 = shift // d * pow(e // d, -1, reach) % reach
         for tau in range(tau0, n, reach):
             t = pow(g, tau, p)
@@ -424,40 +443,42 @@ def _monomial_fibers(model, field, a, b, cubic_sum):
 def _coset_sums(field, c, e, alternate):
     """The character sums D(w) = sum over tau < r of
     (-1)^(alternate tau) chi2(w + c g^(e tau)), r = (p-1)/gcd(e, p-1), over
-    the coset c <g^e> of F_p^*: (D(0), the list of D(g^k) by k < p-1).
+    the coset c <g^e> of F_p^*: (D(0), a period table V with
+    D(g^k) = V[k mod len(V)]).
 
-    r must be even or alternate even. Then g^e w shifts the coset by one
-    step, so D(g^e w) = (-1)^(e + alternate) D(w), and D is summed directly
-    only at the gcd(e, p-1) representatives g^k, k < gcd(e, p-1), walking
-    the coset, and carried along each coset g^k <g^e> with one sign per
-    step. D(0) = chi2(c) sum over tau of (-1)^((e + alternate) tau). O(p),
-    and the list of p-1 sums is the only table it builds.
+    r must be even or alternate even; else ValueError. With
+    gamma = dlog c, chi2(g^k + c g^(e tau)) = (-1)^k chi2(1 + g^(gamma + e tau - k)),
+    and e tau runs once over the multiples of d = gcd(e, p-1). So D(g^k)
+    is (-1)^k times a sum of chi2(1 + x) over the x with
+    dlog x = gamma - k mod d; when alternate is odd, r is even and the
+    sign (-1)^tau is the parity of the step in d, so the x with
+    dlog x = gamma - k mod 2d add and the others subtract. One pass over
+    F_p^* tallies chi2(1 + x) by dlog x mod L, L = d or 2d, and V has
+    length lcm(2, L). D(0) = chi2(c) sum over tau of
+    (-1)^((e + alternate) tau). O(p), and both tables are far shorter
+    than p unless d is.
     """
-    p, g = field.p, field.g
+    p, dlog = field.p, field.dlog_table
     n = p - 1
-    chi2 = field.chi2_table()
     e %= n
     d = gcd(e, n)
     reach = n // d
-    step = pow(g, e, p)
-    turn = -1 if alternate & 1 else 1
-    flip = (e + alternate) & 1
-    table = [0] * n
-    w = 1
-    for k in range(d):  # w = g^k
-        value = 0
-        sign = 1
-        s = c
-        for _ in range(reach):
-            value += sign * chi2[(w + s) % p]
-            s = s * step % p
-            sign *= turn
-        carried = -value if flip else value
-        for steps in range(reach):
-            table[k] = carried if steps & 1 else value
-            k = (k + e) % n  # on to g^e w
-        w = w * g % p
-    return chi2[c] * (reach & 1 if flip else reach), table
+    if alternate & 1 and reach & 1:
+        raise ValueError(f"an alternating sum over a coset of odd length {reach}")
+    size = 2 * d if alternate & 1 else d
+    # every class of dlog x mod size holds n/size of the x != 0, one of
+    # them -1 with chi2(0) = 0; chi2(1 + x) = 1 unless dlog(1 + x) is
+    # odd, so only the x = 1 .. p-2 with odd dlog(1 + x) are tallied
+    odd = Counter(map(mod, compress(islice(dlog, 1, n), map((1).__and__, islice(dlog, 2, None))),
+                      repeat(size)))
+    tally = [n // size - 2 * odd[k] for k in range(size)]
+    tally[n // 2 % size] -= 1
+    if alternate & 1:
+        tally = [tally[k] - tally[(k + d) % size] for k in range(size)]
+    gamma = dlog[c % p]
+    period = size if size % 2 == 0 else 2 * size
+    table = [(-1) ** k * tally[(gamma - k) % size] for k in range(period)]
+    return field.chi2(c) * (reach & 1 if (e + alternate) & 1 else reach), table
 
 
 def _degenerate_count(model, field, t0, size, cubic_sum):
@@ -474,13 +495,13 @@ def _cubic_sums(field):
     every x in the field, one O(q) sum per call."""
     if not isinstance(field, PrimeField):
         return lambda a, b: sum(field.chi2(x * x * x + a * x + b) for x in field.elements())
-    p, chi2 = field.p, field.chi2_table()
+    p = field.p
     cubes = []
 
     def cubic_sum(a, b):
         if not cubes:  # built on the first sum; most counts make none
             cubes.extend(x * x * x % p for x in range(p))
-        return chi_cubic_sum(chi2, cubes, a % p, b % p, p)
+        return chi_cubic_sum(field.chi2_table(), cubes, a % p, b % p, p)
 
     return cubic_sum
 
@@ -580,15 +601,17 @@ def _single_v_term_sum(field, rest, i, j, c):
     For u with b = c u^i != 0 the row over v is chi2(b) B(rest(u)/b), where
     B(w) = sum over v of chi2(v^j + w) = chi2(w) + gcd(j, p-1) D(w), the
     v = 0 term and one term per value of v^j != 0, each reached
-    gcd(j, p-1) times: D is _coset_sums over <g^j>. As chi2(b) chi2(w) =
-    chi2(rest(u)), the row is chi2(rest(u)) + gcd(j, p-1) chi2(b) D(w). The
-    row at b = 0 (u = 0, i > 0) is p chi2(rest(0)). After u = 0, u walks
-    g^d, d < p - 1, so dlog u = d, and each term of rest steps by one
-    product with g^k. Everything is O(p) times the terms of rest.
+    gcd(j, p-1) times: D is _coset_sums over <g^j>, read off its period
+    table at dlog w. As chi2(b) chi2(w) = chi2(rest(u)), the row is
+    chi2(rest(u)) + gcd(j, p-1) chi2(b) D(w). The row at b = 0 (u = 0,
+    i > 0) is p chi2(rest(0)). After u = 0, u walks g^d, d < p - 1, so
+    dlog u = d, and each term of rest steps by one product with g^k.
+    Everything is O(p) times the terms of rest.
     """
     p, g, dlog, chi2 = field.p, field.g, field.dlog_table, field.chi2_table()
     n = p - 1
     at_zero, table = _coset_sums(field, 1, j, 0)
+    period = len(table)
     terms = [(k, coeff % p) for k, coeff in enumerate(rest.coeffs) if coeff % p]
     vals = [coeff for _, coeff in terms]
     steps = [pow(g, k, p) for k, _ in terms]
@@ -598,14 +621,14 @@ def _single_v_term_sum(field, rest, i, j, c):
     if i:  # b = 0
         total, rows = p * chi2[gu], 0
     else:
-        v = table[(dlog[gu] - dc) % n] if gu else at_zero
+        v = table[(dlog[gu] - dc) % period] if gu else at_zero
         total, rows = chi2[gu], -v if dc & 1 else v
     for d in range(n):  # u = g^d
         gu = sum(vals) % p
         total += chi2[gu]
         db = dc + i * d  # dlog(c u^i)
         if gu:
-            v = table[(dlog[gu] - db) % n]
+            v = table[(dlog[gu] - db) % period]
         else:
             v = at_zero
             roots.append(pow(g, d, p))

@@ -15,6 +15,7 @@ import ast
 import sys
 import tracemalloc
 from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,9 @@ from k3fermat.field import PrimeField, is_prime, make_field
 from k3fermat.kernels import chi_cubic_sum, fermat_affine
 from k3fermat.pointcount import (
     WeierstrassModel,
+    _coset_sums,
+    _cubic_sums,
+    _degenerate_count,
     _local_model,
     count_affine_double_sextic,
     count_elliptic_smooth,
@@ -185,11 +189,12 @@ def test_elliptic_count_matches_the_fiber_loop_with_fibers_at_zero_and_infinity(
 
 
 PRIMES_5_100 = [q for q in PRIMES_5_400 if q < 100]
+PRIMES_5_200 = [q for q in PRIMES_5_400 if q < 200]
 
 
 @st.composite
-def j_zero_models(draw):
-    """(model, q) with A = 0 mod q and B of degree <= 12 over Z.
+def j_zero_models(draw, primes=PRIMES_5_100):
+    """(model, q) with A = 0 mod q, q in primes, and B of degree <= 12 over Z.
 
     B is a random cofactor times forced factors: rational roots mod q, a
     repeated root, and t^6, which makes the model non-minimal at t = 0
@@ -197,7 +202,7 @@ def j_zero_models(draw):
     polynomial, or 0. q runs over both classes mod 3: for q = 2 mod 3,
     x -> x^3 is a bijection and every good fiber has q + 1 points.
     """
-    q = draw(st.sampled_from(PRIMES_5_100))
+    q = draw(st.sampled_from(primes))
     forced = IntPoly([1])
     for r in draw(st.lists(st.integers(0, q - 1), max_size=4)):
         forced = forced * IntPoly([-r, 1])
@@ -232,8 +237,9 @@ def test_j_zero_elliptic_count_matches_the_fiber_loop(case):
 
 
 @st.composite
-def monomial_models(draw):
-    """(model, q) with A = alpha t^i, B = beta t^j, 0 <= i <= 8, 0 <= j <= 12.
+def monomial_models(draw, primes=PRIMES_5_100, shapes=("free", "zero", "e = 0", "bad fiber")):
+    """(model, q) with A = alpha t^i, B = beta t^j, 0 <= i <= 8, 0 <= j <= 12,
+    q in primes, in one of the shapes below.
 
     Besides free draws: alpha or beta = 0 mod q, which the row sum
     (alpha = 0) or the loop over every t (beta = 0) counts;
@@ -241,9 +247,9 @@ def monomial_models(draw):
     fiber at a rational t0 != 0, from alpha t0^i = -3 w^2 and
     beta t0^j = 2 w^3, which make 4A^3 + 27B^2 vanish there.
     """
-    q = draw(st.sampled_from(PRIMES_5_100))
+    q = draw(st.sampled_from(primes))
     i = draw(st.integers(0, 8))
-    shape = draw(st.sampled_from(["free", "zero", "e = 0", "bad fiber"]))
+    shape = draw(st.sampled_from(shapes))
     if shape == "e = 0":
         j = draw(st.sampled_from([j for j in range(13) if (3 * i - 2 * j) % (q - 1) == 0]
                                  or [0]))
@@ -276,6 +282,102 @@ def monomial_models(draw):
 def test_monomial_elliptic_count_matches_the_fiber_loop(case):
     model, q = case
     assert outcome(count_elliptic_smooth, model, q) == outcome(reference_elliptic_count, model, q)
+
+
+def direct_cubic_sum(a, b, q):
+    """S(a, b), the sum of chi2(x^3 + a x + b) over F_q, term by term."""
+    chi2 = make_field(q).chi2_table()
+    return sum(chi2[(x * x * x + a * x + b) % q] for x in range(q))
+
+
+def fiber_and_cubic_counts(model, q, t0):
+    """(_degenerate_count at t0, q + 1 + S(A(t0), B(t0))): equal when the
+    fiber is the singular cubic itself, as the good-fiber formula counts it."""
+    field = make_field(q)
+    return (_degenerate_count(model, field, t0, q, _cubic_sums(field)),
+            q + 1 + direct_cubic_sum(model.a(t0), model.b(t0), q))
+
+
+@settings(deadline=None, max_examples=60)
+@given(j_zero_models(PRIMES_5_200))
+@example((WeierstrassModel([], [0, -1] + [0] * 10 + [-1]), 199))  # k = 66
+@example((WeierstrassModel([], [-2, 3, 0, -1]), 7))  # -(t - 1)^2 (t + 2)
+def test_a_simple_root_of_b_is_one_component(case):
+    # A = 0 mod q: at a simple root of B, v(Delta) = 2 and the fiber is
+    # the cusp y^2 = x^3 (type II), so the row sum has counted it already
+    model, q = case
+    slope = model.b.derivative()
+    simple = [t for t in range(q) if model.b(t) % q == 0 and slope(t) % q]
+    assume(simple)
+    for t0 in simple:
+        count, cubic = fiber_and_cubic_counts(model, q, t0)
+        assert count == cubic, t0
+
+
+@settings(deadline=None, max_examples=60)
+@given(monomial_models(PRIMES_5_200, ["bad fiber"]))
+@example((WeierstrassModel([0, 4], [0, 2]), 7))  # I1 at t = 1
+@example((WeierstrassModel([0] * 7 + [1], [0, -1]), 199))  # k = 19, I1 at t = 43
+def test_a_bad_fiber_off_zero_is_one_component_when_q_does_not_divide_3i_minus_2j(case):
+    # 4 alpha^3 t^3i + 27 beta^2 t^2j has simple roots off t = 0 unless q
+    # divides 3i - 2j, and at a simple root the fiber is the node (type I1)
+    model, q = case
+    assume((3 * model.a.degree - 2 * model.b.degree) % q)
+    disc = model.discriminant()
+    bad = [t for t in range(1, q) if disc(t) % q == 0]
+    assume(bad)
+    for t0 in bad:
+        count, cubic = fiber_and_cubic_counts(model, q, t0)
+        assert count == cubic, t0
+
+
+def test_k28_mod_7_has_a_bad_fiber_of_more_than_one_component():
+    # A = 1, B = t^7: 3i - 2j = -14, so at q = 7 the bad fibers off t = 0
+    # are multiple roots of Delta, and the count needs Tate's algorithm there
+    model = next(e for e in ELLIPTIC if e.k == 28).model
+    assert tate_fiber(model, 7, 5).kind == "I7"
+    count, cubic = fiber_and_cubic_counts(model, 7, 5)
+    assert (count, cubic) == (49, 7)
+
+
+@st.composite
+def coset_sum_cases(draw):
+    """(q, c, e, alternate) for _coset_sums: q < 80, e past q - 1, and a
+    coset of even length (q-1)/gcd(e, q-1) whenever alternate is odd."""
+    q = draw(st.sampled_from([q for q in PRIMES_5_100 if q < 80]))
+    c, e = draw(st.integers(1, q - 1)), draw(st.integers(0, 2 * q))
+    alternate = draw(st.integers(0, 3))
+    assume(alternate % 2 == 0 or (q - 1) // gcd(e, q - 1) % 2 == 0)
+    return q, c, e, alternate
+
+
+@settings(deadline=None, max_examples=300)
+@given(coset_sum_cases())
+@example((5, 1, 0, 0))  # e = 0: a coset of one element
+@example((7, 3, 6, 2))  # e = q - 1, alternate even
+@example((13, 2, 3, 1))  # alternating over a coset of even length 4
+@example((13, 5, 2, 3))  # length 6
+@example((79, 7, 13, 1))  # gcd 13, length 6
+def test_coset_sums_match_their_definition(case):
+    q, c, e, alternate = case
+    field = make_field(q)
+    g, n = field.g, q - 1
+    reach = n // gcd(e, n)
+
+    def literal(w):
+        return sum((-1) ** (alternate * tau) * field.chi2(w + c * pow(g, e * tau, q))
+                   for tau in range(reach))
+
+    at_zero, table = _coset_sums(field, c, e, alternate)
+    assert at_zero == literal(0)
+    assert [table[k % len(table)] for k in range(n)] == [literal(pow(g, k, q)) for k in range(n)]
+
+
+@pytest.mark.parametrize("q,e", [(7, 2), (7, 0), (13, 4), (31, 10)])
+def test_coset_sums_refuse_an_alternating_sum_over_a_coset_of_odd_length(q, e):
+    # (-1)^tau is then no function of the dlog class, so a tally would be wrong
+    with pytest.raises(ValueError, match="odd length"):
+        _coset_sums(make_field(q), 1, e, 1)
 
 
 def count_cubic_sums(monkeypatch, count):
@@ -358,10 +460,11 @@ def field_100003():
 
 
 @pytest.mark.parametrize("k", [7, 19, 28, 25, 66])
-def test_coset_sums_hold_one_list_of_q_sums(k, field_100003, monkeypatch):
+def test_coset_sums_hold_no_table_of_q_sums(k, field_100003, monkeypatch):
     # Peak bytes allocated per field element, over a field whose tables
-    # exist already: the coset sums' list of q - 1 sums (8), and no list of
-    # q tuples. k = 28 and 66 make one cubic sum, so they also hold the
+    # exist already: the coset sums keep a tally by dlog class and a
+    # period table, both far shorter than q, and no list of q sums or
+    # tuples. k = 28 and 66 make one cubic sum, so they also hold the
     # cubes list of _cubic_sums (about 40); k = 7 and 19 make none, so
     # _cubic_sums builds no cubes, and the double sextic k = 25 has none.
     field = field_100003
@@ -374,7 +477,7 @@ def test_coset_sums_hold_one_list_of_q_sums(k, field_100003, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (64 if k in ONE_CUBIC_SUM else 16) * q, peak / q
+    assert peak <= (64 * q if k in ONE_CUBIC_SUM else q // 8), peak / q
 
 
 # ---------------------------------------------------------------------------
