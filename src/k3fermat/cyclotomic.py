@@ -15,7 +15,7 @@ integer divisions, so no rational number is ever formed.
 """
 
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 
 from .characters import units_mod
 from .field import prime_factors
@@ -25,11 +25,6 @@ def totient(m):
     out = m
     for f in prime_factors(m):
         out -= out // f
-    return out
-
-
-def _divisors(m):
-    out = [d for d in range(1, m + 1) if m % d == 0]
     return out
 
 
@@ -211,7 +206,16 @@ _cyclo_cache = {}
 
 
 def cyclotomic_poly(m):
-    """The m-th cyclotomic polynomial, by exact division of x^m - 1."""
+    """The m-th cyclotomic polynomial, from its sparse product formula.
+
+    With r = rad m, Phi_m(x) = Phi_r(x^(m/r)), and for r > 1
+    Phi_r(x) = prod over d | r of (1 - x^d)^mu(r/d) (Arnold and Monagan,
+    Math. Comp. 80, 2011). Phi_r has degree n = phi(r), so the product is
+    taken as a power series mod x^(n+1) on one list of n + 1 ints:
+    multiplying by 1 - x^d subtracts a[i - d] from a[i] walking down,
+    dividing by it adds a[i - d] to a[i] walking up, and a factor with
+    d > n is 1 mod x^(n+1).
+    """
     if m < 1:
         raise ValueError("m must be positive")
     if m in _cyclo_cache:
@@ -219,13 +223,27 @@ def cyclotomic_poly(m):
     if m == 1:
         poly = IntPoly([-1, 1])
     else:
-        num = IntPoly([-1] + [0] * (m - 1) + [1])
-        den = IntPoly([1])
-        for d in _divisors(m)[:-1]:
-            den = den * cyclotomic_poly(d)
-        poly, rem = poly_divmod(num, den)
-        if rem:
-            raise AssertionError(f"cyclotomic division left a remainder at m={m}")
+        primes = prime_factors(m)
+        r = prod(primes)
+        n = prod(p - 1 for p in primes)
+        # (d, mu(r/d)) for every divisor d of r
+        signed = [(1, (-1) ** len(primes))]
+        for p in primes:
+            signed += [(d * p, -mu) for d, mu in signed]
+        a = [1] + [0] * n
+        for d, mu in signed:
+            if d > n:
+                continue
+            if mu > 0:
+                for i in range(n, d - 1, -1):
+                    a[i] -= a[i - d]
+            else:
+                for i in range(d, n + 1):
+                    a[i] += a[i - d]
+        s = m // r
+        coeffs = [0] * (n * s + 1)
+        coeffs[::s] = a
+        poly = IntPoly(coeffs)
     _cyclo_cache[m] = poly
     return poly
 
@@ -364,19 +382,23 @@ def power_table_bound(m):
 
 
 # The largest jacobi_work that the jacobi command accepts: about two and a
-# half minutes at the 6-9 million steps per second measured for both the
-# convolution and the norm check (CPython 3.11, one core of a 2-vCPU
-# machine). jacobi --m 10000 --q 70001 takes 1.2e8 steps and 17 s;
-# jacobi --m 100000 --q 700001 would take 1.2e10, about half an hour.
+# half minutes at the 6-9 million steps per second measured for the norm
+# check (CPython 3.11, one core of a 2-vCPU machine). The count books
+# min(q, m) * m steps for a convolution that one integer product forms, so
+# it overstates the exponent count: jacobi --m 10000 --q 70001 counts
+# 1.2e8 steps and takes 1.4-1.7 s from the command line, nearly all of it
+# in the phi(m)^2 = 1.6e7 products of the norm check.
 JACOBI_WORK_LIMIT = 10 ** 9
 
 
 def jacobi_work(m, q):
-    """Inner-loop steps of one Jacobi sum in Z[zeta_m] over F_q and its norm.
+    """An upper bound on the inner-loop steps of one Jacobi sum in
+    Z[zeta_m] over F_q and its norm.
 
-    The cyclic convolution in kernels.jacobi_counts pairs at most
-    min(q, m) nonzero exponent counts with m others; the norm check
-    j * conj(j) multiplies two vectors of phi(m) coordinates.
+    min(q, m) * m bounds the pairs of nonzero exponent counts in the
+    cyclic convolution of kernels.jacobi_counts, which one integer product
+    forms; the norm check j * conj(j) multiplies two vectors of phi(m)
+    coordinates, phi(m)^2 steps.
     """
     return min(q, m) * m + totient(m) ** 2
 

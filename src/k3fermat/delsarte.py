@@ -17,7 +17,6 @@ characters depend only on exponents, so everything downstream of the
 cover is unaffected by the variant.
 """
 
-from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 from typing import NamedTuple

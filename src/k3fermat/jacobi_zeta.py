@@ -13,7 +13,7 @@ from math import comb, gcd, isqrt
 from typing import NamedTuple
 
 from .characters import CharacterVector, units_mod, enumerate_A
-from .cyclotomic import IntPoly, orbit_product, reduce, totient
+from .cyclotomic import IntPoly, _orbit_factor, orbit_product, reduce, totient
 from .field import MAX_PRIME, PrimeField, as_field, is_prime, make_field
 from .kernels import jacobi_counts
 
@@ -54,11 +54,9 @@ def jacobi_sum(field, m, alpha):
 def _orbit_values(field, alphas):
     """j(alpha) for every vector in a Galois-stable set, one sum per orbit.
 
-    The O(q + m^2) exponent count in jacobi_sum runs once per orbit, and
+    The O(q + m) exponent count in jacobi_sum runs once per orbit, and
     the mates u * alpha get sigma_u(j) through galois_apply, which reads
     the rows u*j mod m of the conductor's power table and calls no reduce.
-    orbit_product recomputes the conjugates of its values as its
-    full-orbit certificate, so nothing here is trusted downstream.
     """
     values = {}
     for alpha in alphas:
@@ -70,6 +68,31 @@ def _orbit_values(field, alphas):
             if mate not in values:
                 values[mate] = j.galois_apply(u)
     return values
+
+
+def _row_factor(field, row):
+    """(values, prod over alpha in row of (1 - j(alpha)T)) for a row that is
+    one Galois orbit {u * alpha} of characters.
+
+    The row is certified on the characters themselves: it must hold each
+    unit multiple of its first vector exactly once, or ValueError. Every
+    value is then sigma_u(j) for j = j(row[0]), computed once per orbit by
+    _orbit_values, so the d distinct values are the Galois orbit of j and
+    each occurs len(row) / d times: the product is _orbit_factor(j, d) to
+    that power, with no conjugate computed twice.
+    """
+    first = row[0]
+    m = first.m
+    orbit = {tuple(u * x % m for x in first.a) for u in units_mod(m)}
+    if len(row) != len(orbit) or {alpha.a for alpha in row} != orbit:
+        raise ValueError(f"the row of {len(row)} characters is not the Galois orbit of {first!r}")
+    values = _orbit_values(field, row)
+    d = len({values[alpha] for alpha in row})
+    factor = _orbit_factor(values[first], d)
+    poly = factor
+    for _ in range(len(row) // d - 1):
+        poly = poly * factor
+    return values, poly
 
 
 def fermat_zeta_factor(m, q):
@@ -90,8 +113,7 @@ def transcendental_factor(k, q):
     row = transcendental_row(k)
     m = row[0].m
     field = _admissible_field(q, m)
-    values = _orbit_values(field, row)
-    poly = orbit_product([values[alpha] for alpha in row])
+    _, poly = _row_factor(field, row)
     if poly.degree != totient(k):
         raise AssertionError(f"transcendental factor has degree {poly.degree}")
     return poly
@@ -187,8 +209,7 @@ def zeta_report(k, q):
         m = entry.m
         field = _admissible_field(q, m)
         row = transcendental_row(k)
-        values = _orbit_values(field, row)
-        r_t = orbit_product([values[alpha] for alpha in row])
+        values, r_t = _row_factor(field, row)
         jacobi_values = tuple((alpha, values[alpha]) for alpha in row)
     trace = -r_t.coeff(1)
     if abs(trace) > totient(k) * q:

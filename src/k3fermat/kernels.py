@@ -1,11 +1,12 @@
 """The three innermost counting loops.
 
 Plain lists in, ints or lists out: each is a tight loop over a finite
-field, kept free of package imports. jacobi_counts is O(q + m^2), a
-change of variables that splits the pair sum into two marginals;
-chi_cubic_sum is O(q). fermat_affine counts the affine cone over a
-Fermat surface through the scaling symmetry alone, in one walk over the
-subgroup of m-th powers.
+field, kept free of package imports. jacobi_counts takes O(q + m)
+steps and one integer product: a change of variables splits the pair
+sum into two marginals, whose cyclic convolution is the product of two
+packed ints; chi_cubic_sum is O(q). fermat_affine counts the affine
+cone over a Fermat surface through the scaling symmetry alone, in one
+walk over the subgroup of m-th powers.
 """
 
 from math import gcd
@@ -17,7 +18,8 @@ def backend_name():
 
 
 def jacobi_counts(dlog, q, m, a1, a2, a3):
-    """Group-ring exponent counts for a Jacobi sum, in O(q + m^2).
+    """Group-ring exponent counts for a Jacobi sum, in O(q + m) steps and
+    one integer product.
 
     dlog[v] is the discrete log of v (unused at v=0) and m divides q - 1.
     Returns counts of length m where counts[e] is the number of pairs
@@ -31,6 +33,12 @@ def jacobi_counts(dlog, q, m, a1, a2, a3):
     {0, 1}. Its exponent splits into a1*dlog(x) + a2*dlog(1-x) plus
     s*dlog(y) + a3*dlog(1-y) + (s+a3)*h, so those counts are the cyclic
     convolution of the two marginals over x and y.
+
+    The convolution is one product of two ints (Kronecker substitution):
+    each marginal is packed into m slots of w bytes, and w holds
+    (q-2)^2, the number of pairs (x, y), so no slot of the product, and
+    no sum of the two slots that fold onto one residue mod m, carries
+    into the next.
     """
     s = a1 + a2
     h = dlog[q - 1]
@@ -44,10 +52,14 @@ def jacobi_counts(dlog, q, m, a1, a2, a3):
     for d, e in zip(dlog[2:], dlog[q - 1:1:-1]):
         p1[(a1 * d + a2 * e) % m] += 1
         p2[(s * d + a3 * e + shift) % m] += 1
-    for i, n1 in enumerate(p1):
-        if n1:
-            for j, n2 in enumerate(p2):
-                counts[(i + j) % m] += n1 * n2
+    w = max(1, ((q - 2) ** 2).bit_length() + 7 >> 3)
+    x = int.from_bytes(b"".join(n.to_bytes(w, "little") for n in p1), "little")
+    y = int.from_bytes(b"".join(n.to_bytes(w, "little") for n in p2), "little")
+    xy = x * y
+    folded = (xy & ((1 << 8 * w * m) - 1)) + (xy >> 8 * w * m)
+    packed = folded.to_bytes(w * m, "little")
+    for e in range(m):
+        counts[e] += int.from_bytes(packed[e * w:(e + 1) * w], "little")
     return counts
 
 

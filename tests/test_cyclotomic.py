@@ -94,6 +94,49 @@ def test_cyclotomic_structure():
         assert prod == IntPoly([-1] + [0] * (m - 1) + [1])
 
 
+_reference_cache = {}
+
+
+def reference_cyclotomic_poly(m):
+    """Phi_m by recursive long division, (x^m - 1) / prod over the proper
+    divisors d of m of Phi_d: the construction that cyclotomic_poly's
+    product formula replaced."""
+    if m not in _reference_cache:
+        if m == 1:
+            poly = IntPoly([-1, 1])
+        else:
+            den = IntPoly([1])
+            for d in range(1, m):
+                if m % d == 0:
+                    den = den * reference_cyclotomic_poly(d)
+            poly, rem = poly_divmod(IntPoly([-1] + [0] * (m - 1) + [1]), den)
+            assert not rem, m
+        _reference_cache[m] = poly
+    return _reference_cache[m]
+
+
+@pytest.mark.parametrize("ms", [
+    range(1, 401),
+    (128, 243),                # prime powers: Phi_r(x^(m/r)) with r prime
+    (1000, 2310, 4620),        # not squarefree; five prime factors
+], ids=["to-400", "prime-powers", "composite"])
+def test_cyclotomic_poly_matches_the_recursive_division(ms):
+    for m in ms:
+        assert cyclotomic_poly(m) == reference_cyclotomic_poly(m), m
+
+
+def test_cyclotomic_poly_with_six_prime_factors():
+    # The recursive division takes about a minute at m = 30030, so Phi_30030
+    # is checked one prime step above the reference instead: for p not
+    # dividing n, Phi_(pn)(x) Phi_n(x) = Phi_n(x^p), and Z[x] has no zero
+    # divisors, so this identity determines Phi_30030 from Phi_2310.
+    phi_2310 = reference_cyclotomic_poly(2310)
+    spread = [0] * (13 * phi_2310.degree + 1)
+    spread[::13] = phi_2310.coeffs
+    assert cyclotomic_poly(30030) * phi_2310 == IntPoly(spread)
+    assert cyclotomic_poly(30030).degree == totient(30030) == 5760
+
+
 def test_reduce_examples():
     # zeta_4^2 = -1
     assert reduce([0, 0, 1, 0], 4) == CycInt.from_integer(4, -1)

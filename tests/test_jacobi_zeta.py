@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from k3fermat.catalog import ORDERS, catalog_entry
 from k3fermat.characters import CharacterVector, enumerate_A
-from k3fermat.cyclotomic import IntPoly, totient
+from k3fermat.cyclotomic import IntPoly, orbit_product, totient
 from k3fermat.field import PrimeField, is_prime, make_field
 from k3fermat import jacobi_zeta
 from k3fermat.cli import main
@@ -208,6 +208,49 @@ def test_transcendental_factor_character_independence():
     alternate = PrimeField(13, primitive_root=6)
     assert alternate.g != default.g
     assert transcendental_factor(12, default) == transcendental_factor(12, alternate)
+
+
+def test_zeta_factors_match_the_orbit_product_on_every_catalog_row():
+    # the shared row factor raises the orbit of j(row[0]) to the power
+    # len(row) / |orbit|; orbit_product certifies the same product from
+    # the values alone, conjugating each one again
+    from k3fermat.jacobi_zeta import transcendental_factor
+
+    for k in ORDERS:
+        if k == 3:
+            continue
+        for q in default_primes(catalog_entry(k).m):
+            rep = zeta_report(k, q)
+            poly = orbit_product([value for _, value in rep.jacobi_values])
+            assert rep.r_t == poly == transcendental_factor(k, q), (k, q)
+
+
+def _edited_rows(row):
+    # u * alpha = (., 1, 1, .) fixes u, so one orbit holds at most one of
+    # these two vectors
+    m = row[0].m
+    outside = next(alpha for alpha in (CharacterVector.from_triple(m, (1, 1, t)) for t in (1, 2))
+                   if alpha not in row)
+    return {
+        "dropped": row[:-1],
+        "duplicated": row + row[1:2],
+        "extra": row + [outside],
+        "replaced": row[:-1] + [outside],
+    }
+
+
+@pytest.mark.parametrize("edit", ["dropped", "duplicated", "extra", "replaced"])
+def test_a_row_that_is_not_one_galois_orbit_is_refused(monkeypatch, edit):
+    from k3fermat import catalog
+    from k3fermat.jacobi_zeta import transcendental_factor
+
+    k, q = 66, 67
+    bad = _edited_rows(catalog.transcendental_row(k))[edit]
+    monkeypatch.setattr(catalog, "transcendental_row", lambda k: bad)
+    with pytest.raises(ValueError, match="not the Galois orbit"):
+        zeta_report(k, q)
+    with pytest.raises(ValueError, match="not the Galois orbit"):
+        transcendental_factor(k, q)
 
 
 def test_zeta_report_algebraic_split():

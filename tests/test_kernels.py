@@ -2,7 +2,8 @@
 
 import sys
 from collections import Counter
-from itertools import product
+from itertools import count, product
+from math import isqrt
 from operator import add
 
 import pytest
@@ -36,6 +37,54 @@ def brute_jacobi_counts(dlog, q, m, a1, a2, a3):
         for e, n in row.items():
             counts[(b + e) % m] += n
     return counts
+
+
+def reference_jacobi_counts(dlog, q, m, a1, a2, a3):
+    """The O(q + m^2) reference for jacobi_counts: the same two marginals,
+    convolved mod m by a loop over every pair of residues instead of one
+    integer product."""
+    s = a1 + a2
+    h = dlog[q - 1]
+    counts = [0] * m
+    for r in range(m):
+        counts[(s * r + (a2 + a3) * h) % m] += (q - 1) // m
+    p1 = [0] * m
+    p2 = [0] * m
+    shift = (s + a3) * h
+    for d, e in zip(dlog[2:], dlog[q - 1:1:-1]):
+        p1[(a1 * d + a2 * e) % m] += 1
+        p2[(s * d + a3 * e + shift) % m] += 1
+    for i, n1 in enumerate(p1):
+        if n1:
+            for j, n2 in enumerate(p2):
+                counts[(i + j) % m] += n1 * n2
+    return counts
+
+
+def _straddling_primes(bits):
+    """The largest and the smallest prime q = 1 mod 6 on either side of
+    (q - 2)^2 = 2^bits."""
+    below = next(q for q in range(isqrt(2 ** bits - 1) + 2, 1, -1)
+                 if q % 6 == 1 and is_prime(q))
+    above = next(q for q in count(isqrt(2 ** bits - 1) + 3)
+                 if q % 6 == 1 and is_prime(q))
+    return below, above
+
+
+@pytest.mark.parametrize("bits", [8, 16, 24, 32])
+def test_jacobi_counts_slot_width_at_byte_boundaries(bits):
+    # Each slot of the packed product holds one convolution coefficient,
+    # at most (q - 2)^2. Just below a byte boundary the marginals' product
+    # fills the top byte of its slot, so a slot one byte short carries
+    # into its neighbour; just above it the slot widens by one byte.
+    below, above = _straddling_primes(bits)
+    assert (below - 2) ** 2 < 2 ** bits <= (above - 2) ** 2
+    for q in (below, above):
+        field = make_field(q)
+        for m in (2, 3, 6):
+            for a in ((1, 1, 1), (1, 2, 3), (m - 1, m - 1, 1)):
+                assert (jacobi_counts(field.dlog_table, q, m, *a)
+                        == reference_jacobi_counts(field.dlog_table, q, m, *a)), (q, m, a)
 
 
 @pytest.mark.parametrize("q,m", [(5, 2), (5, 4), (7, 3), (11, 10), (13, 12), (29, 14)])
@@ -82,9 +131,10 @@ def test_jacobi_counts_match_the_brute_loop_at_random(case):
 
 
 def test_jacobi_counts_is_linear_in_q():
-    # Line events, not time: a fall back to the loop over all pairs costs
-    # about 18M events here, the two marginals and their convolution a few
-    # times q + m^2.
+    # Line events, not time: the marginals take three per x and the rest a
+    # few per residue, about 3(q + m) here. A fall back to the loop over
+    # all pairs costs about 18M events, and one to the loop over all pairs
+    # of residues two or three per pair, about 10^4 more.
     q, m = 2113, 66
     field = make_field(q)
     lines = 0
@@ -104,7 +154,7 @@ def test_jacobi_counts_is_linear_in_q():
         jacobi_counts(field.dlog_table, q, m, 1, 2, 63)
     finally:
         sys.settrace(previous)
-    assert 0 < lines <= 10 * (q + m * m)
+    assert 0 < lines <= 4 * (q + m)
 
 
 @pytest.mark.parametrize("q", [5, 7, 13, 29])
