@@ -198,11 +198,15 @@ class FiniteQuadraticForm:
 
 
 def discriminant_form(lattice):
-    """The form x -> x^2 on dual-quotient generators read off the Smith form."""
+    """The form x -> x^2 on dual-quotient generators read off the Smith form.
+
+    A unimodular lattice (|det| = 1, known from its elimination) has the
+    trivial form and needs no Smith form.
+    """
     if not lattice.is_even():
         raise ValueError("discriminant form needs an even lattice")
     n = lattice.rank
-    if n == 0:
+    if abs(lattice.determinant) == 1:
         return FiniteQuadraticForm((), ())
     g = lattice.rows()
     d, _u, v = smith_normal_form(g)

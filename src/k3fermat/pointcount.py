@@ -14,7 +14,10 @@ too. When A and B are monomials mod p, when A = 0 mod p (the fibers of
 y^2 = x^3 + B(t) are the rows of a double sextic in (t, x)), and when v
 occurs in one term of a double sextic, the count is a character sum over
 cosets of a subgroup of F_p^*, O(p); any other model runs over every t,
-one O(p) cubic sum per good fiber.
+one O(p) cubic sum per good fiber. The row sums walk one u per orbit of
+u -> zeta u, for the zeta that scale every term of the row polynomial
+alike (the t-part of the non-symplectic automorphism on the A = 0
+models), so they take O(p/h) steps for an orbit of h elements.
 
 Tate's procedure works on IntPoly expansions in the uniformizer at t0,
 with ordinary + - * on the field elements. Over F_p those are plain ints
@@ -24,7 +27,7 @@ chi2, inverse) goes through the field, which reduces them.
 
 from collections import Counter
 from itertools import compress, islice, repeat
-from math import gcd
+from math import gcd, lcm
 from operator import mod
 
 from .cyclotomic import IntPoly, exact_quotient, poly_gcd
@@ -336,7 +339,11 @@ def count_elliptic_smooth(model, q):
     A = 0 mod p (k = 3, 9, 12, 27, 36, 42, 66) has Delta = -432 B^2, so
     its bad fibers are the roots of B, S(0, 0) = 0 there, and the sum of
     S(0, B(t)) over every t is the row sum of the sextic B(t) + x^3
-    (_single_v_term_sum). Every other model, and every model over
+    (_single_v_term_sum), one walk over the orbits of t -> zeta t. Its
+    coset table over <g^3> is built once and also gives S(0, b) at the
+    other fibers that need a cubic sum, infinity and the multiple roots
+    of B, where the local A stays 0 mod p (_cubic_sums); so these models
+    make no O(p) cubic sum. Every other model, and every model over
     F_{p^2}, runs over every t, one cubic sum per good fiber.
 
     A fiber of type I1 or II is the singular cubic itself (Silverman,
@@ -351,13 +358,15 @@ def count_elliptic_smooth(model, q):
     if field.p in (2, 3):
         raise ValueError("residue characteristic must be at least 5")
     size = field.q
-    cubic_sum = _cubic_sums(field)
     prime = isinstance(field, PrimeField)
+    a_zero = prime and not any(c % size for c in model.a.coeffs)
+    cosets = _coset_sums(field, 1, 3, 0) if a_zero else None
+    cubic_sum = _cubic_sums(field, cosets)
     a, b = (_monomial(model.a, size), _monomial(model.b, size)) if prime else (None, None)
     if a and b:
         total = _monomial_fibers(model, field, a, b, cubic_sum)
-    elif prime and not any(c % size for c in model.a.coeffs):
-        rows, roots = _single_v_term_sum(field, model.b, 0, 3, 1)
+    elif a_zero:
+        rows, roots = _single_v_term_sum(field, model.b, 0, 3, 1, cosets)
         total = size * (size + 1) + rows
         slope = model.b.derivative()
         for t0 in roots:
@@ -490,16 +499,27 @@ def _degenerate_count(model, field, t0, size, cubic_sum):
     return fiber_points(tate_fiber(model, field, t0, local), size)
 
 
-def _cubic_sums(field):
+def _cubic_sums(field, cosets=None):
     """The function (a, b) -> S(a, b), the sum of chi2(x^3 + a x + b) over
-    every x in the field, one O(q) sum per call."""
+    every x in the field, one O(q) sum per call.
+
+    Over F_p, cosets may be _coset_sums(field, 1, 3, 0): then S(0, b) is
+    read off it in O(1). The x != 0 reach each value of <g^3> gcd(3, p-1)
+    times, so S(0, b) = chi2(b) + gcd(3, p-1) D(b), with D the sum of
+    chi2(b + s) over s in <g^3>.
+    """
     if not isinstance(field, PrimeField):
         return lambda a, b: sum(field.chi2(x * x * x + a * x + b) for x in field.elements())
     p = field.p
     cubes = []
 
     def cubic_sum(a, b):
-        if not cubes:  # built on the first sum; most counts make none
+        if cosets and a % p == 0:
+            at_zero, table = cosets
+            b %= p
+            return field.chi2(b) + gcd(3, p - 1) * (
+                table[field.dlog_table[b] % len(table)] if b else at_zero)
+        if not cubes:  # built on the first O(q) sum; most counts make none
             cubes.extend(x * x * x % p for x in range(p))
         return chi_cubic_sum(field.chi2_table(), cubes, a % p, b % p, p)
 
@@ -592,11 +612,12 @@ def count_affine_double_sextic(f, q):
     return q * q + _single_v_term_sum(field, rest, *v_terms[0])[0]
 
 
-def _single_v_term_sum(field, rest, i, j, c):
+def _single_v_term_sum(field, rest, i, j, c, cosets=None):
     """(Sum of chi2(f(u, v)) over F_p^2, the roots of rest in F_p) for
     f = rest(u) + c u^i v^j, c != 0 mod p and j > 0. With rest = B, i = 0,
     j = 3 and c = 1 the sum is that of S(0, B(t)) over every t, the cubic
-    sums of the fibers of y^2 = x^3 + B(t).
+    sums of the fibers of y^2 = x^3 + B(t). cosets is
+    _coset_sums(field, 1, j, 0) when the caller has built it already.
 
     For u with b = c u^i != 0 the row over v is chi2(b) B(rest(u)/b), where
     B(w) = sum over v of chi2(v^j + w) = chi2(w) + gcd(j, p-1) D(w), the
@@ -604,35 +625,61 @@ def _single_v_term_sum(field, rest, i, j, c):
     gcd(j, p-1) times: D is _coset_sums over <g^j>, read off its period
     table at dlog w. As chi2(b) chi2(w) = chi2(rest(u)), the row is
     chi2(rest(u)) + gcd(j, p-1) chi2(b) D(w). The row at b = 0 (u = 0,
-    i > 0) is p chi2(rest(0)). After u = 0, u walks g^d, d < p - 1, so
-    dlog u = d, and each term of rest steps by one product with g^k.
-    Everything is O(p) times the terms of rest.
+    i > 0) is p chi2(rest(0)).
+
+    The u != 0 are walked one orbit of u -> zeta u at a time. With k0 the
+    lowest exponent of rest mod p and h = gcd(p-1, every difference of
+    its exponents), rest(zeta u) = zeta^k0 rest(u) whenever zeta^h = 1.
+    So u walks g^d, d < (p-1)/h, each term of rest stepping by one
+    product with g^k, and each u is tallied by dlog rest(u) and i d, both
+    mod the table's even period, which fix chi2(rest(u)), chi2(b) and the
+    table entry. Along the orbit u zeta^e both classes step by multiples
+    of (p-1)/h and repeat after `order` steps, so each class is spread
+    over one such cycle, h/order times. A root of rest brings its h orbit
+    mates. Everything is O(p/h) times the terms of rest, plus the period
+    squared.
     """
-    p, g, dlog, chi2 = field.p, field.g, field.dlog_table, field.chi2_table()
+    p, g, dlog = field.p, field.g, field.dlog_table
     n = p - 1
-    at_zero, table = _coset_sums(field, 1, j, 0)
+    at_zero, table = cosets or _coset_sums(field, 1, j, 0)
     period = len(table)
     terms = [(k, coeff % p) for k, coeff in enumerate(rest.coeffs) if coeff % p]
+    k0 = terms[0][0] if terms else 0
+    h = gcd(n, *(k - k0 for k, _ in terms))
+    reach = n // h  # one u = g^d per orbit
     vals = [coeff for _, coeff in terms]
     steps = [pow(g, k, p) for k, _ in terms]
     dc = dlog[c]
     gu = rest.coeff(0) % p  # u = 0
     roots = [] if gu else [0]
     if i:  # b = 0
-        total, rows = p * chi2[gu], 0
+        total, rows = p * field.chi2(gu), 0
     else:
         v = table[(dlog[gu] - dc) % period] if gu else at_zero
-        total, rows = chi2[gu], -v if dc & 1 else v
-    for d in range(n):  # u = g^d
+        total, rows = field.chi2(gu), -v if dc & 1 else v
+    tally = [0] * (period * period)
+    for d in range(reach):  # u = g^d
         gu = sum(vals) % p
-        total += chi2[gu]
-        db = dc + i * d  # dlog(c u^i)
         if gu:
-            v = table[(dlog[gu] - db) % period]
-        else:
-            v = at_zero
-            roots.append(pow(g, d, p))
-        rows += -v if db & 1 else v
+            tally[dlog[gu] % period * period + i * d % period] += 1
+        else:  # the h roots u zeta^e, zeta = g^reach, at dlog b = dc + i (d + e reach)
+            root, zeta = pow(g, d, p), pow(g, reach, p)
+            for e in range(h):
+                rows += -at_zero if (dc + i * (d + e * reach)) & 1 else at_zero
+                roots.append(root)
+                root = root * zeta % p
         for k, step in enumerate(steps):
             vals[k] = vals[k] * step % p
+    # period divides p - 1, so the cycle length divides h
+    sx, sy = k0 * reach % period, i * reach % period
+    order = lcm(period // gcd(sx, period), period // gcd(sy, period))
+    for cls, count in enumerate(tally):
+        if count:
+            x, y = divmod(cls, period)
+            count *= h // order
+            for e in range(order):
+                xe, db = x + e * sx, dc + y + e * sy
+                v = table[(xe - db) % period]
+                total += -count if xe & 1 else count
+                rows += -count * v if db & 1 else count * v
     return total + gcd(j, n) * rows, roots

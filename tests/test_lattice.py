@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+from k3fermat import lattice
+from k3fermat.catalog import load_catalog
 from k3fermat.intmat import det
 from k3fermat.lattice import (
     FiniteQuadraticForm,
@@ -82,6 +84,26 @@ def test_direct_sum_bookkeeping():
 def test_discriminant_form_unimodular_is_trivial():
     assert discriminant_form(U2).orders == ()
     assert discriminant_form(E8M).orders == ()
+
+
+def test_discriminant_form_of_a_unimodular_lattice_takes_no_smith_form(monkeypatch):
+    # |det| = 1 comes from the lattice's own elimination, so the trivial
+    # form needs no Smith form; the six catalog entries with unimodular
+    # S and T are checked with it too
+    def refuse(matrix):
+        raise AssertionError("smith_normal_form called on a unimodular lattice")
+
+    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+    e8 = standard_lattice("E8")
+    pairs = [(e.s_gram, e.t_gram) for e in load_catalog() if abs(e.s_gram.determinant) == 1]
+    assert sorted(e.k for e in load_catalog() if abs(e.s_gram.determinant) == 1) == [
+        12, 28, 36, 42, 44, 66]
+    for lat in [e8, U2, direct_sum(e8, U2, e8)] + [lat for pair in pairs for lat in pair]:
+        assert discriminant_form(lat) == FiniteQuadraticForm((), ())
+    # |det| = 2 is not unimodular: E7 and A1 still take the Smith form
+    for lat in (standard_lattice("E7"), standard_lattice("A", 1)):
+        with pytest.raises(AssertionError, match="smith_normal_form"):
+            discriminant_form(lat)
 
 
 def test_discriminant_form_a2():

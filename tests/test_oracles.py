@@ -102,6 +102,39 @@ def reference_double_sextic(f, q):
     return total
 
 
+def reference_single_v_term_sum(field, rest, i, j, c):
+    """_single_v_term_sum as one walk over every u = g^d, d < q - 1, with
+    no orbit of u -> zeta u folded."""
+    p, g, dlog, chi2 = field.p, field.g, field.dlog_table, field.chi2_table()
+    n = p - 1
+    at_zero, table = _coset_sums(field, 1, j, 0)
+    period = len(table)
+    terms = [(k, coeff % p) for k, coeff in enumerate(rest.coeffs) if coeff % p]
+    vals = [coeff for _, coeff in terms]
+    steps = [pow(g, k, p) for k, _ in terms]
+    dc = dlog[c]
+    gu = rest.coeff(0) % p  # u = 0
+    roots = [] if gu else [0]
+    if i:  # b = 0
+        total, rows = p * chi2[gu], 0
+    else:
+        v = table[(dlog[gu] - dc) % period] if gu else at_zero
+        total, rows = chi2[gu], -v if dc & 1 else v
+    for d in range(n):  # u = g^d
+        gu = sum(vals) % p
+        total += chi2[gu]
+        db = dc + i * d  # dlog(c u^i)
+        if gu:
+            v = table[(dlog[gu] - db) % period]
+        else:
+            v = at_zero
+            roots.append(pow(g, d, p))
+        rows += -v if db & 1 else v
+        for k, step in enumerate(steps):
+            vals[k] = vals[k] * step % p
+    return total + gcd(j, n) * rows, roots
+
+
 def outcome(count, *args):
     """The count, or the error message for a model with bad reduction."""
     try:
@@ -396,17 +429,34 @@ def count_cubic_sums(monkeypatch, count):
     return calls
 
 
-# The catalog counts leave at most one fiber to a cubic sum: infinity for
-# the A = 0 models k = 66 and 42, t = 0 for the monomial models k = 44
-# and 28. Every other fiber is a coset or row sum, or a bad fiber counted
-# in closed form.
-ONE_CUBIC_SUM = {66, 42, 44, 28}
+# The catalog counts leave at most one fiber to a cubic sum: t = 0 for
+# the monomial models k = 44 and 28. Every other fiber is a coset or row
+# sum, or a bad fiber counted in closed form; the A = 0 models read
+# S(0, b) at infinity and at the multiple roots of B off the row sum's
+# coset table.
+ONE_CUBIC_SUM = {44, 28}
 
 
 def test_elliptic_catalog_counts_make_one_cubic_sum_or_none(monkeypatch):
     calls = {(e.k, q): count_cubic_sums(monkeypatch, lambda: count_elliptic_smooth(e.model, q))
              for e in ELLIPTIC for q in (1009, 1901, 2113, 4003)}
     assert calls == {(k, q): int(k in ONE_CUBIC_SUM) for k, q in calls}
+
+
+@pytest.mark.parametrize("q", [103, 101])  # 1 and 2 mod 3
+def test_cubic_sums_read_s_0_b_off_the_coset_table(q, monkeypatch):
+    # S(0, b) = chi2(b) + gcd(3, q-1) D(b), D the coset sum over <g^3>;
+    # for q = 2 mod 3, x -> x^3 is a bijection and S(0, b) = 0
+    field = make_field(q)
+    chi2, cubes = field.chi2_table(), [x * x * x % q for x in range(q)]
+    cubic_sum = _cubic_sums(field, _coset_sums(field, 1, 3, 0))
+    sums = []
+    assert count_cubic_sums(monkeypatch, lambda: sums.extend(
+        cubic_sum(a, b) for a in (0, q, -2 * q) for b in range(-q, q))) == 0
+    assert sums == [chi_cubic_sum(chi2, cubes, 0, b % q, q) for _ in range(3) for b in range(-q, q)]
+    # any other a keeps its O(q) sum
+    assert count_cubic_sums(monkeypatch, lambda: sums.append(cubic_sum(1, 5))) == 1
+    assert sums[-1] == direct_cubic_sum(1, 5, q)
 
 
 def catalog_count(entry):
@@ -427,9 +477,10 @@ def test_monomial_counts_are_linear_in_q(count, arg):
     # every catalog count and the Fermat count linear. At these q,
     # gcd(19, q-1) = gcd(5, q-1) = 1, so one cubic sum per class of
     # r = t^19, or one row per value of v^5, would cost about q^2 events;
-    # the coset sums cost a few dozen per element, the row sums of the
-    # A = 0 models about 26. A sum over pairs of values of u^4 would cost
-    # some q^2/16.
+    # the coset sums cost a few dozen per element, the whole count of an
+    # A = 0 model at most about 16 (k = 3, whose walk visits every t),
+    # and fewer where the walk folds orbits of t -> zeta t. A sum over
+    # pairs of values of u^4 would cost some q^2/16.
     for q in (1009, 4003):
         limit = 50 * q
         lines = 0
@@ -451,6 +502,31 @@ def test_monomial_counts_are_linear_in_q(count, arg):
         assert 0 < lines <= limit
 
 
+def test_a_zero_row_sum_walks_one_u_per_orbit():
+    # Line events inside _single_v_term_sum only. k = 66 has B = -t - t^12,
+    # so at q = 2113 (11 | q - 1) u -> zeta u with zeta^11 = 1 scales B(u)
+    # by zeta, and the walk visits (q-1)/11 values of u, then spreads a
+    # tally of period^2 classes (period 6 here) over their orbits. A walk
+    # over every u would cost about 9 (q - 1) events.
+    q, period = 2113, 6
+    model = next(e for e in ELLIPTIC if e.k == 66).model
+    walk = pointcount._single_v_term_sum.__code__
+    lines = 0
+
+    def count_lines(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count_lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count_lines if frame.f_code is walk else None)
+    try:
+        count_elliptic_smooth(model, q)
+    finally:
+        sys.settrace(previous)
+    assert 0 < lines <= 12 * (q - 1) // 11 + 12 * period ** 2, lines
+
+
 @pytest.fixture(scope="module")
 def field_100003():
     """F_100003 with its dlog and chi2 tables built."""
@@ -463,10 +539,12 @@ def field_100003():
 def test_coset_sums_hold_no_table_of_q_sums(k, field_100003, monkeypatch):
     # Peak bytes allocated per field element, over a field whose tables
     # exist already: the coset sums keep a tally by dlog class and a
-    # period table, both far shorter than q, and no list of q sums or
-    # tuples. k = 28 and 66 make one cubic sum, so they also hold the
+    # period table, both far shorter than q, and no list of q sums,
+    # tuples or logs. k = 28 makes one cubic sum, so it also holds the
     # cubes list of _cubic_sums (about 40); k = 7 and 19 make none, so
-    # _cubic_sums builds no cubes, and the double sextic k = 25 has none.
+    # _cubic_sums builds no cubes, and neither the A = 0 model k = 66,
+    # whose row walk keeps a tally of period^2 classes and reads S(0, b)
+    # off the row's coset table, nor the double sextic k = 25 has any.
     field = field_100003
     q = field.p
     monkeypatch.setattr(pointcount, "make_field", lambda p: field)
@@ -544,6 +622,70 @@ def test_double_sextic_with_v_in_two_terms_is_refused():
     # powers of v would be quadratic in q
     with pytest.raises(ValueError, match="more than one term"):
         count_affine_double_sextic({(0, 2): 1, (1, 1): 3, (0, 0): -1}, 7)
+
+
+def orbit_size(q, coeffs):
+    """h = gcd(q - 1, every difference of the exponents of rest mod q): the
+    u -> zeta u with zeta^h = 1 scale rest(u) by one power of zeta."""
+    ks = [k for k, c in enumerate(coeffs) if c % q]
+    return gcd(q - 1, *(k - ks[0] for k in ks)) if ks else q - 1
+
+
+@pytest.mark.parametrize("q,coeffs,i,j,c,h", [
+    (101, [0] * 5 + [1, -2, 1], 0, 3, 1, 1),  # k = 3's B
+    (101, [3, 0, 1, 0, 5], 2, 4, 7, 2),
+    (31, [0, 4, 0, 2], 2, 6, 1, 2),
+    (109, [0, 1, 0, 0, 1], 1, 3, 2, 3),
+    (31, [0, -4, 0, 0, 3], 1, 3, 1, 3),
+    (101, [-1, 0, 0, 0, 0, 1], 1, 5, 1, 5),  # k = 25: u^5 - 1 + u v^5
+    (109, [2] + [0] * 5 + [1] + [0] * 5 + [1], 3, 6, 5, 6),
+    (31, [0, 4, 0, 0, 0, 0, 0, -3], 0, 6, 1, 6),
+    (109, [0, 0, 1] + [0] * 8 + [-1], 0, 2, 3, 9),
+    (89, [0, -1] + [0] * 10 + [-1], 0, 3, 1, 11),  # k = 66's B
+    (2113, [0, -1] + [0] * 10 + [-1], 0, 3, 1, 11),
+    (7, [0, 1, 0, 0, 0, 0, 0, 1], 2, 3, 3, 6),  # t + t^7: a difference of q - 1
+    (31, [0, 0, -3], 2, 3, 1, 30),  # one term
+    (31, [], 0, 3, 1, 30),  # rest = 0: every u is a root
+    (37, [], 2, 6, 5, 36),
+    (37, [9], 0, 4, 1, 36),  # a constant
+    (43, [-2], 5, 3, 2, 42),
+])
+def test_single_v_term_sum_matches_the_walk_over_every_u(q, coeffs, i, j, c, h):
+    # the walk visits one u per orbit of u -> zeta u, zeta^h = 1, and
+    # spreads its tally over the orbit; the q = 31 cases are ones where a
+    # class's cycle along its orbit has a nonzero sum, so that a wrong
+    # orbit weight or a dropped zeta^k0 shows (on the A = 0 shape,
+    # i = 0 and j = 3, such cycles sum to zero)
+    assert orbit_size(q, coeffs) == h
+    field, rest = make_field(q), IntPoly(coeffs)
+    total, roots = pointcount._single_v_term_sum(field, rest, i, j, c)
+    want_total, want_roots = reference_single_v_term_sum(field, rest, i, j, c)
+    assert total == want_total
+    assert sorted(roots) == sorted(want_roots)
+
+
+@st.composite
+def single_v_term_cases(draw):
+    """(q, coeffs, i, j, c): up to four terms of rest on one progression
+    k0 + s t, so that h = gcd(q - 1, s) takes many values."""
+    q = draw(st.sampled_from([3] + PRIMES_5_400))
+    s = draw(st.sampled_from([1, 2, 3, 5, 6, 9, 11, q - 1]))
+    k0 = draw(st.integers(0, 3))
+    coeffs = [0] * (k0 + 3 * s + 1)
+    for t in draw(st.sets(st.integers(0, 3), max_size=4)):
+        coeffs[k0 + s * t] = draw(st.integers(-q, q))
+    return q, coeffs, draw(st.integers(0, 6)), draw(st.integers(1, 6)), draw(st.integers(1, q - 1))
+
+
+@settings(deadline=None, max_examples=200)
+@given(single_v_term_cases())
+def test_single_v_term_sum_matches_the_walk_over_every_u_at_random(case):
+    q, coeffs, i, j, c = case
+    field, rest = make_field(q), IntPoly(coeffs)
+    total, roots = pointcount._single_v_term_sum(field, rest, i, j, c)
+    want_total, want_roots = reference_single_v_term_sum(field, rest, i, j, c)
+    assert total == want_total
+    assert sorted(roots) == sorted(want_roots)
 
 
 # ---------------------------------------------------------------------------
