@@ -5,7 +5,10 @@ CycInt stores the canonical residue modulo the m-th cyclotomic polynomial
 and integrality certificates are exact. Group-ring vectors of any length
 are accepted as raw input and reduced once, by a table per conductor m that
 holds the canonical coordinates of zeta^j for each j < m: reduce, products
-and the Galois action read rows of it and never divide by Phi_m.
+and the Galois action read rows of it and never divide by Phi_m. A product
+packs each factor's coordinates into signed slots of one integer
+(Kronecker substitution), multiplies once and reduces the unpacked
+convolution.
 
 IntPoly is the one polynomial type: its coefficients are ints for Z[T],
 CycInts for Z[zeta_m][T], or finite-field elements for the local
@@ -16,6 +19,7 @@ integer divisions, so no rational number is ever formed.
 
 from collections import Counter
 from math import gcd, prod
+from struct import pack, unpack
 
 from .characters import units_mod
 from .field import prime_factors
@@ -302,11 +306,16 @@ class CycInt:
             return CycInt(self.m, tuple(other * a for a in self.coeffs))
         other = self._coerce(other)
         a, b = self.coeffs, other.coeffs
-        conv = [0] * (2 * len(a) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for k, y in enumerate(b, i):
-                    conv[k] += x * y
+        # Kronecker substitution with B = 2^(8w): the product of
+        # sum a_i B^i and sum b_j B^j is sum c_k B^k with
+        # |c_k| <= max|a| max|b| phi < B/2, so every c_k reads back from
+        # its own slot (see _kronecker_digits); a zero factor counts as 1
+        # so that the other factor's coordinates still fit their slots
+        n = len(a)
+        bound = (max(map(abs, a)) or 1) * (max(map(abs, b)) or 1) * n
+        w = _slot_width(bound)
+        xy = _kronecker_value(a, w) * _kronecker_value(b, w)
+        conv = _kronecker_digits(xy, 2 * n - 1, w)
         return reduce(conv, self.m)
 
     __rmul__ = __mul__
@@ -349,6 +358,55 @@ class CycInt:
         return IntPoly(self.coeffs).format(var) if any(self.coeffs) else "0"
 
 
+# struct formats of signed little-endian slots by width in bytes
+_SLOT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _slot_width(bound):
+    """Bytes per slot holding every integer of absolute value <= bound in
+    two's complement: bound.bit_length() bits plus a sign bit, rounded up
+    to a struct width when one is large enough."""
+    w = bound.bit_length() + 8 >> 3
+    return next((f for f in _SLOT_FORMATS if f >= w), w)
+
+
+def _top_bits(n, w):
+    """sum over k < n of 2^(8w-1) * 2^(8wk): the top bit of every slot."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _kronecker_value(coeffs, w):
+    """sum coeffs[i] * 2^(8wi), for |coeffs[i]| < 2^(8w-1).
+
+    Packing the two's complement slots gives sum (c_i mod B) B^i with
+    B = 2^(8w). Flipping the top bit of a slot maps c mod B to c + B/2,
+    so subtracting B/2 from every slot leaves sum c_i B^i.
+    """
+    n = len(coeffs)
+    f = _SLOT_FORMATS.get(w)
+    if f:
+        packed = pack(f"<{n}{f}", *coeffs)
+    else:
+        packed = b"".join([c.to_bytes(w, "little", signed=True) for c in coeffs])
+    top = _top_bits(n, w)
+    return (int.from_bytes(packed, "little") ^ top) - top
+
+
+def _kronecker_digits(value, n, w):
+    """The c_k of value = sum over k < n of c_k 2^(8wk), |c_k| < 2^(8w-1).
+
+    Adding 2^(8w-1) to every slot makes each digit c_k + B/2 lie in
+    [0, B), so no slot borrows from the next; flipping each top bit back
+    leaves c_k in two's complement, read as one signed slot.
+    """
+    top = _top_bits(n, w)
+    data = ((value + top) ^ top).to_bytes(w * n, "little")
+    f = _SLOT_FORMATS.get(w)
+    if f:
+        return unpack(f"<{n}{f}", data)
+    return [int.from_bytes(data[k:k + w], "little", signed=True) for k in range(0, len(data), w)]
+
+
 def reduce(raw, m):
     """Canonical residue of sum raw[j] * zeta^j modulo the m-th cyclotomic
     polynomial. Accepts vectors of any length (exponents taken mod m)."""
@@ -382,12 +440,11 @@ def power_table_bound(m):
 
 
 # The largest jacobi_work that the jacobi command accepts: about two and a
-# half minutes at the 6-9 million steps per second measured for the norm
-# check (CPython 3.11, one core of a 2-vCPU machine). The count books
-# min(q, m) * m steps for a convolution that one integer product forms, so
-# it overstates the exponent count: jacobi --m 10000 --q 70001 counts
-# 1.2e8 steps and takes 1.4-1.7 s from the command line, nearly all of it
-# in the phi(m)^2 = 1.6e7 products of the norm check.
+# half minutes at the 6-9 million steps per second once measured for a
+# schoolbook norm check (CPython 3.11, one core of a 2-vCPU machine). Both
+# the convolution and the norm check are now one integer product each, so
+# the count overstates the time: jacobi --m 10000 --q 70001 counts 1.2e8
+# steps and takes about 0.25 s from the command line.
 JACOBI_WORK_LIMIT = 10 ** 9
 
 
@@ -397,8 +454,9 @@ def jacobi_work(m, q):
 
     min(q, m) * m bounds the pairs of nonzero exponent counts in the
     cyclic convolution of kernels.jacobi_counts, which one integer product
-    forms; the norm check j * conj(j) multiplies two vectors of phi(m)
-    coordinates, phi(m)^2 steps.
+    forms; the norm check j * conj(j) is booked as the phi(m)^2 steps of
+    a schoolbook product, though CycInt.__mul__ forms it as one integer
+    product too.
     """
     return min(q, m) * m + totient(m) ** 2
 

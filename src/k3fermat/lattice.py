@@ -1,8 +1,10 @@
 """Even lattices and the finite quadratic forms on their discriminant groups.
 
-Gram matrices are plain integer matrices; a lattice's signature and
-determinant come from one fraction-free elimination of its full Gram
-matrix, and Smith forms from intmat. Discriminant forms are
+Gram matrices are plain integer matrices. A lattice stated by its Gram
+matrix takes its signature and determinant from one fraction-free
+elimination of that matrix; a direct sum and a twist take theirs from
+their blocks, as signatures add and determinants multiply over an
+orthogonal sum. Smith forms come from intmat. Discriminant forms are
 compared by brute-force isomorphism search, which certifies genus-level
 equality (signature plus discriminant form) without normal-form theory;
 the groups involved here are tiny. Heights of Mordell-Weil generators and
@@ -11,7 +13,7 @@ the hyperbolic splittings behind mirror partners live here too.
 
 from fractions import Fraction
 from itertools import product as iter_product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .intmat import (
     integer_kernel,
@@ -25,7 +27,15 @@ FQF_ORDER_CAP = 10 ** 4
 
 
 class GramLattice:
-    """Non-degenerate symmetric integer bilinear form on Z^rank."""
+    """Non-degenerate symmetric integer bilinear form on Z^rank.
+
+    GramLattice(gram) checks that gram is square, symmetric and
+    non-degenerate, and reads the signature and determinant off one
+    fraction-free elimination of it. direct_sum and twisted assemble new
+    Gram matrices from lattices that are already checked, and derive the
+    invariants from those lattices' invariants instead of eliminating
+    again.
+    """
 
     __slots__ = ("gram", "rank", "signature", "determinant")
 
@@ -42,10 +52,21 @@ class GramLattice:
             sig, d = symmetric_invariants(rows)
         except ValueError:
             raise ValueError("Gram matrix is degenerate") from None
+        self._fill(rows, sig, d)
+
+    @classmethod
+    def _assembled(cls, rows, signature, determinant):
+        """A lattice on rows (a tuple of int tuples) whose signature and
+        determinant the caller has derived from checked blocks."""
+        lat = object.__new__(cls)
+        lat._fill(rows, signature, determinant)
+        return lat
+
+    def _fill(self, rows, signature, determinant):
         object.__setattr__(self, "gram", rows)
-        object.__setattr__(self, "rank", n)
-        object.__setattr__(self, "signature", sig)
-        object.__setattr__(self, "determinant", d)
+        object.__setattr__(self, "rank", len(rows))
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "determinant", determinant)
 
     def __setattr__(self, *a):
         raise AttributeError("GramLattice is immutable")
@@ -57,11 +78,16 @@ class GramLattice:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     def twisted(self, sign):
+        """The lattice with form sign * (x, y). Negating the form swaps
+        (n_plus, n_minus) and multiplies the determinant by (-1)^rank."""
         if sign not in (1, -1):
             raise ValueError("twist must be +1 or -1")
         if sign == 1:
             return self
-        return GramLattice([[-x for x in row] for row in self.gram])
+        plus, minus = self.signature
+        return GramLattice._assembled(
+            tuple(tuple(-x for x in row) for row in self.gram),
+            (minus, plus), (-1) ** self.rank * self.determinant)
 
     def __eq__(self, other):
         return isinstance(other, GramLattice) and self.gram == other.gram
@@ -113,15 +139,25 @@ def standard_lattice(name, n=None, twist=1, entries=None):
 
 
 def direct_sum(*lattices):
+    """The orthogonal sum of lattices, as a block-diagonal Gram matrix.
+
+    Its signature is the sum of the blocks' signatures and its
+    determinant the product of theirs, so no elimination runs here: each
+    block already carries its own, from GramLattice(gram) or from the
+    same rules.
+    """
     total = sum(lat.rank for lat in lattices)
-    g = [[0] * total for _ in range(total)]
+    rows = []
     offset = 0
     for lat in lattices:
-        for i in range(lat.rank):
-            for j in range(lat.rank):
-                g[offset + i][offset + j] = lat.gram[i][j]
+        left = (0,) * offset
+        right = (0,) * (total - offset - lat.rank)
+        rows += [left + row + right for row in lat.gram]
         offset += lat.rank
-    return GramLattice(g)
+    signature = (sum(lat.signature[0] for lat in lattices),
+                 sum(lat.signature[1] for lat in lattices))
+    return GramLattice._assembled(
+        tuple(rows), signature, prod(lat.determinant for lat in lattices))
 
 
 class FiniteQuadraticForm:

@@ -450,8 +450,8 @@ def test_monomial_counts_near_a_million_finish():
 
 
 def test_jacobi_work_limit_admits_large_answered_inputs():
-    # jacobi --m 10000 --q 70001 answers in about 1.5 s, nearly all of it
-    # the norm check; the m = 4620 run below covers the command end to end
+    # jacobi --m 10000 --q 70001 answers in well under a second; the
+    # m = 4620 run below covers the command end to end
     for m, q in [(4620, 4621), (10000, 70001), (12, 13), (2, 5)]:
         assert jacobi_work(m, q) <= JACOBI_WORK_LIMIT
 

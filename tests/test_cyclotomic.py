@@ -266,6 +266,50 @@ def test_mul_matches_the_polynomial_product(case):
     assert x * y == reference_reduce(product.coeffs, x.m)
 
 
+def schoolbook_mul(x, y):
+    """x * y by the phi(m)^2 convolution of coordinates, then reduce."""
+    a, b = x.coeffs, y.coeffs
+    conv = [0] * (2 * len(a) - 1)
+    for i, u in enumerate(a):
+        for k, v in enumerate(b, i):
+            conv[k] += u * v
+    return reduce(conv, x.m)
+
+
+@st.composite
+def signed_pairs(draw):
+    m = draw(st.sampled_from(CATALOG_CONDUCTORS))
+    phi = totient(m)
+    size = draw(st.sampled_from([1, 100, 2 ** 31, 2 ** 64, 2 ** 200]))
+    coords = st.lists(st.integers(-size, size), min_size=phi, max_size=phi)
+    return CycInt(m, draw(coords)), CycInt(m, draw(coords))
+
+
+@settings(deadline=None, max_examples=200)
+@given(signed_pairs())
+def test_kronecker_product_matches_the_schoolbook_loop(case):
+    x, y = case
+    assert x * y == schoolbook_mul(x, y)
+    assert x * -y == schoolbook_mul(x, -y)
+
+
+def test_kronecker_product_at_slot_boundaries():
+    # all coordinates +-(2^k +- 1) put max|a| max|b| phi itself in the
+    # middle coordinate of the convolution, so every slot width is filled
+    # to its sign bit somewhere along k
+    for m in CATALOG_CONDUCTORS:
+        phi = totient(m)
+        zero = CycInt(m, [0] * phi)
+        for k in range(0, 70):
+            for v in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+                x = CycInt(m, [v] * phi)
+                alternating = CycInt(m, [v if i % 2 else -v for i in range(phi)])
+                for y in (x, -x, alternating):
+                    assert x * y == schoolbook_mul(x, y), (m, k, v)
+                assert zero * x == x * zero == zero
+        assert zero * zero == zero
+
+
 def test_zeta_report_does_no_long_division(monkeypatch):
     # once Phi_66 and its power table are built, a zeta report divides by
     # nothing; the long-division reduce made 58 divisions here

@@ -8,10 +8,13 @@ determinants and signatures; discriminant forms against hand-inverted
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_intmat import reference_signature
 
 from k3fermat import lattice
 from k3fermat.catalog import load_catalog
-from k3fermat.intmat import det
+from k3fermat.intmat import det, symmetric_invariants
 from k3fermat.lattice import (
     FiniteQuadraticForm,
     GramLattice,
@@ -79,6 +82,52 @@ def test_direct_sum_bookkeeping():
     assert (t66.rank, t66.determinant, t66.signature) == (20, 1, (2, 18))
     s19 = direct_sum(U2, standard_lattice("explicit", entries=[[-2, 1], [1, -10]]))
     assert s19.determinant == -19
+
+
+NAMED_BLOCKS = [("U2",), ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
+                ("E6",), ("E7",), ("E8",)]
+
+
+@st.composite
+def blocks(draw):
+    """A named block or a random non-degenerate symmetric matrix of size
+    1-4, twisted by +1 or -1."""
+    if draw(st.booleans()):
+        lat = standard_lattice(*draw(st.sampled_from(NAMED_BLOCKS)))
+    else:
+        n = draw(st.integers(1, 4))
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                g[i][j] = g[j][i] = draw(st.integers(-6, 6))
+        assume(det(g) != 0)
+        lat = GramLattice(g)
+    return lat.twisted(draw(st.sampled_from([1, -1])))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(blocks(), max_size=4))
+def test_direct_sum_and_twist_invariants_match_a_full_elimination(parts):
+    # the block rule (signatures add, determinants multiply, a twist swaps
+    # the signature and multiplies the determinant by (-1)^rank) against
+    # an elimination of the assembled rows and two independent references
+    whole = direct_sum(*parts)
+    for lat in (whole, whole.twisted(-1)):
+        rows = lat.rows()
+        got = (lat.signature, lat.determinant)
+        assert got == symmetric_invariants(rows) == (reference_signature(rows), det(rows))
+
+
+def test_direct_sum_and_twist_eliminate_nothing(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("symmetric_invariants called on an assembled lattice")
+
+    monkeypatch.setattr(lattice, "symmetric_invariants", refuse)
+    t66 = direct_sum(U2, U2, E8M, E8M)
+    assert (t66.signature, t66.determinant) == ((2, 18), 1)
+    assert (t66.twisted(-1).signature, U2.twisted(-1).determinant) == ((18, 2), -1)
+    with pytest.raises(AssertionError, match="symmetric_invariants"):
+        GramLattice(t66.rows())
 
 
 def test_discriminant_form_unimodular_is_trivial():

@@ -1,8 +1,9 @@
 """Start-up imports only what a call reads: no dataclasses (which pulls in
 inspect, ast, dis and tokenize), a catalog built without parsing any
-equation, a frozen set-up heap once it is built, and no argparse (nor the
-gettext and locale it pulls in) for a well-formed command line. Structural
-checks only; timings live in perfbench."""
+equation and eliminating only its stated Gram blocks, a frozen set-up heap
+once it is built, and no argparse (nor the gettext and locale it pulls in)
+for a well-formed command line. Structural checks only; timings live in
+perfbench."""
 
 import json
 import pathlib
@@ -19,9 +20,12 @@ import k3fermat.catalog, k3fermat.cli, k3fermat.delsarte
 parsed = []
 for module in (k3fermat.catalog, k3fermat.delsarte):
     module.parse_surface = lambda text, parse=module.parse_surface: parsed.append(text) or parse(text)
+eliminated = []
+k3fermat.lattice.symmetric_invariants = (
+    lambda rows, run=k3fermat.lattice.symmetric_invariants: eliminated.append(len(rows)) or run(rows))
 k3fermat.cli.load_catalog()
 print(json.dumps({"modules": sorted(sys.modules), "frozen": gc.get_freeze_count(),
-                  "parsed": parsed}))
+                  "parsed": parsed, "eliminated": eliminated}))
 """
 
 
@@ -36,6 +40,11 @@ def test_cli_start_up_skips_dataclasses_and_freezes_the_heap():
     assert doc["frozen"] > 0
     # each entry's model is read off its equation on first use, not at build
     assert doc["parsed"] == []
+    # only the stated blocks (U2, E8, E6, A2, A6, A10 and twelve explicit
+    # matrices) are eliminated; direct sums and twists take their
+    # invariants from the blocks
+    assert 0 < len(doc["eliminated"]) <= 18
+    assert max(doc["eliminated"]) <= 10
 
 
 def test_no_module_imports_dataclasses():
