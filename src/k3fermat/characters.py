@@ -81,18 +81,3 @@ def enumerate_A(m):
 def alpha_norm(alpha):
     """Weight of alpha: representative sum over m, always 1, 2 or 3."""
     return sum(alpha.a) // alpha.m
-
-
-def is_algebraic(alpha):
-    """True when every unit multiple of alpha has weight 2."""
-    return all(alpha_norm(alpha.scaled(u)) == 2 for u in units_mod(alpha.m))
-
-
-def galois_orbit(alpha):
-    """The set of unit multiples u * alpha."""
-    return {alpha.scaled(u) for u in units_mod(alpha.m)}
-
-
-def hodge_type(alpha):
-    n = alpha_norm(alpha)
-    return (n - 1, 3 - n)

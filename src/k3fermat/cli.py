@@ -22,7 +22,7 @@ from .catalog import (
     rational_text,
     verify_entry,
 )
-from .characters import CharacterVector, alpha_norm
+from .characters import CharacterVector
 from .cyclotomic import JACOBI_WORK_LIMIT, POWER_TABLE_LIMIT, jacobi_work, power_table_bound
 from .delsarte import (
     SurfaceSyntaxError,
@@ -357,13 +357,9 @@ def cmd_delsarte(args):
         raise UsageError(f"cannot parse equation: {exc}") from None
     try:
         m, pi = derive_cover(surface)
+        chars = transcendental_characters(surface, pi)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    chars = transcendental_characters(surface, pi)
-    holomorphic = sum(1 for a in chars if alpha_norm(a) == 1)
-    if holomorphic != 1:
-        raise UsageError(f"not a K3 surface: {holomorphic} invariant weight-one characters, "
-                         "but h^(2,0) = 1 needs exactly one")
     rho = 22 - len(chars)
     doc = {
         "command": "delsarte",

@@ -4,8 +4,10 @@ A surface given by a signed sum of monomials in up to three variables can
 be covered by a Fermat surface U^m + V^m + W^m + 1 = 0 via a map sending
 each variable to a signed Laurent monomial in (U, V, W). This module
 parses such equations, verifies covering maps by exact division, computes
-the deck group of a cover and the characters it leaves invariant, and
-derives the cover degree and map from the exponent matrix.
+the deck group of a cover, the characters it leaves invariant and the
+transcendental ones among them (the Galois orbit of the one invariant
+character of weight one), and derives the cover degree and map from the
+exponent matrix.
 
 Sign caveat: a map whose images carry only +-1 coefficients can only reach
 an equation whose four terms rescale to a common sign. When the given
@@ -18,13 +20,17 @@ cover is unaffected by the variant.
 """
 
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
-from .characters import CharacterVector, alpha_norm, is_algebraic
+from .characters import CharacterVector, units_mod
 from .intmat import fraction_inverse, kernel_mod
 
 FERMAT_VARS = ("U", "V", "W")
+# Bound on the order of the group of deck-invariant characters, checked
+# before the group is enumerated. The order is m on every catalog cover
+# (m <= 66), and enumerating a group at the limit takes about 10 ms.
+INVARIANT_LIMIT = 10_000
 
 
 class SurfaceSyntaxError(ValueError):
@@ -72,10 +78,7 @@ class DeckGroup(NamedTuple):
 
     @property
     def order(self):
-        n = 1
-        for o in self.orders:
-            n *= o
-        return n
+        return prod(self.orders)
 
 
 def _tokenize(text):
@@ -278,34 +281,53 @@ def compute_G(pi):
 
 
 def invariant_characters(G):
-    """Character vectors fixed by the deck group: alpha with
-    (a1,a2,a3) . c = 0 mod m for every generator c."""
+    """Characters fixed by the deck group, as a set of (a0, a1, a2, a3)
+    tuples with every coordinate in (0, m): alpha with (a1,a2,a3) . c = 0
+    mod m for every generator c.
+
+    The triples fixed by G form a group whose order is the product of its
+    invariant factors. ValueError when that order exceeds INVARIANT_LIMIT,
+    before any element is built.
+    """
     m = G.m
     rows = [list(g) for g in G.generators] or [[0, 0, 0]]
     gens, orders = kernel_mod(rows, m)
-    out = set()
-    for combo in product(*(range(o) for o in orders)):
-        a = [0, 0, 0]
-        for lam, g in zip(combo, gens):
-            for i in range(3):
-                a[i] = (a[i] + lam * g[i]) % m
-        if 0 in a:
-            continue
-        a0 = -sum(a) % m
-        if a0 == 0:
-            continue
-        out.add(CharacterVector(m, (a0, a[0], a[1], a[2])))
-    return out
+    order = prod(orders)
+    if order > INVARIANT_LIMIT:
+        raise ValueError(f"the deck-invariant character group has order {order}, "
+                         f"over the limit {INVARIANT_LIMIT}")
+    triples = [(0, 0, 0)]
+    for (g1, g2, g3), o in zip(gens, orders):
+        triples = [((a1 + k * g1) % m, (a2 + k * g2) % m, (a3 + k * g3) % m)
+                   for k in range(o) for a1, a2, a3 in triples]
+    return {(-(a1 + a2 + a3) % m, a1, a2, a3)
+            for a1, a2, a3 in triples if a1 and a2 and a3 and (a1 + a2 + a3) % m}
 
 
 def transcendental_characters(surface, pi):
-    """Deck-invariant characters that are not algebraic, ordered with the
-    weight-1 vector first. 22 minus the length is the Picard number."""
+    """Deck-invariant characters that are not algebraic, the weight-1
+    vector first and the rest by (a1, a2, a3). 22 minus the length is the
+    Picard number.
+
+    The invariant set is a group, so it is Galois-stable, and every orbit
+    that is not algebraic holds a weight-one character (if u alpha has
+    weight 3, -u alpha has weight 1). h^(2,0) = 1 means exactly one
+    invariant character alpha has weight one (Shioda 1986), and the
+    characters are then its Galois orbit {u alpha : u a unit mod m}, formed
+    on exponent tuples: one pass over the invariant set and one over the
+    units. ValueError when the weight-one count is not one (not a K3
+    surface), or when invariant_characters refuses the group's order.
+    """
     if not verify_cover(surface, pi):
         raise ValueError("map does not cover the surface")
-    chars = [a for a in invariant_characters(compute_G(pi)) if not is_algebraic(a)]
-    chars.sort(key=lambda a: (alpha_norm(a) != 1,) + a.triple)
-    return chars
+    m = pi.m
+    ones = [a for a in invariant_characters(compute_G(pi)) if sum(a) == m]
+    if len(ones) != 1:
+        raise ValueError(f"not a K3 surface: {len(ones)} invariant weight-one characters, "
+                         "but h^(2,0) = 1 needs exactly one")
+    alpha = ones[0]
+    orbit = {tuple(u * x % m for x in alpha) for u in units_mod(m)}
+    return [CharacterVector(m, a) for a in sorted(orbit, key=lambda a: (a != alpha,) + a[1:])]
 
 
 def derive_cover(surface):
@@ -313,8 +335,9 @@ def derive_cover(surface):
     equation in three variables.
 
     Subtracting a pivot term (the constant if present, else the first) from
-    the other three exponent rows gives a matrix M; the map exponents are
-    m * M^{-1} for the least m clearing denominators. Image signs are then
+    the other three exponent rows gives an integer matrix M; the map
+    exponents are m * M^{-1} for the least m clearing denominators, with
+    M^{-1} from fraction_inverse's integer elimination. Image signs are then
     searched so the four terms rescale to a common sign, falling back to a
     recorded sign variant of the equation when parity makes the literal
     equation unreachable (see module docstring).
@@ -334,7 +357,7 @@ def derive_cover(surface):
     except ValueError:
         raise ValueError("singular exponent matrix") from None
     m = lcm(*(f.denominator for row in inv for f in row))
-    n = [[int(m * f) for f in row] for row in inv]
+    n = [[f.numerator * (m // f.denominator) for f in row] for row in inv]
 
     best = None
     for idx, eps in enumerate(product((1, -1), repeat=3)):

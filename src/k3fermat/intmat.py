@@ -3,10 +3,11 @@
 Small, dependency-free routines used by the lattice and covering-map code:
 Bareiss determinants, Smith normal form with transform tracking, integer
 kernels, rational inverses, and the signature and determinant of a
-symmetric matrix from one fraction-free (Bareiss) elimination. Fraction
-serves only fraction_inverse, which only delsarte.derive_cover calls;
-discriminant forms read their values off the Smith transform. Matrix sizes
-here are tiny (rank <= 22), so clarity wins over asymptotics.
+symmetric matrix from one fraction-free (Bareiss) elimination. Every
+elimination here runs in integers: fraction_inverse, which only
+delsarte.derive_cover calls, forms its Fractions only from its result,
+and discriminant forms read their values off the Smith transform. Matrix
+sizes here are tiny (rank <= 22), so clarity wins over asymptotics.
 """
 
 from fractions import Fraction
@@ -186,25 +187,32 @@ def kernel_mod(mat, m):
 
 
 def fraction_inverse(mat):
-    """Inverse of a square integer/rational matrix, as Fractions.
+    """Inverse of a square integer matrix, as Fractions.
 
-    Raises ValueError if singular.
+    One fraction-free (Bareiss) Gauss-Jordan pass over [A | I]: step k
+    forms every row i != k as (p_k a_i - a_ik a_k) / p_(k-1), an exact
+    division, so the pass stays in integers. Each step keeps every pivot
+    already taken equal to the newest one, so the pass ends at [d I | d A^-1]
+    with d = +-det A the last pivot, and the n^2 Fractions are formed only
+    then. Raises ValueError if singular.
     """
     n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
         if piv is None:
             raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+        a[k], a[piv] = a[piv], a[k]
+        ak = a[k]
+        p = ak[k]
+        for i in range(n):
+            if i != k:
+                ai = a[i]
+                f = ai[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(ai, ak)]
+        prev = p
+    return [[Fraction(x, prev) for x in row[n:]] for row in a]
 
 
 def symmetric_invariants(gram):

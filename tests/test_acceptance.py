@@ -7,13 +7,9 @@ are no tolerances anywhere.
 
 from fractions import Fraction
 
+from characters_reference import galois_orbit
 from k3fermat.catalog import catalog_entry, load_catalog, transcendental_row
-from k3fermat.characters import (
-    alpha_norm,
-    enumerate_A,
-    galois_orbit,
-    units_mod,
-)
+from k3fermat.characters import alpha_norm, enumerate_A, units_mod
 from k3fermat.cyclotomic import CycInt, IntPoly, totient
 from k3fermat.delsarte import (
     derive_cover,

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from characters_reference import galois_orbit
 from k3fermat.catalog import (
     K11_ALTERNATE_EQUATION,
     NON_UNIMODULAR_ORDERS,
@@ -20,7 +21,7 @@ from k3fermat.catalog import (
     transcendental_row,
     verify_entry,
 )
-from k3fermat.characters import CharacterVector, alpha_norm, galois_orbit, units_mod
+from k3fermat.characters import CharacterVector, alpha_norm, units_mod
 from k3fermat.cyclotomic import IntPoly
 from k3fermat.delsarte import (
     action_on_form,

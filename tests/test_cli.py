@@ -383,8 +383,8 @@ class TestRefusals:
     instead of hanging the suite."""
 
     @staticmethod
-    def refuse(*argv):
-        proc = run_module(*argv, timeout=30)
+    def refuse(*argv, timeout=30):
+        proc = run_module(*argv, timeout=timeout)
         assert proc.returncode == 2
         assert proc.stdout == ""
         return proc.stderr
@@ -428,6 +428,16 @@ class TestRefusals:
         err = self.refuse("delsarte", "--equation", equation)
         assert err == (f"error: not a K3 surface: {weight_one} invariant weight-one "
                        "characters, but h^(2,0) = 1 needs exactly one\n")
+
+    @pytest.mark.parametrize("equation, order", [
+        ("y^2 = x^3 + x + t^9973", 39892),
+        ("y^2 = x^3 + t^99991 + 1", 599946),
+    ])
+    def test_delsarte_with_a_large_invariant_group(self, equation, order):
+        # testing each invariant character for algebraicity ran for hours
+        err = self.refuse("delsarte", "--equation", equation, timeout=2)
+        assert err == (f"error: the deck-invariant character group has order {order}, "
+                       "over the limit 10000\n")
 
 
 def test_zeta_near_a_million_finishes():

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from characters_reference import filtered_characters
+from k3fermat.catalog import K11_ALTERNATE_EQUATION, load_catalog
 from k3fermat.characters import CharacterVector, alpha_norm, enumerate_A
 from k3fermat.delsarte import (
+    INVARIANT_LIMIT,
     DeckGroup,
     MonomialMap,
     SurfaceSyntaxError,
@@ -121,7 +126,7 @@ def test_deck_group_matches_brute_force():
 
 def test_invariant_characters_trivial_group():
     G = DeckGroup(5, (), ())
-    assert invariant_characters(G) == set(enumerate_A(5))
+    assert invariant_characters(G) == {a.a for a in enumerate_A(5)}
 
 
 def test_invariant_characters_matches_brute_filter():
@@ -131,7 +136,7 @@ def test_invariant_characters_matches_brute_filter():
         G = compute_G(pi)
         elems = _deck_elements(G)
         brute = {
-            a for a in enumerate_A(m)
+            a.a for a in enumerate_A(m)
             if all(sum(x * c for x, c in zip(a.triple, g)) % m == 0 for g in elems)
         }
         assert invariant_characters(G) == brute
@@ -145,6 +150,68 @@ def test_transcendental_characters_k12():
     bad = MonomialMap(12, (("y", 1, (6, 0, 15)), ("x", 1, (0, 4, 10)), ("t", -1, (0, 0, 6))))
     with pytest.raises(ValueError, match="cover"):
         transcendental_characters(parse_surface(EQ_12), bad)
+
+
+def outcome(function, surface, pi):
+    """The characters, or the text of the ValueError that refuses them."""
+    try:
+        return function(surface, pi)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_orbit_equals_the_non_algebraic_filter_on_every_catalog_cover():
+    checked = 0
+    for e in load_catalog():
+        if e.cover is None:
+            continue
+        surface = e.cover_surface()
+        for pi in (e.cover, derive_cover(surface)[1]):
+            assert transcendental_characters(surface, pi) == filtered_characters(surface, pi), e.k
+        checked += 1
+    assert checked == 15
+    surface = parse_surface(K11_ALTERNATE_EQUATION)
+    pi = derive_cover(surface)[1]
+    assert transcendental_characters(surface, pi) == filtered_characters(surface, pi)
+
+
+def monomial(exponents):
+    return "*".join(f"{v}^{e}" for v, e in zip("xyz", exponents) if e) or "1"
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.tuples(st.sampled_from("+-"), st.tuples(*[st.integers(0, 7)] * 3)),
+                min_size=4, max_size=4, unique_by=lambda term: term[1]))
+@example([("+", (4, 0, 0)), ("+", (0, 4, 0)), ("+", (0, 0, 4)), ("+", (0, 0, 0))])
+@example([("-", (0, 2, 0)), ("+", (3, 0, 0)), ("+", (0, 0, 13)), ("+", (0, 0, 0))])
+def test_orbit_equals_the_non_algebraic_filter_on_four_monomial_equations(terms):
+    equation = " ".join(f"{sign} {monomial(e)}" for sign, e in terms) + " = 0"
+    surface = parse_surface(equation)
+    try:
+        _m, pi = derive_cover(surface)
+    except ValueError:
+        assume(False)
+    assert (outcome(transcendental_characters, surface, pi)
+            == outcome(filtered_characters, surface, pi)), equation
+
+
+def test_invariant_group_order_is_refused_over_the_limit_before_enumerating():
+    # x^8, y^2 and t^625 give a diagonal cover whose invariant group has
+    # order 2 * 8 * 625; the exponent matrix [[2, 1, 0], [1, 69, 0],
+    # [0, 0, 73]] has determinant (2 * 69 - 1) * 73
+    assert INVARIANT_LIMIT == 10_000
+    surface = parse_surface("y^2 = x^8 + t^625 + 1")
+    pi = derive_cover(surface)[1]
+    with pytest.raises(ValueError) as exc:
+        transcendental_characters(surface, pi)
+    assert str(exc.value) == ("not a K3 surface: 468 invariant weight-one characters, "
+                              "but h^(2,0) = 1 needs exactly one")
+    surface = parse_surface("x^2*y + x*y^69 + z^73 + 1 = 0")
+    pi = derive_cover(surface)[1]
+    with pytest.raises(ValueError) as exc:
+        transcendental_characters(surface, pi)
+    assert str(exc.value) == ("the deck-invariant character group has order 10001, "
+                              "over the limit 10000")
 
 
 def _sorted_triples(chars):

@@ -167,6 +167,52 @@ def test_kernel_mod_brute_force():
         assert prod == len(brute)
 
 
+def gauss_jordan_inverse(mat):
+    """Inverse by Gauss-Jordan elimination over Fraction, row by row: the
+    reference for fraction_inverse."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+square_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                       min_size=n, max_size=n))
+
+
+@settings(deadline=None, max_examples=200)
+@given(square_matrices)
+def test_fraction_inverse_matches_gauss_jordan(mat):
+    if det(mat) == 0:
+        with pytest.raises(ValueError):
+            fraction_inverse(mat)
+    else:
+        assert fraction_inverse(mat) == gauss_jordan_inverse(mat)
+
+
+@settings(deadline=None, max_examples=100)
+@given(square_matrices, st.lists(st.integers(-3, 3), min_size=4, max_size=4), st.integers(0, 4))
+def test_fraction_inverse_refuses_a_singular_matrix(mat, coeffs, at):
+    # one row replaced by a combination of the others
+    rows = mat[:-1]
+    rows.insert(at % len(mat), [sum(c * row[j] for c, row in zip(coeffs, rows))
+                                for j in range(len(mat))])
+    with pytest.raises(ValueError, match="singular"):
+        fraction_inverse(rows)
+
+
 def test_fraction_inverse():
     m = [[19, 37, 3], [0, 12, 2], [0, 36, 7]]
     inv = fraction_inverse(m)
