@@ -26,13 +26,13 @@ from functools import cache
 from math import gcd, lcm
 from typing import NamedTuple
 
+from . import delsarte
 from .characters import CharacterVector, alpha_norm
 from .cyclotomic import CycInt, IntPoly, totient
 from .delsarte import (
     MonomialMap,
     action_on_form,
     derive_cover,
-    parse_surface,
     transcendental_characters,
     verify_cover,
 )
@@ -84,15 +84,28 @@ class SectionRecord(NamedTuple):
 
 
 @cache
+def read_surface(text):
+    """DelsarteSurface of an equation text, parsed once per process.
+
+    verify reads an entry's equation for its action, its model and, when it
+    is also the cover equation, its cover checks. A DelsarteSurface is an
+    immutable tuple, so every reader shares the one parse. The parse is
+    looked up on the delsarte module at call time, so a wrapper installed
+    there sees each parse that runs.
+    """
+    return delsarte.parse_surface(text)
+
+
+@cache
 def read_equation(text):
     """(model, sextic) of a defining equation; the one that does not apply is None.
 
     y^2 = x^3 + A(t)*x + B(t) gives a WeierstrassModel, and y^2 = f(u, v)
     gives f as ((i, j, coeff), ...) in the equation's term order. Anything
-    else raises ValueError. Cached per text, so an entry parses its equation
+    else raises ValueError. Cached per text, so an entry reads its equation
     once, when a caller first reads the model, not when the catalog is built.
     """
-    surface = parse_surface(text)
+    surface = read_surface(text)
     names, terms = surface.variables, surface.terms
     y2 = (-1, (2,) + (0,) * (len(names) - 1))
     if names[:1] != ("y",) or terms[:1] != (y2,) or any(e[0] for _c, e in terms[1:]):
@@ -157,7 +170,7 @@ class K3CatalogEntry(NamedTuple):
         """The four-monomial equation as a DelsarteSurface, or None."""
         if self.cover_equation is None:
             return None
-        return parse_surface(self.cover_equation)
+        return read_surface(self.cover_equation)
 
     def sextic_coeffs(self):
         """Double sextic right-hand side as {(i, j): coeff}, or None."""
@@ -179,9 +192,6 @@ class VerificationReport(NamedTuple):
     @property
     def ok(self):
         return all(c.status != "fail" for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if c.status == "fail"]
 
     def as_dict(self):
         return {
@@ -517,7 +527,7 @@ def verify_entry(entry, primes=None):
     phi = totient(k)
 
     def chk_action():
-        surface = parse_surface(entry.equation)
+        surface = read_surface(entry.equation)
         act = dict(zip(entry.action_vars, entry.action))
         expo, primitive = action_on_form(surface, k, act)
         if not primitive:

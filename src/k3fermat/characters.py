@@ -64,20 +64,6 @@ def units_mod(m):
     return [u for u in range(1, m) if gcd(u, m) == 1]
 
 
-def enumerate_A(m):
-    """All character vectors of degree m, lexicographic on (a1, a2, a3)."""
-    if m < 2:
-        raise ValueError("degree must be at least 2")
-    out = []
-    for a1 in range(1, m):
-        for a2 in range(1, m):
-            for a3 in range(1, m):
-                a0 = -(a1 + a2 + a3) % m
-                if a0 != 0:
-                    out.append(CharacterVector(m, (a0, a1, a2, a3)))
-    return out
-
-
 def alpha_norm(alpha):
     """Weight of alpha: representative sum over m, always 1, 2 or 3."""
     return sum(alpha.a) // alpha.m

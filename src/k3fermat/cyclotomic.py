@@ -128,22 +128,6 @@ class IntPoly:
         return " ".join(parts)
 
 
-def poly_divmod(num, den):
-    """Quotient and remainder by a monic divisor."""
-    if not den or den.coeffs[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(num.coeffs)
-    dn = den.degree
-    quo = [0] * max(len(rem) - dn, 0)
-    for i in range(len(rem) - dn - 1, -1, -1):
-        c = rem[i + dn]
-        if c:
-            quo[i] = c
-            for j, dcoef in enumerate(den.coeffs):
-                rem[i + j] -= c * dcoef
-    return IntPoly(quo), IntPoly(rem)
-
-
 def exact_quotient(num, den):
     """num / den in Z[T]; raises ArithmeticError unless den divides num there.
 

@@ -3,20 +3,20 @@
 A surface given by a signed sum of monomials in up to three variables can
 be covered by a Fermat surface U^m + V^m + W^m + 1 = 0 via a map sending
 each variable to a signed Laurent monomial in (U, V, W). This module
-parses such equations, verifies covering maps by exact division, computes
-the deck group of a cover, the characters it leaves invariant and the
-transcendental ones among them (the Galois orbit of the one invariant
-character of weight one), and derives the cover degree and map from the
-exponent matrix.
+parses such equations, verifies covering maps by exact division, finds the
+characters the cover's deck group leaves invariant (the row space of the
+map's exponent matrix mod m) and the transcendental ones among them (the
+Galois orbit of the one invariant character of weight one), and derives
+the cover degree and map from the exponent matrix.
 
 Sign caveat: a map whose images carry only +-1 coefficients can only reach
 an equation whose four terms rescale to a common sign. When the given
 equation fails that parity condition (e.g. a -y^2 term alongside a +1
 constant), the derived map covers a sign-flipped variant of the equation
 instead; the flips are recorded on the map (term_signs) so verification
-stays exact and the variant is auditable. The deck group and the invariant
-characters depend only on exponents, so everything downstream of the
-cover is unaffected by the variant.
+stays exact and the variant is auditable. The invariant characters depend
+only on exponents, so everything downstream of the cover is unaffected by
+the variant.
 """
 
 from itertools import product
@@ -24,7 +24,7 @@ from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .characters import CharacterVector, units_mod
-from .intmat import fraction_inverse, kernel_mod
+from .intmat import fraction_inverse, mat_mul, smith_normal_form
 
 FERMAT_VARS = ("U", "V", "W")
 # Bound on the order of the group of deck-invariant characters, checked
@@ -69,16 +69,6 @@ class MonomialMap(NamedTuple):
             for f, p in zip(FERMAT_VARS, exps) if p
         ) or "1"
         return f"-{body}" if sign < 0 else body
-
-
-class DeckGroup(NamedTuple):
-    m: int
-    generators: tuple  # exponent triples (c1, c2, c3) mod m
-    orders: tuple      # invariant-factor orders, aligned with generators
-
-    @property
-    def order(self):
-        return prod(self.orders)
 
 
 def _tokenize(text):
@@ -268,36 +258,28 @@ def verify_cover(surface, pi):
     return not cover_remainder(surface, pi)
 
 
-def compute_G(pi):
-    """Deck group of the cover: diagonal m-th root tuples fixing every
-    image monomial."""
-    rows = [list(exps) for _var, _sign, exps in pi.images]
-    gens, orders = kernel_mod(rows, pi.m)
-    for g in gens:
-        for row in rows:
-            if sum(r * c for r, c in zip(row, g)) % pi.m:
-                raise AssertionError("deck generator fails invariance")
-    return DeckGroup(pi.m, tuple(tuple(g) for g in gens), tuple(orders))
+def cover_invariant_characters(pi):
+    """Characters the cover's deck group leaves invariant, as a set of
+    (a0, a1, a2, a3) tuples with every coordinate in (0, m).
 
-
-def invariant_characters(G):
-    """Characters fixed by the deck group, as a set of (a0, a1, a2, a3)
-    tuples with every coordinate in (0, m): alpha with (a1,a2,a3) . c = 0
-    mod m for every generator c.
-
-    The triples fixed by G form a group whose order is the product of its
-    invariant factors. ValueError when that order exceeds INVARIANT_LIMIT,
-    before any element is built.
+    The deck group is ker(N mod m) for the exponent matrix N whose rows are
+    the images, and the triples it fixes are its annihilator: the row space
+    of N mod m. N's Smith form U N V = D gives that group directly. The
+    rows of U N = D V^-1 are d_j times the rows of the unimodular V^-1, so
+    row j has order m / gcd(d_j, m) and the rows span a direct sum. Its
+    order is the product of those orders. ValueError when that order
+    exceeds INVARIANT_LIMIT, before any element is built.
     """
-    m = G.m
-    rows = [list(g) for g in G.generators] or [[0, 0, 0]]
-    gens, orders = kernel_mod(rows, m)
+    m = pi.m
+    rows = [list(exps) for _var, _sign, exps in pi.images]
+    d, u, _v = smith_normal_form(rows)
+    orders = [m // gcd(dj, m) for dj in d]
     order = prod(orders)
     if order > INVARIANT_LIMIT:
         raise ValueError(f"the deck-invariant character group has order {order}, "
                          f"over the limit {INVARIANT_LIMIT}")
     triples = [(0, 0, 0)]
-    for (g1, g2, g3), o in zip(gens, orders):
+    for (g1, g2, g3), o in zip(mat_mul(u, rows), orders):
         triples = [((a1 + k * g1) % m, (a2 + k * g2) % m, (a3 + k * g3) % m)
                    for k in range(o) for a1, a2, a3 in triples]
     return {(-(a1 + a2 + a3) % m, a1, a2, a3)
@@ -316,12 +298,12 @@ def transcendental_characters(surface, pi):
     characters are then its Galois orbit {u alpha : u a unit mod m}, formed
     on exponent tuples: one pass over the invariant set and one over the
     units. ValueError when the weight-one count is not one (not a K3
-    surface), or when invariant_characters refuses the group's order.
+    surface), or when cover_invariant_characters refuses the group's order.
     """
     if not verify_cover(surface, pi):
         raise ValueError("map does not cover the surface")
     m = pi.m
-    ones = [a for a in invariant_characters(compute_G(pi)) if sum(a) == m]
+    ones = [a for a in cover_invariant_characters(pi) if sum(a) == m]
     if len(ones) != 1:
         raise ValueError(f"not a K3 surface: {len(ones)} invariant weight-one characters, "
                          "but h^(2,0) = 1 needs exactly one")

@@ -11,7 +11,6 @@ sizes here are tiny (rank <= 22), so clarity wins over asymptotics.
 """
 
 from fractions import Fraction
-from math import gcd
 
 
 def identity(n):
@@ -161,29 +160,6 @@ def integer_kernel(mat):
         if j >= len(d) or d[j] == 0:
             cols.append([v[r][j] for r in range(nc)])
     return cols
-
-
-def kernel_mod(mat, m):
-    """Solve mat @ x = 0 over ZZ/m.
-
-    Returns (generators, orders): generators[i] is a vector mod m of order
-    orders[i], and the solution group is the direct sum of the cyclic groups
-    they generate. orders follows the Smith chain, so the nontrivial entries
-    are the invariant factors of the kernel group.
-    """
-    nc = len(mat[0])
-    d, _u, v = smith_normal_form(mat)
-    gens = []
-    orders = []
-    for j in range(nc):
-        dj = d[j] if j < len(d) else 0
-        g = gcd(dj, m)
-        # x = V w with d_j w_j = 0 mod m: w_j multiple of m/g, order g
-        if g > 1:
-            step = m // g
-            gens.append([(v[r][j] * step) % m for r in range(nc)])
-            orders.append(g)
-    return gens, orders
 
 
 def fraction_inverse(mat):

@@ -12,8 +12,8 @@ Fermat cover and is handled through its CM structure instead.
 from math import comb, gcd, isqrt
 from typing import NamedTuple
 
-from .characters import CharacterVector, units_mod, enumerate_A
-from .cyclotomic import IntPoly, _orbit_factor, orbit_product, reduce, totient
+from .characters import CharacterVector, units_mod
+from .cyclotomic import IntPoly, _orbit_factor, reduce, totient
 from .field import MAX_PRIME, PrimeField, as_field, is_prime, make_field
 from .kernels import jacobi_counts
 
@@ -93,30 +93,6 @@ def _row_factor(field, row):
     for _ in range(len(row) // d - 1):
         poly = poly * factor
     return values, poly
-
-
-def fermat_zeta_factor(m, q):
-    """(1 - qT) * prod over all alpha of (1 - j(alpha)T), in Z[T]."""
-    field = _admissible_field(q, m)
-    if m == 1:
-        return IntPoly([1, -field.q])
-    values = _orbit_values(field, enumerate_A(m))
-    return IntPoly([1, -field.q]) * orbit_product(values.values())
-
-
-def transcendental_factor(k, q):
-    """Degree-phi(k) factor carried by the transcendental orbit of surface k."""
-    if k == 3:
-        raise ValueError("the order-3 surface has no Fermat cover; use cm_factor_k3")
-    from .catalog import transcendental_row
-
-    row = transcendental_row(k)
-    m = row[0].m
-    field = _admissible_field(q, m)
-    _, poly = _row_factor(field, row)
-    if poly.degree != totient(k):
-        raise AssertionError(f"transcendental factor has degree {poly.degree}")
-    return poly
 
 
 def algebraic_factor(k, q):

@@ -482,10 +482,3 @@ def mirror_split(t_lat):
                 if _pair(g, x, y) == 1:
                     return _complement_of_hyperbolic(t_lat, list(x), list(y))
     raise ValueError("no hyperbolic splitting found; lattice may need a larger search")
-
-
-def embedding_check_hyperbolic():
-    """Gram of (b+a1, b+a1+a2) inside <2> + (-A2) equals the hyperbolic plane."""
-    g = [[2, 0, 0], [0, -2, 1], [0, 1, -2]]
-    xy = [[1, 1, 0], [1, 1, 1]]
-    return mat_mul(mat_mul(xy, g), transpose(xy)) == [[0, 1], [1, 0]]

@@ -7,9 +7,9 @@ are no tolerances anywhere.
 
 from fractions import Fraction
 
-from characters_reference import galois_orbit
+from characters_reference import enumerate_A, galois_orbit
 from k3fermat.catalog import catalog_entry, load_catalog, transcendental_row
-from k3fermat.characters import alpha_norm, enumerate_A, units_mod
+from k3fermat.characters import alpha_norm, units_mod
 from k3fermat.cyclotomic import CycInt, IntPoly, totient
 from k3fermat.delsarte import (
     derive_cover,
@@ -22,7 +22,6 @@ from k3fermat.jacobi_zeta import (
     algebraic_factor,
     cm_factor_k3,
     jacobi_sum,
-    transcendental_factor,
     zeta_report,
 )
 from k3fermat.lattice import (
@@ -32,6 +31,7 @@ from k3fermat.lattice import (
     nikulin_complement_check,
 )
 from k3fermat.pointcount import count_elliptic_smooth, count_fermat
+from zeta_reference import transcendental_factor
 
 # smallest admissible prime for each elliptic entry with a Fermat cover
 SMALLEST_PRIME = {

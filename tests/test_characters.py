@@ -1,7 +1,7 @@
 import pytest
 
-from characters_reference import galois_orbit, hodge_type, is_algebraic
-from k3fermat.characters import CharacterVector, alpha_norm, enumerate_A, units_mod
+from characters_reference import enumerate_A, galois_orbit, hodge_type, is_algebraic
+from k3fermat.characters import CharacterVector, alpha_norm, units_mod
 
 
 def brute_enumerate(m):

@@ -2,19 +2,23 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from characters_reference import filtered_characters
+from characters_reference import (
+    DeckGroup,
+    compute_G,
+    enumerate_A,
+    filtered_characters,
+    invariant_characters,
+)
 from k3fermat.catalog import K11_ALTERNATE_EQUATION, load_catalog
-from k3fermat.characters import CharacterVector, alpha_norm, enumerate_A
+from k3fermat.characters import CharacterVector, alpha_norm
 from k3fermat.delsarte import (
     INVARIANT_LIMIT,
-    DeckGroup,
     MonomialMap,
     SurfaceSyntaxError,
     action_on_form,
-    compute_G,
+    cover_invariant_characters,
     cover_remainder,
     derive_cover,
-    invariant_characters,
     parse_surface,
     transcendental_characters,
     verify_cover,
@@ -126,12 +130,17 @@ def test_deck_group_matches_brute_force():
 
 def test_invariant_characters_trivial_group():
     G = DeckGroup(5, (), ())
-    assert invariant_characters(G) == {a.a for a in enumerate_A(5)}
+    everything = {a.a for a in enumerate_A(5)}
+    assert invariant_characters(G) == everything
+    ident = MonomialMap(5, (("u", 1, (1, 0, 0)), ("v", 1, (0, 1, 0)), ("w", 1, (0, 0, 1))))
+    assert compute_G(ident).order == 1
+    assert cover_invariant_characters(ident) == everything
 
 
 def test_invariant_characters_matches_brute_filter():
     for m, rows in ((6, ((2, 0, 0), (0, 3, 0), (0, 0, 1))),
-                    (12, ((6, 0, 15), (0, 4, 10), (0, 0, 6)))):
+                    (12, ((6, 0, 15), (0, 4, 10), (0, 0, 6))),
+                    (10, ((5, 7, -21), (0, 8, -14), (0, 2, -6)))):
         pi = MonomialMap(m, (("a", 1, rows[0]), ("b", 1, rows[1]), ("c", 1, rows[2])))
         G = compute_G(pi)
         elems = _deck_elements(G)
@@ -140,6 +149,7 @@ def test_invariant_characters_matches_brute_filter():
             if all(sum(x * c for x, c in zip(a.triple, g)) % m == 0 for g in elems)
         }
         assert invariant_characters(G) == brute
+        assert cover_invariant_characters(pi) == brute
 
 
 def test_transcendental_characters_k12():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from characters_reference import kernel_mod
 from k3fermat import intmat
 from k3fermat.catalog import _build_catalog, load_catalog
 from k3fermat.intmat import (
@@ -12,7 +13,6 @@ from k3fermat.intmat import (
     fraction_inverse,
     identity,
     integer_kernel,
-    kernel_mod,
     mat_mul,
     signature,
     smith_normal_form,

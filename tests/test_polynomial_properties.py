@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from test_fiber_properties import models
 
 from k3fermat.catalog import load_catalog
-from k3fermat.cyclotomic import IntPoly, exact_quotient, poly_divmod, poly_gcd
+from k3fermat.cyclotomic import IntPoly, exact_quotient, poly_gcd
 from k3fermat.pointcount import (
     _INF,
     _fiber_row,
@@ -27,6 +27,7 @@ from k3fermat.pointcount import (
     _yun_squarefree,
     geometric_fibers,
 )
+from zeta_reference import poly_divmod
 
 exact = settings(deadline=None, max_examples=50)
 

@@ -5,11 +5,11 @@ import textwrap
 
 import pytest
 
-from characters_reference import galois_orbit
+from characters_reference import DeckGroup, galois_orbit
 from k3fermat import catalog
 from k3fermat.catalog import CheckResult, VerificationReport, load_catalog
 from k3fermat.characters import CharacterVector
-from k3fermat.delsarte import DeckGroup, MonomialMap, parse_surface
+from k3fermat.delsarte import MonomialMap, parse_surface
 from k3fermat.jacobi_zeta import zeta_report
 from k3fermat.lattice import SectionData
 
