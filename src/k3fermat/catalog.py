@@ -21,7 +21,6 @@ aborting on the first failure.
 """
 
 import gc
-from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from typing import NamedTuple
@@ -45,6 +44,7 @@ from .lattice import (
     height,
     mirror_split,
     nikulin_complement_check,
+    rational_text,
     standard_lattice,
 )
 from .pointcount import WeierstrassModel, count_elliptic_smooth, geometric_fibers
@@ -163,7 +163,7 @@ class K3CatalogEntry(NamedTuple):
 
     @property
     def mw_height(self):
-        """Height of the stored section, else None."""
+        """Height of the stored section as a (numerator, denominator) pair, else None."""
         return self.section.height() if self.section else None
 
     def cover_surface(self):
@@ -598,22 +598,25 @@ def verify_entry(entry, primes=None):
         skip("height-disc", why)
     else:
         def chk_height_disc():
-            h = entry.mw_height if entry.mw_height is not None else Fraction(1)
+            h = entry.mw_height if entry.mw_height is not None else (1, 1)
             if entry.section is not None:
                 if not section_satisfies(entry.model, entry.section):
                     raise AssertionError("section does not satisfy the equation")
                 q = discriminant_form(entry.s_gram)
                 if q.orders != (k,):
                     raise AssertionError(f"discriminant group {q.orders} != Z/{k}")
-                target = (-1 / h) % 2
-                if not any(q.value((c,)) == target for c in range(1, k)):
+                # q(c g) = v/k and -1/h = -den/num agree in Q/2Z iff
+                # v num + den k is a multiple of 2 k num
+                num, den = h
+                if not any((q.value((c,)) * num + den * k) % (2 * k * num) == 0
+                           for c in range(1, k)):
                     raise AssertionError("discriminant form misses -1/height")
             if disc_from_height(h, entry.reducible_fibers) != entry.disc_s:
                 raise AssertionError("height and fibers do not reproduce the discriminant")
             if entry.s_gram.determinant != entry.disc_s:
                 raise AssertionError(
                     f"det S = {entry.s_gram.determinant} != {entry.disc_s}")
-            return f"height {h}, discriminant {entry.disc_s}"
+            return f"height {rational_text(h)}, discriminant {entry.disc_s}"
 
         run("height-disc", chk_height_disc)
 
@@ -684,14 +687,6 @@ def verify_entry(entry, primes=None):
 
 # ---------------------------------------------------------------------------
 # JSON export
-
-def rational_text(value):
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
-
 
 def entry_as_dict(entry):
     """One JSON-ready object per entry; exact integers and "num/den" strings."""

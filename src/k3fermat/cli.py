@@ -275,7 +275,7 @@ def _form_dict(q):
     unit = lambda i: [1 if j == i else 0 for j in range(r)]
     return {
         "orders": list(q.orders),
-        "values": [rational_text(q.value(unit(i))) for i in range(r)],
+        "values": [rational_text((q.value(unit(i)), q.exponent)) for i in range(r)],
     }
 
 

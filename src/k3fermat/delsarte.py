@@ -20,7 +20,7 @@ the variant.
 """
 
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import NamedTuple
 
 from .characters import CharacterVector, units_mod
@@ -318,8 +318,9 @@ def derive_cover(surface):
 
     Subtracting a pivot term (the constant if present, else the first) from
     the other three exponent rows gives an integer matrix M; the map
-    exponents are m * M^{-1} for the least m clearing denominators, with
-    M^{-1} from fraction_inverse's integer elimination. Image signs are then
+    exponents are m * M^{-1} for the least m clearing denominators. With
+    (d, d*M^{-1}) from fraction_inverse's integer elimination, that m is
+    |d| over the gcd of d and every entry of d*M^{-1}. Image signs are then
     searched so the four terms rescale to a common sign, falling back to a
     recorded sign variant of the equation when parity makes the literal
     equation unreachable (see module docstring).
@@ -335,11 +336,11 @@ def derive_cover(surface):
     ep = surface.terms[pivot][1]
     mat = [[surface.terms[i][1][j] - ep[j] for j in range(3)] for i in others]
     try:
-        inv = fraction_inverse(mat)
+        d, scaled_inv = fraction_inverse(mat)
     except ValueError:
         raise ValueError("singular exponent matrix") from None
-    m = lcm(*(f.denominator for row in inv for f in row))
-    n = [[f.numerator * (m // f.denominator) for f in row] for row in inv]
+    m = abs(d) // gcd(d, *(x for row in scaled_inv for x in row))
+    n = [[x * m // d for x in row] for row in scaled_inv]
 
     best = None
     for idx, eps in enumerate(product((1, -1), repeat=3)):

@@ -1,16 +1,13 @@
-"""Exact linear algebra over ZZ and QQ on plain list-of-lists matrices.
+"""Exact linear algebra over ZZ on plain list-of-lists matrices.
 
 Small, dependency-free routines used by the lattice and covering-map code:
 Bareiss determinants, Smith normal form with transform tracking, integer
-kernels, rational inverses, and the signature and determinant of a
-symmetric matrix from one fraction-free (Bareiss) elimination. Every
-elimination here runs in integers: fraction_inverse, which only
-delsarte.derive_cover calls, forms its Fractions only from its result,
-and discriminant forms read their values off the Smith transform. Matrix
-sizes here are tiny (rank <= 22), so clarity wins over asymptotics.
+kernels, the scaled inverse d*A^-1 with d = +-det A, and the signature and
+determinant of a symmetric matrix from one fraction-free (Bareiss)
+elimination. Every routine here computes in integers only; discriminant
+forms read their values off the Smith transform. Matrix sizes here are
+tiny (rank <= 22), so clarity wins over asymptotics.
 """
-
-from fractions import Fraction
 
 
 def identity(n):
@@ -163,14 +160,14 @@ def integer_kernel(mat):
 
 
 def fraction_inverse(mat):
-    """Inverse of a square integer matrix, as Fractions.
+    """(d, d*A^-1) for a square integer matrix A, with d = +-det A.
 
     One fraction-free (Bareiss) Gauss-Jordan pass over [A | I]: step k
     forms every row i != k as (p_k a_i - a_ik a_k) / p_(k-1), an exact
     division, so the pass stays in integers. Each step keeps every pivot
     already taken equal to the newest one, so the pass ends at [d I | d A^-1]
-    with d = +-det A the last pivot, and the n^2 Fractions are formed only
-    then. Raises ValueError if singular.
+    with d the last pivot, and returns d with the right-hand block, so
+    A^-1 is the integer matrix over d. Raises ValueError if singular.
     """
     n = len(mat)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
@@ -188,7 +185,7 @@ def fraction_inverse(mat):
                 f = ai[k]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(ai, ak)]
         prev = p
-    return [[Fraction(x, prev) for x in row[n:]] for row in a]
+    return prev, [row[n:] for row in a]
 
 
 def symmetric_invariants(gram):

@@ -1,17 +1,19 @@
 """Even lattices and the finite quadratic forms on their discriminant groups.
 
-Gram matrices are plain integer matrices. A lattice stated by its Gram
-matrix takes its signature and determinant from one fraction-free
-elimination of that matrix; a direct sum and a twist take theirs from
-their blocks, as signatures add and determinants multiply over an
-orthogonal sum. Smith forms come from intmat. Discriminant forms are
-compared by brute-force isomorphism search, which certifies genus-level
-equality (signature plus discriminant form) without normal-form theory;
-the groups involved here are tiny. Heights of Mordell-Weil generators and
-the hyperbolic splittings behind mirror partners live here too.
+Everything here is computed in integers. Gram matrices are plain integer
+matrices. A lattice stated by its Gram matrix takes its signature and
+determinant from one fraction-free elimination of that matrix; a direct
+sum and a twist take theirs from their blocks, as signatures add and
+determinants multiply over an orthogonal sum. Smith forms come from
+intmat. A discriminant form holds its values in Q/2Z and its pairings in
+Q/Z as integer numerators over the group exponent e, so n stands for n/e.
+Discriminant forms are compared by brute-force isomorphism search, which
+certifies genus-level equality (signature plus discriminant form) without
+normal-form theory; the groups involved here are tiny. Heights of
+Mordell-Weil generators are reduced (numerator, denominator) pairs; they
+and the hyperbolic splittings behind mirror partners live here too.
 """
 
-from fractions import Fraction
 from itertools import product as iter_product
 from math import gcd, lcm, prod
 
@@ -34,10 +36,11 @@ class GramLattice:
     fraction-free elimination of it. direct_sum and twisted assemble new
     Gram matrices from lattices that are already checked, and derive the
     invariants from those lattices' invariants instead of eliminating
-    again.
+    again. discriminant_form keeps the form it computes in the slot
+    _form, so a lattice takes at most one Smith form.
     """
 
-    __slots__ = ("gram", "rank", "signature", "determinant")
+    __slots__ = ("gram", "rank", "signature", "determinant", "_form")
 
     def __init__(self, gram):
         rows = tuple(tuple(int(x) for x in row) for row in gram)
@@ -163,37 +166,38 @@ def direct_sum(*lattices):
 class FiniteQuadraticForm:
     """Quadratic form on a finite abelian group, values in Q/2Z.
 
-    orders: invariant factors (each > 1, ascending divisibility chain).
-    matrix[i][j]: generator pairings in Q/Z off the diagonal, generator
-    values in Q/2Z on it.
+    orders: invariant factors (each > 1, ascending divisibility chain), so
+    the group exponent e is orders[-1] (1 for the trivial group).
+    matrix[i][j]: integer numerators over e, generator pairings in Q/Z
+    (reduced mod e) off the diagonal and generator values in Q/2Z (reduced
+    mod 2e) on it.
     """
 
-    __slots__ = ("orders", "matrix")
+    __slots__ = ("orders", "exponent", "matrix")
 
     def __init__(self, orders, matrix):
         orders = tuple(int(d) for d in orders)
         if any(d < 2 for d in orders):
             raise ValueError("orders must all exceed 1")
+        e = orders[-1] if orders else 1
         r = len(orders)
-        m = [[Fraction(matrix[i][j]) % (2 if i == j else 1) for j in range(r)]
+        m = [[int(matrix[i][j]) % (2 * e if i == j else e) for j in range(r)]
              for i in range(r)]
         if any(m[i][j] != m[j][i] for i in range(r) for j in range(i)):
             raise ValueError("pairing matrix must be symmetric")
         object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "exponent", e)
         object.__setattr__(self, "matrix", tuple(tuple(row) for row in m))
 
     def __setattr__(self, *a):
         raise AttributeError("FiniteQuadraticForm is immutable")
 
     def group_order(self):
-        total = 1
-        for d in self.orders:
-            total *= d
-        return total
+        return prod(self.orders)
 
     def value(self, coeffs):
-        """q(sum coeffs[i] * g_i) in Q/2Z."""
-        total = Fraction(0)
+        """q(sum coeffs[i] * g_i) in Q/2Z, as its numerator over e mod 2e."""
+        total = 0
         r = len(self.orders)
         for i in range(r):
             if coeffs[i] % self.orders[i]:
@@ -201,16 +205,16 @@ class FiniteQuadraticForm:
         for i in range(r):
             for j in range(i + 1, r):
                 total += 2 * coeffs[i] * coeffs[j] * self.matrix[i][j]
-        return total % 2
+        return total % (2 * self.exponent)
 
     def pairing(self, a, b):
-        """b(x, y) in Q/Z."""
-        total = Fraction(0)
+        """b(x, y) in Q/Z, as its numerator over e mod e."""
+        total = 0
         r = len(self.orders)
         for i in range(r):
             for j in range(r):
                 total += a[i] * b[j] * self.matrix[i][j]
-        return total % 1
+        return total % self.exponent
 
     def negated(self):
         r = len(self.orders)
@@ -229,7 +233,7 @@ class FiniteQuadraticForm:
         return hash((self.orders, self.matrix))
 
     def __repr__(self):
-        vals = ", ".join(str(self.matrix[i][i]) for i in range(len(self.orders)))
+        vals = ", ".join(f"{self.matrix[i][i]}/{self.exponent}" for i in range(len(self.orders)))
         return f"FiniteQuadraticForm(orders={self.orders}, q=({vals}))"
 
 
@@ -237,31 +241,38 @@ def discriminant_form(lattice):
     """The form x -> x^2 on dual-quotient generators read off the Smith form.
 
     A unimodular lattice (|det| = 1, known from its elimination) has the
-    trivial form and needs no Smith form.
+    trivial form and needs no Smith form. The form is kept on the lattice,
+    which is immutable, so a second call returns it with no Smith form.
     """
     if not lattice.is_even():
         raise ValueError("discriminant form needs an even lattice")
+    form = getattr(lattice, "_form", None)
+    if form is not None:
+        return form
     n = lattice.rank
     if abs(lattice.determinant) == 1:
-        return FiniteQuadraticForm((), ())
-    g = lattice.rows()
-    d, _u, v = smith_normal_form(g)
-    # u*G*v = diag(d), so G Z^n = u^{-1} diag(d) Z^n and the class of
-    # u^{-1} e_i generates the i-th cyclic factor; its dual vector is
-    # G^{-1} u^{-1} e_i = v e_i / d_i, giving value matrix
-    # (v^T G v)_ij / (d_i d_j), which is (u G u^T)^{-1} as G is symmetric
-    keep = [i for i in range(n) if d[i] > 1]
-    orders = [d[i] for i in keep]
-    vk = [[row[i] for i in keep] for row in v]
-    w = mat_mul(mat_mul(transpose(vk), g), vk)
-    matrix = [[Fraction(w[a][b], da * db) for b, db in enumerate(orders)]
-              for a, da in enumerate(orders)]
-    total = 1
-    for o in orders:
-        total *= o
-    if total != abs(lattice.determinant):
-        raise AssertionError("group order does not match the determinant")
-    return FiniteQuadraticForm(orders, matrix)
+        form = FiniteQuadraticForm((), ())
+    else:
+        g = lattice.rows()
+        d, _u, v = smith_normal_form(g)
+        # u*G*v = diag(d), so G Z^n = u^{-1} diag(d) Z^n and the class of
+        # u^{-1} e_i generates the i-th cyclic factor; its dual vector is
+        # G^{-1} u^{-1} e_i = v e_i / d_i, giving value matrix
+        # (v^T G v)_ij / (d_i d_j), which is (u G u^T)^{-1} as G is symmetric.
+        # G v e_j = d_j u^{-1} e_j, so d_j divides w_ij, and the numerator
+        # over the exponent e is (w_ij / d_j) (e / d_i), an integer
+        keep = [i for i in range(n) if d[i] > 1]
+        orders = [d[i] for i in keep]
+        if prod(orders) != abs(lattice.determinant):
+            raise AssertionError("group order does not match the determinant")
+        e = orders[-1]
+        vk = [[row[i] for i in keep] for row in v]
+        w = mat_mul(mat_mul(transpose(vk), g), vk)
+        form = FiniteQuadraticForm(
+            orders, [[w[a][b] // db * (e // da) for b, db in enumerate(orders)]
+                     for a, da in enumerate(orders)])
+    object.__setattr__(lattice, "_form", form)
+    return form
 
 
 def _element_order(coeffs, orders):
@@ -300,11 +311,11 @@ def fqf_equivalent(q1, q2):
     def extend(i, chosen):
         if i == r:
             return span_is_everything(chosen)
-        want_value = q1.matrix[i][i] % 2
+        want_value = q1.matrix[i][i]
         for cand in by_value.get((want_value, q1.orders[i]), []):
             ok = True
             for j, prev in enumerate(chosen):
-                if q2.pairing(prev, cand) != q1.matrix[j][i] % 1:
+                if q2.pairing(prev, cand) != q1.matrix[j][i]:
                     ok = False
                     break
             if ok and extend(i + 1, chosen + [cand]):
@@ -348,25 +359,37 @@ class SectionData:
 
 
 def _correction(term):
+    """The local correction of one fiber term, as (numerator, denominator)."""
     kind = term[0]
     if kind == "E6":
-        return Fraction(4, 3)
+        return 4, 3
     if kind == "E7":
-        return Fraction(3, 2)
+        return 3, 2
     if kind == "A":
         _, n, j = term
         if n < 2 or not 1 <= j <= n - 1:
             raise ValueError(f"invalid component index in {term}")
-        return Fraction(j * (n - j), n)
+        return j * (n - j), n
     raise ValueError(f"unknown correction term {term}")
 
 
 def height(section):
-    """h(P) = 4 + 2 (P.O) - sum of the correction terms."""
-    total = Fraction(4 + 2 * section.pai)
+    """h(P) = 4 + 2 (P.O) - sum of the correction terms, as a reduced
+    (numerator, denominator) pair with a positive denominator."""
+    num, den = 4 + 2 * section.pai, 1
     for term in section.contributions:
-        total -= _correction(term)
-    return total
+        cn, cd = _correction(term)
+        num, den = num * cd - cn * den, den * cd
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def rational_text(pair):
+    """The rational num/den of a (num, den) pair, den > 0, in lowest terms:
+    "n" for an integer, else "n/d"."""
+    num, den = pair
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
 
 
 # (rank, determinant) of A1, A2, E6, E7, E8 and of the empty lattice for II
@@ -394,13 +417,17 @@ def kodaira_lattice(kind):
 
 
 def disc_from_height(h, fibers):
-    """disc(S_X) = h(P) * prod disc(F_v), reported with the hyperbolic sign."""
-    total = Fraction(h)
+    """disc(S_X) = h(P) * prod disc(F_v), reported with the hyperbolic sign.
+
+    h is a (numerator, denominator) pair with a positive denominator.
+    """
+    num, den = h
     for kind in fibers:
-        total *= kodaira_lattice(kind)[1]
-    if total.denominator != 1 or total <= 0:
-        raise ValueError(f"height times fiber discriminants is not a positive integer: {total}")
-    return -int(total)
+        num *= kodaira_lattice(kind)[1]
+    if num % den or num <= 0:
+        raise ValueError("height times fiber discriminants is not a positive "
+                         f"integer: {rational_text((num, den))}")
+    return -(num // den)
 
 
 def nikulin_complement_check(s_lat, t_lat):

@@ -1,6 +1,9 @@
+from math import lcm
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_intmat import gauss_jordan_inverse
 
 from characters_reference import (
     DeckGroup,
@@ -189,9 +192,13 @@ def monomial(exponents):
     return "*".join(f"{v}^{e}" for v, e in zip("xyz", exponents) if e) or "1"
 
 
+four_monomial_terms = st.lists(
+    st.tuples(st.sampled_from("+-"), st.tuples(*[st.integers(0, 7)] * 3)),
+    min_size=4, max_size=4, unique_by=lambda term: term[1])
+
+
 @settings(deadline=None, max_examples=150)
-@given(st.lists(st.tuples(st.sampled_from("+-"), st.tuples(*[st.integers(0, 7)] * 3)),
-                min_size=4, max_size=4, unique_by=lambda term: term[1]))
+@given(four_monomial_terms)
 @example([("+", (4, 0, 0)), ("+", (0, 4, 0)), ("+", (0, 0, 4)), ("+", (0, 0, 0))])
 @example([("-", (0, 2, 0)), ("+", (3, 0, 0)), ("+", (0, 0, 13)), ("+", (0, 0, 0))])
 def test_orbit_equals_the_non_algebraic_filter_on_four_monomial_equations(terms):
@@ -203,6 +210,24 @@ def test_orbit_equals_the_non_algebraic_filter_on_four_monomial_equations(terms)
         assume(False)
     assert (outcome(transcendental_characters, surface, pi)
             == outcome(filtered_characters, surface, pi)), equation
+
+
+@settings(deadline=None, max_examples=150)
+@given(four_monomial_terms)
+@example([("+", (5, 0, 0)), ("+", (0, 5, 0)), ("+", (0, 0, 5)), ("+", (0, 0, 0))])
+def test_derive_cover_degree_is_the_least_common_denominator(terms):
+    # the rows e_i - e_0 span the same lattice whichever term is the pivot,
+    # so the least m with m M^-1 integral is the same for every pivot
+    equation = " ".join(f"{sign} {monomial(e)}" for sign, e in terms) + " = 0"
+    surface = parse_surface(equation)
+    try:
+        m, _pi = derive_cover(surface)
+    except ValueError:
+        assume(False)
+    exponents = [e for _c, e in surface.terms]
+    inverse = gauss_jordan_inverse([[a - b for a, b in zip(e, exponents[0])]
+                                    for e in exponents[1:]])
+    assert m == lcm(*(f.denominator for row in inverse for f in row)), equation
 
 
 def test_invariant_group_order_is_refused_over_the_limit_before_enumerating():

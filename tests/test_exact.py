@@ -1,5 +1,7 @@
-"""The package computes with integers, Fractions and cyclotomic integers only:
-no source file may contain a float literal or a float(...) call."""
+"""The package computes with integers and cyclotomic integers only: no
+source file may contain a float literal or a float(...) call, nor import
+fractions or decimal. Rationals are (numerator, denominator) pairs or
+numerators over a known denominator."""
 
 import ast
 import pathlib
@@ -23,6 +25,37 @@ def float_sites(source):
 def test_no_floating_point(path):
     sites = [f"{path.name}:{line}: {what}" for line, what in float_sites(path.read_text())]
     assert not sites, "\n".join(sites)
+
+
+RATIONAL_MODULES = {"fractions", "decimal"}
+
+
+def rational_imports(source):
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] in RATIONAL_MODULES:
+                yield node.lineno, name
+
+
+def test_no_module_imports_fractions_or_decimal():
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    sites = [f"{p.name}:{line}: imports {name}"
+             for p in sources for line, name in rational_imports(p.read_text())]
+    assert sites == []
+
+
+def test_import_scan_finds_every_form():
+    source = ("from fractions import Fraction\nimport decimal as d\n"
+              "import os, fractions\nfrom . import fractions_table\nimport numbers\n")
+    assert list(rational_imports(source)) == [(1, "fractions"), (2, "decimal"), (3, "fractions")]
 
 
 def test_scan_finds_both_kinds():

@@ -1,16 +1,20 @@
 """Property tests for the two exact cores: the Smith transform and the
 discriminant forms read off it, and orbit products over Z[zeta_m]."""
 
+from fractions import Fraction
 from itertools import combinations
+from itertools import product as iter_product
 from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_intmat import gauss_jordan_inverse
 
+from k3fermat.catalog import load_catalog
 from k3fermat.characters import units_mod
 from k3fermat.cyclotomic import CycInt, orbit_product, totient
-from k3fermat.intmat import det, fraction_inverse, mat_mul, smith_normal_form, transpose
-from k3fermat.lattice import FiniteQuadraticForm, GramLattice, discriminant_form
+from k3fermat.intmat import det, mat_mul, smith_normal_form, transpose
+from k3fermat.lattice import GramLattice, discriminant_form
 
 exact = settings(deadline=None, max_examples=50)
 
@@ -27,17 +31,39 @@ def even_grams(draw, max_rank=5):
     return g
 
 
+def assert_form_is_the_inverse_of_u_g_ut(lattice):
+    """The integer form over the exponent e equals the Fraction form
+    (u G u^T)^-1 on the Smith generators, entry by entry (values mod 2,
+    pairings mod 1) and in the value of every element of a small group."""
+    g = lattice.rows()
+    form = discriminant_form(lattice)
+    d, u, _v = smith_normal_form(g)
+    inverse = gauss_jordan_inverse(mat_mul(mat_mul(u, g), transpose(u)))
+    keep = [i for i in range(len(g)) if d[i] > 1]
+    assert form.orders == tuple(d[i] for i in keep)
+    assert form.group_order() == abs(det(g))
+    e = form.exponent
+    assert e == (d[keep[-1]] if keep else 1)
+    assert [[Fraction(x, e) for x in row] for row in form.matrix] == [
+        [inverse[i][j] % (2 if i == j else 1) for j in keep] for i in keep]
+    if form.group_order() <= 512:
+        for x in iter_product(*(range(o) for o in form.orders)):
+            reference = sum(x[a] * x[b] * inverse[i][j]
+                            for a, i in enumerate(keep) for b, j in enumerate(keep))
+            assert Fraction(form.value(x), e) == reference % 2
+
+
 @exact
 @given(even_grams())
 def test_discriminant_form_is_the_inverse_of_u_g_ut(g):
-    form = discriminant_form(GramLattice(g))
-    d, u, _v = smith_normal_form(g)
-    inverse = fraction_inverse(mat_mul(mat_mul(u, g), transpose(u)))
-    keep = [i for i in range(len(g)) if d[i] > 1]
-    reference = FiniteQuadraticForm([d[i] for i in keep],
-                                    [[inverse[i][j] for j in keep] for i in keep])
-    assert form == reference
-    assert form.group_order() == abs(det(g))
+    assert_form_is_the_inverse_of_u_g_ut(GramLattice(g))
+
+
+def test_catalog_discriminant_forms_are_the_inverse_of_u_g_ut():
+    lattices = [lat for e in load_catalog() for lat in (e.s_gram, e.t_gram)]
+    assert len(lattices) == 32
+    for lat in lattices:
+        assert_form_is_the_inverse_of_u_g_ut(lat)
 
 
 def laplace_det(mat):

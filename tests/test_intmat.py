@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from characters_reference import kernel_mod
-from k3fermat import intmat
-from k3fermat.catalog import _build_catalog, load_catalog
+from k3fermat.catalog import load_catalog
 from k3fermat.intmat import (
     det,
     fraction_inverse,
@@ -199,7 +198,9 @@ def test_fraction_inverse_matches_gauss_jordan(mat):
         with pytest.raises(ValueError):
             fraction_inverse(mat)
     else:
-        assert fraction_inverse(mat) == gauss_jordan_inverse(mat)
+        d, scaled = fraction_inverse(mat)
+        assert abs(d) == abs(det(mat))
+        assert [[Fraction(x, d) for x in row] for row in scaled] == gauss_jordan_inverse(mat)
 
 
 @settings(deadline=None, max_examples=100)
@@ -215,10 +216,10 @@ def test_fraction_inverse_refuses_a_singular_matrix(mat, coeffs, at):
 
 def test_fraction_inverse():
     m = [[19, 37, 3], [0, 12, 2], [0, 36, 7]]
-    inv = fraction_inverse(m)
-    n = len(m)
-    prod = [[sum(Fraction(m[i][k]) * inv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    assert prod == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    d, scaled = fraction_inverse(m)
+    assert abs(d) == abs(det(m)) == 228
+    # A (d A^-1) = d I, in integers
+    assert mat_mul(m, scaled) == [[d * int(i == j) for j in range(3)] for i in range(3)]
     with pytest.raises(ValueError):
         fraction_inverse([[1, 2], [2, 4]])
 
@@ -329,12 +330,3 @@ def test_catalog_lattices_match_both_references():
             assert lat.signature == reference_signature(g)
             assert lat.determinant == det(g)
 
-
-def test_catalog_lattices_need_no_fractions(monkeypatch):
-    def refuse(*_args):
-        raise AssertionError("Fraction used while building Gram lattices")
-
-    monkeypatch.setattr(intmat, "Fraction", refuse)
-    entries = _build_catalog()
-    assert [(e.s_gram, e.t_gram) for e in entries] == [
-        (e.s_gram, e.t_gram) for e in load_catalog()]

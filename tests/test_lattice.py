@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from test_intmat import reference_signature
 
 from k3fermat import lattice
-from k3fermat.catalog import load_catalog
+from k3fermat.catalog import _build_catalog, load_catalog, verify_entry
 from k3fermat.intmat import det, mat_mul, symmetric_invariants, transpose
 from k3fermat.lattice import (
     FiniteQuadraticForm,
@@ -27,6 +27,7 @@ from k3fermat.lattice import (
     kodaira_lattice,
     mirror_split,
     nikulin_complement_check,
+    rational_text,
     standard_lattice,
 )
 
@@ -154,19 +155,32 @@ def test_discriminant_form_of_a_unimodular_lattice_takes_no_smith_form(monkeypat
             discriminant_form(lat)
 
 
+def test_verify_takes_one_smith_form_per_lattice(monkeypatch):
+    # the lattice check forms q_S and q_T; the height check reuses q_S
+    calls = []
+    monkeypatch.setattr(lattice, "smith_normal_form",
+                        lambda m, run=lattice.smith_normal_form: calls.append(len(m)) or run(m))
+    entry = next(e for e in _build_catalog() if e.k == 19)
+    report = verify_entry(entry, primes=[191])
+    assert [c.status for c in report.checks if c.name in ("lattice", "height-disc")] == [
+        "pass", "pass"]
+    assert sorted(calls) == [4, 18]
+
+
 def test_discriminant_form_a2():
+    # values are numerators over the exponent 3: 2 stands for 2/3
     q = discriminant_form(standard_lattice("A", n=2))
-    assert q.orders == (3,)
-    assert q.value((1,)) == Fraction(2, 3)
-    assert q.value((2,)) == Fraction(2, 3)  # both generators take the same value
+    assert (q.orders, q.exponent) == ((3,), 3)
+    assert q.value((1,)) == 2
+    assert q.value((2,)) == 2  # both generators take the same value
     qm = discriminant_form(standard_lattice("A", n=2, twist=-1))
-    assert qm.value((1,)) == Fraction(4, 3)
+    assert qm.value((1,)) == 4
 
 
 def test_discriminant_form_order19_block():
     q = discriminant_form(standard_lattice("explicit", entries=[[2, 1], [1, 10]]))
-    assert q.orders == (19,)
-    assert any(q.value((c,)) == Fraction(2, 19) for c in range(1, 19))
+    assert (q.orders, q.exponent) == ((19,), 19)
+    assert any(q.value((c,)) == 2 for c in range(1, 19))
 
 
 def test_discriminant_form_group_order_matches_determinant():
@@ -177,14 +191,19 @@ def test_discriminant_form_group_order_matches_determinant():
 
 def test_discriminant_form_with_a_negative_off_diagonal_pairing():
     # A1 + U(2)(-1): the U(2) block pairs its generators to -1/2, which is
-    # 1/2 in Q/Z, so the form is symmetric there
+    # 1/2 in Q/Z, so the form is symmetric there; numerators are over e = 2
     q = discriminant_form(GramLattice([[2, 0, 0], [0, 0, -2], [0, -2, 0]]))
     assert q.orders == (2, 2, 2)
-    assert q == FiniteQuadraticForm((2, 2, 2), [[Fraction(1, 2), 0, 0],
-                                                [0, 0, Fraction(1, 2)],
-                                                [0, Fraction(1, 2), 0]])
+    assert q == FiniteQuadraticForm((2, 2, 2), [[1, 0, 0],
+                                                [0, 0, 1],
+                                                [0, 1, 0]])
+    assert q == FiniteQuadraticForm((2, 2, 2), [[5, 0, 0],
+                                                [0, 4, -1],
+                                                [0, 3, 0]])
+    # q(g2 + g3) = 0 + 0 + 2 b(g2, g3) = 1: the numerator 2 over e = 2
+    assert q.value((0, 1, 1)) == 2
     with pytest.raises(ValueError):
-        FiniteQuadraticForm((2, 2), [[0, Fraction(1, 2)], [0, 0]])
+        FiniteQuadraticForm((2, 2), [[0, 1], [0, 0]])
 
 
 def test_discriminant_form_rejects_odd_lattice():
@@ -193,8 +212,9 @@ def test_discriminant_form_rejects_odd_lattice():
 
 
 def test_fqf_self_equivalence_and_opposite():
-    pos = FiniteQuadraticForm((19,), [[Fraction(2, 19)]])
-    neg = FiniteQuadraticForm((19,), [[Fraction(-2, 19)]])
+    pos = FiniteQuadraticForm((19,), [[2]])  # 2/19
+    neg = FiniteQuadraticForm((19,), [[-2]])
+    assert neg == pos.negated()
     assert fqf_equivalent(pos, pos)
     assert not fqf_equivalent(pos, neg)  # -1 is not a square mod 19
     assert fqf_equivalent(FiniteQuadraticForm((), ()), FiniteQuadraticForm((), ()))
@@ -202,27 +222,69 @@ def test_fqf_self_equivalence_and_opposite():
 
 def test_fqf_equivalence_respects_generator_change():
     # Z/5 with values 2/5 and 8/5: related by the generator scaling c = 2
-    a = FiniteQuadraticForm((5,), [[Fraction(2, 5)]])
-    b = FiniteQuadraticForm((5,), [[Fraction(8, 5)]])
+    a = FiniteQuadraticForm((5,), [[2]])
+    b = FiniteQuadraticForm((5,), [[8]])
     assert fqf_equivalent(a, b)
-    c = FiniteQuadraticForm((5,), [[Fraction(4, 5)]])
+    c = FiniteQuadraticForm((5,), [[4]])
     assert not fqf_equivalent(a, c)  # 2 c^2 = 4 mod 10 has no solution
 
 
 def test_fqf_order_cap():
-    big = FiniteQuadraticForm((10007,), [[Fraction(2, 10007)]])
+    big = FiniteQuadraticForm((10007,), [[2]])
     with pytest.raises(ValueError):
         fqf_equivalent(big, big)
 
 
 def test_section_heights_match_catalog_rows():
-    assert height(SectionData(3, (("A", 2, 1),))) == Fraction(19, 2)
-    assert height(SectionData(0, (("A", 2, 1), ("A", 3, 1)))) == Fraction(17, 6)
-    assert height(SectionData(2, (("E7",),))) == Fraction(13, 2)
-    assert height(SectionData(0, (("A", 3, 1), ("E7",)))) == Fraction(11, 6)
-    assert height(SectionData(0, (("E6",), ("E7",)))) == Fraction(7, 6)
-    assert height(SectionData(0, (("E7",),))) == Fraction(5, 2)
-    assert height(SectionData(0, ())) == 4
+    assert height(SectionData(3, (("A", 2, 1),))) == (19, 2)
+    assert height(SectionData(0, (("A", 2, 1), ("A", 3, 1)))) == (17, 6)
+    assert height(SectionData(2, (("E7",),))) == (13, 2)
+    assert height(SectionData(0, (("A", 3, 1), ("E7",)))) == (11, 6)
+    assert height(SectionData(0, (("E6",), ("E7",)))) == (7, 6)
+    assert height(SectionData(0, (("E7",),))) == (5, 2)
+    assert height(SectionData(0, ())) == (4, 1)
+
+
+def fraction_height(section):
+    """4 + 2 (P.O) - sum of the corrections, summed in Fractions: the
+    reference for height."""
+    corrections = {"E6": Fraction(4, 3), "E7": Fraction(3, 2)}
+    total = Fraction(4 + 2 * section.pai)
+    for term in section.contributions:
+        if term[0] == "A":
+            _, n, j = term
+            total -= Fraction(j * (n - j), n)
+        else:
+            total -= corrections[term[0]]
+    return total
+
+
+def test_stored_section_heights_match_the_fraction_sum():
+    sections = [e.section for e in load_catalog() if e.section is not None]
+    assert len(sections) == 6
+    for section in sections:
+        ref = fraction_height(section.data())
+        assert section.height() == (ref.numerator, ref.denominator)
+
+
+fiber_terms = st.one_of(
+    st.sampled_from([("E6",), ("E7",)]),
+    st.integers(2, 24).flatmap(lambda n: st.tuples(st.just("A"), st.just(n),
+                                                   st.integers(1, n - 1))))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 6), st.lists(fiber_terms, max_size=6))
+def test_height_is_the_reduced_fraction_sum(pai, terms):
+    section = SectionData(pai, terms)
+    ref = fraction_height(section)
+    assert height(section) == (ref.numerator, ref.denominator)
+    assert rational_text(height(section)) == str(ref)
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
+def test_rational_text_prints_the_reduced_fraction(num, den):
+    assert rational_text((num, den)) == str(Fraction(num, den))
 
 
 def test_section_validation():
@@ -235,15 +297,15 @@ def test_section_validation():
 
 
 def test_disc_from_height_table():
-    assert disc_from_height(Fraction(19, 2), ["III"]) == -19
-    assert disc_from_height(Fraction(17, 6), ["III", "IV"]) == -17
-    assert disc_from_height(Fraction(13, 2), ["III*"]) == -13
-    assert disc_from_height(Fraction(11, 6), ["IV", "III*"]) == -11
-    assert disc_from_height(Fraction(7, 6), ["IV*", "III*"]) == -7
-    assert disc_from_height(Fraction(5, 2), ["III*", "II*"]) == -5
-    assert disc_from_height(1, ["IV"]) == -3
-    assert disc_from_height(1, ["IV*", "II*"]) == -3
-    assert disc_from_height(1, ["IV", "II*", "II*"]) == -3
+    assert disc_from_height((19, 2), ["III"]) == -19
+    assert disc_from_height((17, 6), ["III", "IV"]) == -17
+    assert disc_from_height((13, 2), ["III*"]) == -13
+    assert disc_from_height((11, 6), ["IV", "III*"]) == -11
+    assert disc_from_height((7, 6), ["IV*", "III*"]) == -7
+    assert disc_from_height((5, 2), ["III*", "II*"]) == -5
+    assert disc_from_height((1, 1), ["IV"]) == -3
+    assert disc_from_height((1, 1), ["IV*", "II*"]) == -3
+    assert disc_from_height((1, 1), ["IV", "II*", "II*"]) == -3
 
 
 def d_gram(n):
@@ -273,9 +335,11 @@ def test_kodaira_lattice_matches_explicit_gram_matrices():
 
 def test_disc_from_height_multiplicative_fibers():
     # I_n carries A_{n-1} with determinant n
-    assert disc_from_height(Fraction(1, 22), ["I11", "I2"]) == -1
-    with pytest.raises(ValueError):
-        disc_from_height(Fraction(1, 3), ["III"])  # 2/3 is not an integer
+    assert disc_from_height((1, 22), ["I11", "I2"]) == -1
+    with pytest.raises(ValueError, match="integer: 2/3$"):
+        disc_from_height((1, 3), ["III"])  # 2/3 is not an integer
+    with pytest.raises(ValueError, match="integer: -3$"):
+        disc_from_height((-1, 1), ["IV"])
 
 
 def test_nikulin_complement_unimodular_pair():

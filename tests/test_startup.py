@@ -1,8 +1,9 @@
 """Start-up imports only what a call reads: no dataclasses (which pulls in
 inspect, ast, dis and tokenize), a catalog built without parsing any
 equation and eliminating only its stated Gram blocks, a frozen set-up heap
-once it is built, and no argparse (nor the gettext and locale it pulls in)
-for a well-formed command line. Structural checks only; timings live in
+once it is built, no argparse (nor the gettext and locale it pulls in)
+for a well-formed command line, and no fractions (nor the decimal and
+numbers it pulls in) at all. Structural checks only; timings live in
 perfbench."""
 
 import json
@@ -83,3 +84,42 @@ def test_well_formed_calls_import_no_argparse():
     # help still goes through argparse and exits 0
     assert doc["codes"] == [0, 0, 0]
     assert doc["argparse"]
+
+
+COMMAND_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import k3fermat.cli
+watched = {"fractions", "decimal", "numbers"}
+k3fermat.cli.load_catalog()
+seen = [["load_catalog", 0, sorted(watched & set(sys.modules))]]
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = k3fermat.cli.main(argv)
+    seen.append([" ".join(argv), code, sorted(watched & set(sys.modules))])
+print(json.dumps(seen))
+"""
+
+COMMAND_LINES = [
+    ["catalog", "--json"],
+    ["catalog", "--k", "19", "--json"],
+    ["verify", "--all"],
+    ["lattice", "--k", "19"],
+    ["mirror", "--k", "12"],
+    ["zeta", "--k", "66", "--q", "67"],
+    ["count", "--k", "19", "--q", "191"],
+    ["jacobi", "--m", "7", "--q", "29", "--alpha", "1,2,3"],
+    ["delsarte", "--equation", "y^2 = x^3 + t^7*x - t"],
+]
+
+
+def test_no_command_imports_fractions():
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", COMMAND_PROBE, str(SRC), json.dumps(COMMAND_LINES)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert [name for name, _code, _loaded in seen] == ["load_catalog"] + [
+        " ".join(argv) for argv in COMMAND_LINES]
+    # every call is well formed and succeeds, and none loads a rational module
+    assert [(name, code, loaded) for name, code, loaded in seen if code or loaded] == []
