@@ -6,9 +6,13 @@ exact integers, rationals as "num/den" strings, no floats, and no
 timing data (elapsed time is shown only in the human format, as integer
 milliseconds). Exit codes: 0 success, 1 verification failure, 2 usage
 or input error.
+
+The JSON text comes from _json_text, which writes the same bytes as
+json.dumps(doc, indent=2) for the types a report holds (dicts with str
+keys, lists, tuples, str, int, bool and None) and raises TypeError on
+anything else, a float included. So no command imports json.
 """
 
-import json
 import sys
 import time
 import types
@@ -40,9 +44,65 @@ class UsageError(Exception):
     """Bad input that is not a verification failure; mapped to exit 2."""
 
 
+# The escapes json.encoder.py_encode_basestring_ascii writes by name; every
+# other character outside printable ASCII becomes \uXXXX.
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
+            "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _quote(text):
+    """text as an ASCII JSON string literal, escaped as json.dumps escapes it."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    out = []
+    for ch in text:
+        n = ord(ch)
+        if ch in _ESCAPES:
+            out.append(_ESCAPES[ch])
+        elif 0x20 <= n < 0x7f:
+            out.append(ch)
+        elif n < 0x10000:
+            out.append(f"\\u{n:04x}")
+        else:  # a surrogate pair
+            n -= 0x10000
+            out.append(f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _json_text(value, pad="\n"):
+    """json.dumps(value, indent=2) for a report value; pad is the newline
+    and indentation that precede value's closing bracket."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys are str, not {type(key).__name__}: {key!r}")
+            items.append(_quote(key) + ": " + _json_text(item, inner))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"a report holds no {type(value).__name__}: {value!r}")
+
+
 def _emit(doc, as_json, human_lines):
     if as_json:
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
     else:
         for line in human_lines:
             print(line)
@@ -91,7 +151,7 @@ def _ms(t0):
 def cmd_catalog(args):
     if args.k is None:
         if args.json:
-            print(json.dumps(catalog_as_dicts(), indent=2))
+            print(_json_text(catalog_as_dicts()))
             return 0
         lines = [f"{'k':>3}  {'class':<14} {'m':>4}  {'equation':<34} mirror"]
         for e in load_catalog():

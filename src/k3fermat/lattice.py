@@ -465,8 +465,8 @@ def mirror_split(t_lat):
     A definite T admits no isotropic vectors, so no splitting exists. For
     indefinite T, first look for a visible U2 block in the stated basis,
     then for the <2> + (-A2) configuration whose vectors b+a1, b+a1+a2
-    span a hyperbolic plane, then (small ranks) for an isotropic pair by
-    bounded search. Failure of all three raises.
+    span a hyperbolic plane. Every indefinite catalog T splits on one of
+    the two; any other lattice raises ValueError.
     """
     g = t_lat.gram
     n = t_lat.rank
@@ -500,12 +500,4 @@ def mirror_split(t_lat):
                 y[k] = s
                 if _pair(g, x, x) == 0 and _pair(g, y, y) == 0 and _pair(g, x, y) == 1:
                     return _complement_of_hyperbolic(t_lat, x, y)
-    # bounded search over small vectors
-    if n <= 8:
-        box = list(iter_product(*[(-1, 0, 1)] * n))
-        isotropic = [v for v in box if any(v) and _pair(g, v, v) == 0]
-        for x in isotropic:
-            for y in isotropic:
-                if _pair(g, x, y) == 1:
-                    return _complement_of_hyperbolic(t_lat, list(x), list(y))
     raise ValueError("no hyperbolic splitting found; lattice may need a larger search")

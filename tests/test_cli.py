@@ -592,3 +592,37 @@ class TestCommandLineReader:
     ])
     def test_declines_everything_else(self, argv):
         assert _read_argv(argv) is None
+
+
+# Every code point, surrogates included: the writer must escape each one as
+# json.dumps does.
+ANY_TEXT = st.text(st.characters(exclude_categories=()))
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 60, 10 ** 60) | ANY_TEXT,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(ANY_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+class TestJsonWriter:
+    """cli._json_text against the standard library's json.dumps(indent=2)."""
+
+    @settings(deadline=None, max_examples=500)
+    @given(REPORT_VALUES)
+    @example({"": [], "a": {}, "\x7f\x00 ": ["\ud800", "\U0010ffff", "\U0001f600"]})
+    @example(("\b\f\n\r\t\"\\", -(10 ** 60), True, None))
+    def test_writes_what_json_dumps_writes(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [1, [2, 0.5]],
+        {"x": [float("inf")]},
+        {1: "a"},
+        {None: "a"},
+        {"a": {2, 3}},
+        {3},
+    ], ids=["nested-float", "float-in-dict", "int-key", "none-key", "set-in-dict", "set"])
+    def test_refuses_what_a_report_never_holds(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)

@@ -1,7 +1,8 @@
 """The package computes with integers and cyclotomic integers only: no
 source file may contain a float literal or a float(...) call, nor import
 fractions or decimal. Rationals are (numerator, denominator) pairs or
-numerators over a known denominator."""
+numerators over a known denominator. Nor may a source file import json:
+the CLI writes its reports itself, so no command pays for that import."""
 
 import ast
 import pathlib
@@ -27,10 +28,10 @@ def test_no_floating_point(path):
     assert not sites, "\n".join(sites)
 
 
-RATIONAL_MODULES = {"fractions", "decimal"}
+FORBIDDEN_MODULES = {"fractions", "decimal", "json"}
 
 
-def rational_imports(source):
+def forbidden_imports(source):
     tree = ast.parse(source)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -40,7 +41,7 @@ def rational_imports(source):
         else:
             continue
         for name in names:
-            if name.split(".")[0] in RATIONAL_MODULES:
+            if name.split(".")[0] in FORBIDDEN_MODULES:
                 yield node.lineno, name
 
 
@@ -48,14 +49,18 @@ def test_no_module_imports_fractions_or_decimal():
     sources = sorted(SRC.glob("*.py"))
     assert sources
     sites = [f"{p.name}:{line}: imports {name}"
-             for p in sources for line, name in rational_imports(p.read_text())]
+             for p in sources for line, name in forbidden_imports(p.read_text())]
     assert sites == []
 
 
 def test_import_scan_finds_every_form():
     source = ("from fractions import Fraction\nimport decimal as d\n"
-              "import os, fractions\nfrom . import fractions_table\nimport numbers\n")
-    assert list(rational_imports(source)) == [(1, "fractions"), (2, "decimal"), (3, "fractions")]
+              "import os, fractions\nfrom . import fractions_table\nimport numbers\n"
+              "import json\nfrom json import dumps\nimport json.encoder as enc\n"
+              "from . import json_report\nimport jsonschema\n")
+    assert list(forbidden_imports(source)) == [
+        (1, "fractions"), (2, "decimal"), (3, "fractions"),
+        (6, "json"), (7, "json"), (8, "json.encoder")]
 
 
 def test_scan_finds_both_kinds():

@@ -2,9 +2,10 @@
 
 One `--json` command per subcommand, `lattice` and `zeta` (at the first
 stored zeta prime) for every catalog order, plus the geometric fiber rows
-of every elliptic catalog model (no CLI report prints those). A refactor that keeps
-results must keep these bytes. Regenerate only when a report is meant to
-change, from the repository root:
+of every elliptic catalog model (no CLI report prints those). Every file
+also equals json.dumps(json.loads(file), indent=2) plus a newline. A
+refactor that keeps results must keep these bytes. Regenerate only when a
+report is meant to change, from the repository root:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -59,6 +60,15 @@ def fiber_rows():
 def test_report_matches_golden(name):
     expected = (GOLDEN / f"{name}.json").read_text()
     assert report(COMMANDS[name]) == expected
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_golden_bytes_are_what_json_dumps_writes(path):
+    # the reports come from the package's own writer; the standard library
+    # stays the independent reference for their bytes, and a report read
+    # with json.loads and written back with json.dumps reproduces them
+    text = path.read_text()
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
 
 
 def test_geometric_fibers_match_golden():

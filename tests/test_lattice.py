@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from lattice_reference import BOX_RANK_LIMIT, box_mirror_split
 from test_intmat import reference_signature
 
 from k3fermat import lattice
-from k3fermat.catalog import _build_catalog, load_catalog, verify_entry
+from k3fermat.catalog import _build_catalog, catalog_entry, load_catalog, verify_entry
 from k3fermat.intmat import det, mat_mul, symmetric_invariants, transpose
 from k3fermat.lattice import (
     FiniteQuadraticForm,
@@ -384,14 +385,30 @@ def test_mirror_split_definite_lattice_has_none():
 
 
 def test_mirror_split_bounded_search():
-    # diag(2, -4) has the isotropic-free shape the first two strategies
-    # miss; only here does the small-vector search run. x = (sqrt2...) has
-    # no isotropic vector at all over Z (2a^2 = 4b^2 forces a = b = 0), so
-    # the search must report failure rather than fake a split.
+    # No catalog T needs the box search over {-1, 0, 1}^n, so it lives in
+    # lattice_reference. [[0, 1], [1, 2]] is U2 in another basis but shows
+    # neither of mirror_split's patterns, so mirror_split refuses it and
+    # the box search splits it completely.
+    u2_disguised = standard_lattice("explicit", entries=[[0, 1], [1, 2]])
+    with pytest.raises(ValueError, match="no hyperbolic splitting found"):
+        mirror_split(u2_disguised)
+    assert box_mirror_split(u2_disguised).rank == 0
+    # diag(2, -4) has no isotropic vector at all over Z (2a^2 = 4b^2 forces
+    # a = b = 0), so the search must report failure rather than fake a split.
     with pytest.raises(ValueError):
-        mirror_split(standard_lattice("diag", entries=[2, -4]))
-    # the search splits [[0, 1], [1, 2]] ~ U2 completely: empty complement
-    assert mirror_split(standard_lattice("explicit", entries=[[0, 1], [1, 2]])).rank == 0
+        box_mirror_split(standard_lattice("diag", entries=[2, -4]))
+
+
+@pytest.mark.parametrize("k", [5, 7, 9, 12])
+def test_box_search_agrees_with_mirror_split_on_small_catalog_lattices(k):
+    # the four indefinite catalog T of rank at most 8; any two complements
+    # of a hyperbolic plane in T share rank, signature and determinant
+    t = catalog_entry(k).t_gram
+    assert t.rank <= BOX_RANK_LIMIT
+    pattern, box = mirror_split(t), box_mirror_split(t)
+    assert (box.rank, box.signature, box.determinant) == (
+        pattern.rank, pattern.signature, pattern.determinant)
+    assert fqf_equivalent(discriminant_form(box), discriminant_form(pattern))
 
 
 def test_embedding_check():

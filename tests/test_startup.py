@@ -3,9 +3,11 @@ inspect, ast, dis and tokenize), a catalog built without parsing any
 equation and eliminating only its stated Gram blocks, a frozen set-up heap
 once it is built, no argparse (nor the gettext and locale it pulls in)
 for a well-formed command line, and no fractions (nor the decimal and
-numbers it pulls in) at all. Structural checks only; timings live in
-perfbench."""
+numbers it pulls in) and no json (nor its decoder, encoder, scanner and
+_json accelerator) at all: --json reports come from the package's own
+writer. Structural checks only; timings live in perfbench."""
 
+import ast
 import json
 import pathlib
 import re
@@ -86,18 +88,21 @@ def test_well_formed_calls_import_no_argparse():
     assert doc["argparse"]
 
 
+# The probe itself imports no json: the command lines come in as a repr and
+# the result goes out as one.
 COMMAND_PROBE = """
-import contextlib, io, json, sys
+import ast, contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 import k3fermat.cli
-watched = {"fractions", "decimal", "numbers"}
+watched = {"fractions", "decimal", "numbers",
+           "json", "json.decoder", "json.encoder", "json.scanner", "_json"}
 k3fermat.cli.load_catalog()
 seen = [["load_catalog", 0, sorted(watched & set(sys.modules))]]
-for argv in json.loads(sys.argv[2]):
+for argv in ast.literal_eval(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = k3fermat.cli.main(argv)
     seen.append([" ".join(argv), code, sorted(watched & set(sys.modules))])
-print(json.dumps(seen))
+print(repr(seen))
 """
 
 COMMAND_LINES = [
@@ -115,11 +120,12 @@ COMMAND_LINES = [
 
 def test_no_command_imports_fractions():
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", COMMAND_PROBE, str(SRC), json.dumps(COMMAND_LINES)],
+        [sys.executable, "-I", "-c", COMMAND_PROBE, str(SRC), repr(COMMAND_LINES)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
+    seen = ast.literal_eval(proc.stdout)
     assert [name for name, _code, _loaded in seen] == ["load_catalog"] + [
         " ".join(argv) for argv in COMMAND_LINES]
-    # every call is well formed and succeeds, and none loads a rational module
+    # every call is well formed and succeeds, and none loads a rational
+    # module or json
     assert [(name, code, loaded) for name, code, loaded in seen if code or loaded] == []
