@@ -12,7 +12,8 @@ convolution.
 
 IntPoly is the one polynomial type: its coefficients are ints for Z[T],
 CycInts for Z[zeta_m][T], or finite-field elements for the local
-expansions of pointcount (ints for F_p, QuadElements for F_{p^2}). Over Z,
+expansions of pointcount (ints for F_p, or the elements of any field
+object the tests pass to tate_fiber). Over Z,
 gcds come from primitive pseudo-remainders and quotients are exact
 integer divisions, so no rational number is ever formed.
 """

@@ -1,12 +1,10 @@
-"""Prime fields with eager discrete-log tables, and one small quadratic
-extension type for counting over F_{p^2}.
+"""Prime fields with eager discrete-log tables.
 
-PrimeField elements are plain ints; QuadExtField elements are QuadElements
-a + b*sqrt(r) for a fixed non-residue r. Elements of both fields combine
-with ordinary + - * and with ints on either side, so the point counters run
-over either. Ints may be left unreduced mod p along the way: each field's
-is_zero, inv and chi2 reduce their argument, and elements() and from_int
-return reduced values.
+PrimeField elements are plain ints, combined with ordinary + - *. Ints
+may be left unreduced mod p along the way: is_zero, inv and chi2 reduce
+their argument, and elements() and from_int return reduced values. Tate's
+algorithm in pointcount reads a field only through these methods, so the
+tests also run it over their own reference field F_{p^2}.
 """
 
 # Eager dlog tables make character sums O(1) per lookup.
@@ -142,117 +140,3 @@ def make_field(p):
 def as_field(q):
     """q itself when it is already a field object, else make_field(q)."""
     return make_field(q) if isinstance(q, int) else q
-
-
-class QuadElement:
-    """a + b*sqrt(r) in F_{p^2} = F_p(sqrt r), with a and b reduced mod p.
-
-    Instances are immutable. + - * combine two elements of one field, or an
-    element and an int on either side.
-    """
-
-    __slots__ = ("field", "a", "b")
-
-    def __init__(self, field, a, b=0):
-        p = field.p
-        self.field = field
-        self.a = a % p
-        self.b = b % p
-
-    def __add__(self, other):
-        if isinstance(other, QuadElement):
-            return QuadElement(self.field, self.a + other.a, self.b + other.b)
-        if isinstance(other, int):
-            return QuadElement(self.field, self.a + other, self.b)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadElement(self.field, -self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if isinstance(other, QuadElement):
-            a, b, c, d = self.a, self.b, other.a, other.b
-            return QuadElement(self.field, a * c + b * d * self.field.r, a * d + b * c)
-        if isinstance(other, int):
-            return QuadElement(self.field, self.a * other, self.b * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.b == 0 and self.a == other % self.field.p
-        if isinstance(other, QuadElement):
-            return (self.a, self.b) == (other.a, other.b)
-        return NotImplemented
-
-    def __hash__(self):
-        # an element of F_p hashes like its reduced int, as == implies
-        return hash((self.a, self.b)) if self.b else hash(self.a)
-
-    def __repr__(self):
-        return f"({self.a} + {self.b}*sqrt({self.field.r}))"
-
-
-class QuadExtField:
-    """F_{p^2} = F_p(sqrt r) for odd prime p and a fixed non-residue r.
-
-    Elements are QuadElements; the methods below also accept ints. Just
-    enough for fiberwise point counting: no dlog table, no characters beyond
-    chi2 (computed through the norm).
-    """
-
-    def __init__(self, p):
-        base = PrimeField(p)
-        if p == 2:
-            raise ValueError("quadratic extension of F_2 not supported")
-        self.base = base
-        self.p = p
-        self.q = p * p
-        if p % 4 == 3:
-            self.r = p - 1  # -1 is a non-residue
-        else:
-            self.r = next(v for v in range(2, p) if base.chi2(v) == -1)
-
-    def __repr__(self):
-        return f"QuadExtField({self.p}, r={self.r})"
-
-    def _element(self, x):
-        return x if isinstance(x, QuadElement) else QuadElement(self, x)
-
-    def elements(self):
-        p = self.p
-        return (QuadElement(self, a, b) for b in range(p) for a in range(p))
-
-    def from_int(self, n):
-        return QuadElement(self, n)
-
-    def is_zero(self, x):
-        return not self._element(x)
-
-    def norm(self, x):
-        x = self._element(x)
-        return (x.a * x.a - self.r * x.b * x.b) % self.p
-
-    def inv(self, x):
-        x = self._element(x)
-        n = self.norm(x)
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0")
-        ninv = pow(n, -1, self.p)
-        return QuadElement(self, x.a * ninv, -x.b * ninv)
-
-    def chi2(self, x):
-        # chi2(z) = z^((q-1)/2) = Norm(z)^((p-1)/2)
-        return self.base.chi2(self.norm(x))

@@ -13,16 +13,19 @@ primitive polynomials), and the counts over F_p run in integer arithmetic
 too. When A and B are monomials mod p, when A = 0 mod p (the fibers of
 y^2 = x^3 + B(t) are the rows of a double sextic in (t, x)), and when v
 occurs in one term of a double sextic, the count is a character sum over
-cosets of a subgroup of F_p^*, O(p); any other model runs over every t,
-one O(p) cubic sum per good fiber. The row sums walk one u per orbit of
-u -> zeta u, for the zeta that scale every term of the row polynomial
-alike (the t-part of the non-symplectic automorphism on the A = 0
-models), so they take O(p/h) steps for an orbit of h elements.
+cosets of a subgroup of F_p^*, O(p); every other model is refused, as
+its count would take one O(p) cubic sum per good fiber. The row sums
+walk one u per orbit of u -> zeta u, for the zeta that scale every term
+of the row polynomial alike (the t-part of the non-symplectic
+automorphism on the A = 0 models), so they take O(p/h) steps for an
+orbit of h elements.
 
 Tate's procedure works on IntPoly expansions in the uniformizer at t0,
 with ordinary + - * on the field elements. Over F_p those are plain ints
 that may stay unreduced mod p; every decision (zero test, valuation,
-chi2, inverse) goes through the field, which reduces them.
+chi2, inverse) goes through the field, which reduces them. tate_fiber
+reads the field through those methods alone, so it also runs over any
+field object that has them.
 """
 
 from collections import Counter
@@ -31,7 +34,7 @@ from math import gcd, lcm
 from operator import mod
 
 from .cyclotomic import IntPoly, exact_quotient, poly_gcd
-from .field import PrimeField, as_field, make_field
+from .field import PrimeField, as_field, check_modulus, make_field
 from .kernels import chi_cubic_sum, fermat_affine
 from .lattice import kodaira_lattice
 
@@ -97,7 +100,7 @@ def _split_by_valuation(f, target):
 # models and fibers
 
 def _discriminant(a, b):
-    """-16(4A^3 + 27B^2), for A and B over Z, F_p or F_{p^2}."""
+    """-16(4A^3 + 27B^2), for A and B over Z or over a field's elements."""
     return -16 * (4 * a * a * a + 27 * b * b)
 
 
@@ -327,12 +330,13 @@ def fiber_points(fiber, q):
 
 
 def count_elliptic_smooth(model, q):
-    """F_q-points of the smooth model of y^2 = x^3 + A(t)x + B(t) over P^1.
+    """F_p-points of the smooth model of y^2 = x^3 + A(t)x + B(t) over P^1,
+    for a prime p >= 5 given as an int or a PrimeField.
 
     Good fibers via the quadratic character, degenerate fibers via their
-    Kodaira configuration. Only t0 in P^1(F_q) can carry F_q-points, so
+    Kodaira configuration. Only t0 in P^1(F_p) can carry F_p-points, so
     degenerate fibers over higher-degree closed points never contribute.
-    Over F_p, two shapes of model skip the loop over t and count in O(p):
+    Two shapes of model count in O(p), with no loop over t:
     A and B each one monomial mod p (the catalog's k = 5, 7, 11, 13, 17,
     19, 28, 44) sum their fibers with t != 0 over cosets and count the
     bad ones in closed form, with no cubic sum (_monomial_fibers);
@@ -343,44 +347,43 @@ def count_elliptic_smooth(model, q):
     coset table over <g^3> is built once and also gives S(0, b) at the
     other fibers that need a cubic sum, infinity and the multiple roots
     of B, where the local A stays 0 mod p (_cubic_sums); so these models
-    make no O(p) cubic sum. Every other model, and every model over
-    F_{p^2}, runs over every t, one cubic sum per good fiber.
+    make no O(p) cubic sum. Every other model, and every field that is
+    not a PrimeField, raises ValueError before any field table is built:
+    one cubic sum per good fiber would be quadratic in p.
 
     A fiber of type I1 or II is the singular cubic itself (Silverman,
-    Advanced Topics, IV.9), with the q + 1 + S(A(t0), B(t0)) points that
+    Advanced Topics, IV.9), with the p + 1 + S(A(t0), B(t0)) points that
     the good-fiber formula gives. So both O(p) paths run Tate's algorithm
     only where the fiber may have more components: at the roots of B
     with B'(t0) = 0 mod p when A = 0, which leaves the cusps (II) of the
     simple roots to the row sum, and off t = 0 for monomials only when
     p | 3i - 2j, as below.
     """
-    field = as_field(q)
-    if field.p in (2, 3):
+    if not isinstance(q, (int, PrimeField)):
+        raise ValueError(f"{q!r} is not a prime field; only F_p is counted")
+    p = q if isinstance(q, int) else q.p
+    check_modulus(p)
+    if p in (2, 3):
         raise ValueError("residue characteristic must be at least 5")
-    size = field.q
-    prime = isinstance(field, PrimeField)
-    a_zero = prime and not any(c % size for c in model.a.coeffs)
+    a, b = _monomial(model.a, p), _monomial(model.b, p)
+    a_zero = not any(c % p for c in model.a.coeffs)
+    if not (a and b or a_zero):
+        raise ValueError(
+            f"no O(p) count for {model} mod {p}: A is not 0 and A, B are not single "
+            "terms, and one cubic sum per good fiber would be quadratic in p")
+    field = as_field(q)
     cosets = _coset_sums(field, 1, 3, 0) if a_zero else None
     cubic_sum = _cubic_sums(field, cosets)
-    a, b = (_monomial(model.a, size), _monomial(model.b, size)) if prime else (None, None)
     if a and b:
         total = _monomial_fibers(model, field, a, b, cubic_sum)
-    elif a_zero:
+    else:
         rows, roots = _single_v_term_sum(field, model.b, 0, 3, 1, cosets)
-        total = size * (size + 1) + rows
+        total = p * (p + 1) + rows
         slope = model.b.derivative()
         for t0 in roots:
-            if slope(t0) % size == 0:  # a simple root is type II, q + 1 points
-                total += _degenerate_count(model, field, t0, size, cubic_sum) - size - 1
-    else:
-        disc = model.discriminant()
-        total = 0
-        for t0 in field.elements():
-            if field.is_zero(disc(t0)):
-                total += _degenerate_count(model, field, t0, size, cubic_sum)
-            else:
-                total += size + 1 + cubic_sum(model.a(t0), model.b(t0))
-    total += _degenerate_count(model, field, "inf", size, cubic_sum)
+            if slope(t0) % p == 0:  # a simple root is type II, p + 1 points
+                total += _degenerate_count(model, field, t0, cubic_sum) - p - 1
+    total += _degenerate_count(model, field, "inf", cubic_sum)
     return total
 
 
@@ -426,7 +429,7 @@ def _monomial_fibers(model, field, a, b, cubic_sum):
     d = gcd(e, n)
     reach = n // d  # values of c t^e
     c = alpha ** 3 * pow(beta, -2, p) % p
-    total = _degenerate_count(model, field, 0, p, cubic_sum) + n * (p + 1)
+    total = _degenerate_count(model, field, 0, cubic_sum) + n * (p + 1)
     if reach * (i + j) % 2 == 0:
         at_zero, table = _coset_sums(field, c, e, i + j)
         period = len(table)
@@ -444,7 +447,7 @@ def _monomial_fibers(model, field, a, b, cubic_sum):
         tau0 = shift // d * pow(e // d, -1, reach) % reach
         for tau in range(tau0, n, reach):
             t = pow(g, tau, p)
-            total += _degenerate_count(model, field, t, p, cubic_sum)
+            total += _degenerate_count(model, field, t, cubic_sum)
             total -= p + 1 - field.chi2(-2 * alpha * beta * pow(t, i + j, p))
     return total
 
@@ -490,26 +493,24 @@ def _coset_sums(field, c, e, alternate):
     return field.chi2(c) * (reach & 1 if (e + alternate) & 1 else reach), table
 
 
-def _degenerate_count(model, field, t0, size, cubic_sum):
+def _degenerate_count(model, field, t0, cubic_sum):
     local = _local_model(model, field, t0)
     a, b, vd = local
     if vd == 0:
         # good after minimality reduction (e.g. deg A <= 4, deg B <= 6 at inf)
-        return size + 1 + cubic_sum(a.coeff(0), b.coeff(0))
-    return fiber_points(tate_fiber(model, field, t0, local), size)
+        return field.p + 1 + cubic_sum(a.coeff(0), b.coeff(0))
+    return fiber_points(tate_fiber(model, field, t0, local), field.p)
 
 
 def _cubic_sums(field, cosets=None):
     """The function (a, b) -> S(a, b), the sum of chi2(x^3 + a x + b) over
-    every x in the field, one O(q) sum per call.
+    every x in F_p, one O(p) sum per call.
 
-    Over F_p, cosets may be _coset_sums(field, 1, 3, 0): then S(0, b) is
+    cosets may be _coset_sums(field, 1, 3, 0): then S(0, b) is
     read off it in O(1). The x != 0 reach each value of <g^3> gcd(3, p-1)
     times, so S(0, b) = chi2(b) + gcd(3, p-1) D(b), with D the sum of
     chi2(b + s) over s in <g^3>.
     """
-    if not isinstance(field, PrimeField):
-        return lambda a, b: sum(field.chi2(x * x * x + a * x + b) for x in field.elements())
     p = field.p
     cubes = []
 

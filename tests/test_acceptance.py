@@ -8,6 +8,7 @@ are no tolerances anywhere.
 from fractions import Fraction
 
 from characters_reference import enumerate_A, galois_orbit
+from field_reference import QuadExtField, reference_elliptic_count
 from k3fermat.catalog import catalog_entry, load_catalog, transcendental_row
 from k3fermat.characters import alpha_norm, units_mod
 from k3fermat.cyclotomic import CycInt, IntPoly, totient
@@ -17,7 +18,7 @@ from k3fermat.delsarte import (
     transcendental_characters,
     verify_cover,
 )
-from k3fermat.field import PrimeField, QuadExtField, make_field
+from k3fermat.field import PrimeField, make_field
 from k3fermat.jacobi_zeta import (
     algebraic_factor,
     cm_factor_k3,
@@ -224,12 +225,13 @@ def test_a9_order3_cm_consistency():
         assert count_elliptic_smooth(model, p) == 1 + p * p + 20 * p + trace
     for p in (5, 11):  # inert primes: 1 - p^2 T^2
         assert cm_factor_k3(p) == IntPoly([1, 0, -p * p])
-    # Frobenius squares: t_2 = t^2 - 2 p^2 against a direct F_49 count
+    # Frobenius squares: t_2 = t^2 - 2 p^2 against a direct F_49 count,
+    # the tests' fiber loop over their reference F_{p^2}
     p = 7
     t = -cm_factor_k3(p).coeff(1)
     t2 = t * t - 2 * p * p
     assert t2 == 71
-    counted = count_elliptic_smooth(model, QuadExtField(p))
+    counted = reference_elliptic_count(model, QuadExtField(p))
     assert counted == 1 + p ** 4 + 20 * p ** 2 + t2 == 3453
 
 

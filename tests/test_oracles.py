@@ -4,11 +4,12 @@ that keep them fast and independent of the closed form.
 count_fermat counts over classes of the scaling symmetry rather than over
 every point. count_elliptic_smooth sums the monomial models and the A = 0
 models, and count_affine_double_sextic the single-v-term sextics, as
-coset character sums with no sum per fiber or row; any other elliptic
-model takes one chi_cubic_sum per good fiber. The reference loops below
-are the point-by-point versions: one chi_cubic_sum per good fiber, the
-double loop over (u, v) for the Fermat chart, and one row over u per v
-for the double sextic.
+coset character sums with no sum per fiber or row; count_elliptic_smooth
+refuses every other elliptic model, which would take one cubic sum per
+good fiber. The reference loops are the point-by-point versions: one
+chi_cubic_sum per good fiber (field_reference.reference_elliptic_count),
+the double loop over (u, v) for the Fermat chart, and one row over u per
+v for the double sextic.
 """
 
 import ast
@@ -19,6 +20,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from field_reference import reference_elliptic_count
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_fiber_properties import models
@@ -27,18 +29,16 @@ import k3fermat
 from k3fermat import pointcount
 from k3fermat.catalog import load_catalog
 from k3fermat.cyclotomic import IntPoly
-from k3fermat.field import PrimeField, is_prime, make_field
+from k3fermat.field import PrimeField, is_prime, make_field, prime_factors
 from k3fermat.kernels import chi_cubic_sum, fermat_affine
 from k3fermat.pointcount import (
     WeierstrassModel,
     _coset_sums,
     _cubic_sums,
     _degenerate_count,
-    _local_model,
     count_affine_double_sextic,
     count_elliptic_smooth,
     count_fermat,
-    fiber_points,
     tate_fiber,
 )
 
@@ -48,26 +48,6 @@ ELLIPTIC = [e for e in load_catalog() if e.elliptic]
 
 # ---------------------------------------------------------------------------
 # reference loops
-
-def reference_elliptic_count(model, q):
-    """count_elliptic_smooth over F_q, one chi_cubic_sum per good fiber."""
-    field = make_field(q)
-    chi2 = field.chi2_table()
-    cubes = [x * x * x % q for x in range(q)]
-    disc = model.discriminant()
-    total = 0
-    for t0 in list(range(q)) + ["inf"]:
-        if t0 != "inf" and disc(t0) % q:
-            a0, b0 = model.a(t0), model.b(t0)
-        else:
-            a, b, vd = _local_model(model, field, t0)
-            if vd:
-                total += fiber_points(tate_fiber(model, field, t0), q)
-                continue
-            a0, b0 = a.coeff(0), b.coeff(0)
-        total += q + 1 + chi_cubic_sum(chi2, cubes, a0 % q, b0 % q, q)
-    return total
-
 
 def reference_fermat_cone(m, q):
     """fermat_affine as the double loop: u^m + v^m tallied over every
@@ -143,6 +123,25 @@ def outcome(count, *args):
         return str(exc)
 
 
+def has_linear_count(model, q):
+    """A = 0 mod q, or A and B each one term mod q: the two shapes that
+    count_elliptic_smooth counts in O(q)."""
+    def terms(poly):
+        return sum(1 for c in poly.coeffs if c % q)
+
+    return terms(model.a) == 0 or terms(model.a) == terms(model.b) == 1
+
+
+def assert_counted_or_refused(model, q):
+    """count_elliptic_smooth equals the fiber loop on the two O(q) shapes,
+    and refuses, with its reason, every other model."""
+    if has_linear_count(model, q):
+        assert outcome(count_elliptic_smooth, model, q) == outcome(reference_elliptic_count, model, q)
+    else:
+        with pytest.raises(ValueError, match=r"no O\(p\) count"):
+            count_elliptic_smooth(model, q)
+
+
 # ---------------------------------------------------------------------------
 # elliptic surfaces
 
@@ -151,6 +150,17 @@ def test_elliptic_count_matches_the_fiber_loop_below_400(entry):
     for q in PRIMES_5_400:
         assert (outcome(count_elliptic_smooth, entry.model, q)
                 == outcome(reference_elliptic_count, entry.model, q)), (entry.k, q)
+
+
+def test_every_elliptic_catalog_model_keeps_an_o_q_shape_at_every_prime():
+    # A = 0, or A and B single terms, over Z, with no coefficient divisible
+    # by a prime >= 5: the shape then holds mod every p >= 5, so neither
+    # count --k nor verify can meet count_elliptic_smooth's refusal
+    for entry in ELLIPTIC:
+        a, b = entry.model.a.coeffs, entry.model.b.coeffs
+        terms = [sum(1 for c in poly if c) for poly in (a, b)]
+        assert terms[0] == 0 or terms == [1, 1], entry.k
+        assert all(max(prime_factors(abs(c)), default=1) < 5 for c in [*a, *b] if c), entry.k
 
 
 @st.composite
@@ -178,16 +188,22 @@ def models_with_every_good_fiber_shape(draw):
 
 @settings(deadline=None, max_examples=60)
 @given(models_with_every_good_fiber_shape())
-def test_elliptic_count_matches_the_fiber_loop_at_random(case):
+def test_elliptic_count_refuses_models_with_every_good_fiber_shape(case):
+    # a good fiber with A = 0 rules out A = 0 mod q, and B vanishing at
+    # r2 != 0 or A at r1 != 0 rules out single-term A and B, so no such
+    # model has an O(q) count
     model, q = case
-    assert outcome(count_elliptic_smooth, model, q) == outcome(reference_elliptic_count, model, q)
+    assert not has_linear_count(model, q)
+    with pytest.raises(ValueError, match=r"no O\(p\) count"):
+        count_elliptic_smooth(model, q)
 
 
 def edge_models(q):
-    """Models that stress each path of count_elliptic_smooth at the prime q:
-    the row sum of y^2 = x^3 + B(t) when A = 0 mod q, the coset sums when
-    A and B are monomials mod q, and otherwise the loop over every t, one
-    cubic sum per good fiber."""
+    """Models that stress count_elliptic_smooth at the prime q: the row
+    sum of y^2 = x^3 + B(t) when A = 0 mod q, the coset sums when A and B
+    are monomials mod q, and the refusal of every other shape ("B = 0",
+    "B = 0 mod q", "A constant mod q", "B constant mod q", "non-minimal",
+    "additive")."""
     return {
         "A = 0": WeierstrassModel([], [1, 0, 0, 0, 0, 1]),
         # non-minimal at infinity (deg A <= 4, deg B <= 6)
@@ -209,16 +225,17 @@ def edge_models(q):
 @pytest.mark.parametrize("q", [5, 7, 11])
 @pytest.mark.parametrize("name", sorted(edge_models(5)))
 def test_elliptic_count_matches_the_fiber_loop_on_edge_models(name, q):
-    model = edge_models(q)[name]
-    assert outcome(count_elliptic_smooth, model, q) == outcome(reference_elliptic_count, model, q)
+    # the fiber loop where an O(q) path exists, and the refusal elsewhere
+    assert_counted_or_refused(edge_models(q)[name], q)
 
 
 @settings(deadline=None, max_examples=60)
 @given(models(), st.sampled_from([5, 7, 11]))
 def test_elliptic_count_matches_the_fiber_loop_with_fibers_at_zero_and_infinity(model, q):
     # models() adds powers of t, so additive fibers at t = 0 are common,
-    # and its short A and B leave degenerate fibers at infinity
-    assert outcome(count_elliptic_smooth, model, q) == outcome(reference_elliptic_count, model, q)
+    # and its short A and B leave degenerate fibers at infinity; the draws
+    # with neither O(q) shape are refused
+    assert_counted_or_refused(model, q)
 
 
 PRIMES_5_100 = [q for q in PRIMES_5_400 if q < 100]
@@ -274,8 +291,8 @@ def monomial_models(draw, primes=PRIMES_5_100, shapes=("free", "zero", "e = 0", 
     """(model, q) with A = alpha t^i, B = beta t^j, 0 <= i <= 8, 0 <= j <= 12,
     q in primes, in one of the shapes below.
 
-    Besides free draws: alpha or beta = 0 mod q, which the row sum
-    (alpha = 0) or the loop over every t (beta = 0) counts;
+    Besides free draws: alpha or beta = 0 mod q, which the row sum counts
+    (alpha = 0) or count_elliptic_smooth refuses (beta = 0);
     e = 3i - 2j = 0 mod q-1, which makes r = c t^e constant; and a bad
     fiber at a rational t0 != 0, from alpha t0^i = -3 w^2 and
     beta t0^j = 2 w^3, which make 4A^3 + 27B^2 vanish there.
@@ -313,8 +330,9 @@ def monomial_models(draw, primes=PRIMES_5_100, shapes=("free", "zero", "e = 0", 
 @example((WeierstrassModel([3], [0] * 5 + [1]), 5))  # split I5 at t = 1, 4
 @example((WeierstrassModel([0, 0, -3], [0, 0, 0, 13]), 11))  # Delta = 0 mod q
 def test_monomial_elliptic_count_matches_the_fiber_loop(case):
+    # beta = 0 mod q leaves B with no term, so that draw is refused
     model, q = case
-    assert outcome(count_elliptic_smooth, model, q) == outcome(reference_elliptic_count, model, q)
+    assert_counted_or_refused(model, q)
 
 
 def direct_cubic_sum(a, b, q):
@@ -327,7 +345,7 @@ def fiber_and_cubic_counts(model, q, t0):
     """(_degenerate_count at t0, q + 1 + S(A(t0), B(t0))): equal when the
     fiber is the singular cubic itself, as the good-fiber formula counts it."""
     field = make_field(q)
-    return (_degenerate_count(model, field, t0, q, _cubic_sums(field)),
+    return (_degenerate_count(model, field, t0, _cubic_sums(field)),
             q + 1 + direct_cubic_sum(model.a(t0), model.b(t0), q))
 
 

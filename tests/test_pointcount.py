@@ -10,11 +10,12 @@ behavior is known in closed form.
 import random
 
 import pytest
+from field_reference import QuadExtField, reference_elliptic_count
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3fermat.cyclotomic import IntPoly
-from k3fermat.field import QuadExtField, make_field
+from k3fermat.field import PrimeField, make_field
 from k3fermat.pointcount import (
     _INF,
     KodairaFiber,
@@ -238,7 +239,8 @@ def test_tate_rejects_small_characteristic():
 def test_tate_refuses_a_discriminant_that_vanishes_mod_p():
     # 4 * 2^3 + 27 * 2^2 = 140 = 0 mod 5 and mod 7; the second model has
     # A = B = 0 mod 5, and the third a double root of the cubic at t = 0
-    # with Delta = 0 mod 5 to every order (an I_n* fiber with no finite n)
+    # with Delta = 0 mod 5 to every order (an I_n* fiber with no finite n).
+    # Over F_{p^2} the tests' fiber loop meets the same refusal.
     bad = [
         (WeierstrassModel([2], [2]), 5),
         (WeierstrassModel([2], [2]), 7),
@@ -252,7 +254,7 @@ def test_tate_refuses_a_discriminant_that_vanishes_mod_p():
         with pytest.raises(ValueError, match="vanishes identically mod"):
             count_elliptic_smooth(model, p)
         with pytest.raises(ValueError, match="vanishes identically mod"):
-            count_elliptic_smooth(model, QuadExtField(p))
+            reference_elliptic_count(model, QuadExtField(p))
 
 
 @st.composite
@@ -461,13 +463,37 @@ def test_constant_model_counts_product_surface():
 
 
 def test_smooth_count_over_quadratic_extension():
+    # the tests' fiber loop over their reference F_25: y^2 = x^3 + 1 is
+    # E x P^1, as over F_p
     model = WeierstrassModel([], [1])
     field = QuadExtField(5)
     curve = 1 + sum(
         1 + field.chi2(x * x * x + 1)
         for x in field.elements()
     )
-    assert count_elliptic_smooth(model, field) == (field.q + 1) * curve
+    assert reference_elliptic_count(model, field) == (field.q + 1) * curve
+
+
+def test_smooth_count_refuses_a_model_with_no_linear_path_before_building_a_field(monkeypatch):
+    # A and B of two terms each: one cubic sum per good fiber, about q^2
+    # steps at the cap, so the count is refused from the coefficients
+    # alone, and no field table (178 MB at q = 4194301) is built
+    def no_field(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(PrimeField, "__init__", no_field)
+    monkeypatch.setattr("k3fermat.field.make_field", no_field)
+    model = WeierstrassModel([1, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 1])
+    with pytest.raises(ValueError, match=r"no O\(p\) count .* mod 4194301"):
+        count_elliptic_smooth(model, 4194301)
+
+
+def test_smooth_count_refuses_every_field_but_a_prime_field():
+    # k = 3's A = 0 model has an O(p) path over F_7, but not over F_49
+    model = WeierstrassModel([], [0] * 5 + [1, -2, 1])
+    assert count_elliptic_smooth(model, 7) == reference_elliptic_count(model, 7)
+    with pytest.raises(ValueError, match="not a prime field"):
+        count_elliptic_smooth(model, QuadExtField(7))
 
 
 def test_smooth_count_is_deterministic():
