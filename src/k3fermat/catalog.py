@@ -23,10 +23,9 @@ aborting on the first failure.
 import gc
 from functools import cache
 from math import gcd, lcm
-from typing import NamedTuple
 
 from . import delsarte
-from .characters import CharacterVector, alpha_norm
+from .characters import CharacterVector, Record, alpha_norm
 from .cyclotomic import CycInt, IntPoly, totient
 from .delsarte import (
     MonomialMap,
@@ -59,7 +58,7 @@ ORDERS = UNIMODULAR_ORDERS + NON_UNIMODULAR_ORDERS
 K11_ALTERNATE_EQUATION = "y^2 = x^3 + x^2 + t^11"
 
 
-class SectionRecord(NamedTuple):
+class SectionRecord(Record):
     """A Mordell-Weil generator with the data entering its height.
 
     The coordinates are Laurent polynomials in t over the Gaussian
@@ -69,12 +68,10 @@ class SectionRecord(NamedTuple):
     format, so height(P) = 4 + 2*pai - sum(corrections).
     """
 
-    x_text: str
-    y_text: str
-    x_laurent: tuple
-    y_laurent: tuple
-    pai: int
-    corrections: tuple
+    __slots__ = _fields = ("x_text", "y_text", "x_laurent", "y_laurent", "pai", "corrections")
+
+    def __init__(self, x_text, y_text, x_laurent, y_laurent, pai, corrections):
+        self._set(x_text, y_text, x_laurent, y_laurent, pai, corrections)
 
     def data(self):
         return SectionData(self.pai, self.corrections)
@@ -89,7 +86,7 @@ def read_surface(text):
 
     verify reads an entry's equation for its action, its model and, when it
     is also the cover equation, its cover checks. A DelsarteSurface is an
-    immutable tuple, so every reader shares the one parse. The parse is
+    immutable record, so every reader shares the one parse. The parse is
     looked up on the delsarte module at call time, so a wrapper installed
     there sees each parse that runs.
     """
@@ -123,24 +120,33 @@ def read_equation(text):
     raise ValueError(f"{text!r} is neither y^2 = x^3 + A(t)*x + B(t) nor y^2 = f(u, v)")
 
 
-class K3CatalogEntry(NamedTuple):
-    k: int
-    m: int                    # Fermat cover degree; None for k=3
-    equation: str             # defining model over Q, parseable text
-    action_vars: tuple        # coordinate names the automorphism acts on
-    action: tuple             # zeta_k exponent per coordinate
-    s_gram: object            # GramLattice of the Neron-Severi lattice
-    t_gram: object            # GramLattice of the transcendental lattice
-    fibers: tuple             # sorted (kind, degree) over closed points; None for k=25
-    reducible_fibers: tuple   # kinds entering the discriminant product, else None
-    section: SectionRecord    # None when the Mordell-Weil rank is zero
-    disc_s: int               # Neron-Severi discriminant, else None
-    cover_equation: str       # four-monomial form covered by the Fermat surface;
-                              # equation itself unless a substitution is needed
-    cover: MonomialMap        # None for k=3
-    expected_characters: tuple  # (a1, a2, a3) triples in fixed order; None for k=3
-    mirror_partner: object    # tuple of partner orders, "family", or "none"
-    zeta_primes: tuple
+class K3CatalogEntry(Record):
+    __slots__ = _fields = (
+        "k",
+        "m",                    # Fermat cover degree; None for k=3
+        "equation",             # defining model over Q, parseable text
+        "action_vars",          # coordinate names the automorphism acts on
+        "action",               # zeta_k exponent per coordinate
+        "s_gram",               # GramLattice of the Neron-Severi lattice
+        "t_gram",               # GramLattice of the transcendental lattice
+        "fibers",               # sorted (kind, degree) over closed points; None for k=25
+        "reducible_fibers",     # kinds entering the discriminant product, else None
+        "section",              # SectionRecord; None when the Mordell-Weil rank is zero
+        "disc_s",               # Neron-Severi discriminant, else None
+        "cover_equation",       # four-monomial form covered by the Fermat surface;
+                                # equation itself unless a substitution is needed
+        "cover",                # MonomialMap; None for k=3
+        "expected_characters",  # (a1, a2, a3) triples in fixed order; None for k=3
+        "mirror_partner",       # tuple of partner orders, "family", or "none"
+        "zeta_primes",
+    )
+
+    def __init__(self, k, m, equation, action_vars, action, s_gram, t_gram, fibers,
+                 reducible_fibers, section, disc_s, cover_equation, cover,
+                 expected_characters, mirror_partner, zeta_primes):
+        self._set(k, m, equation, action_vars, action, s_gram, t_gram, fibers,
+                  reducible_fibers, section, disc_s, cover_equation, cover,
+                  expected_characters, mirror_partner, zeta_primes)
 
     @property
     def lattice_class(self):
@@ -179,15 +185,18 @@ class K3CatalogEntry(NamedTuple):
         return {(i, j): c for i, j, c in self.sextic}
 
 
-class CheckResult(NamedTuple):
-    name: str
-    status: str   # "pass", "fail", or "skip"
-    detail: str
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "status", "detail")  # status: "pass", "fail" or "skip"
+
+    def __init__(self, name, status, detail):
+        self._set(name, status, detail)
 
 
-class VerificationReport(NamedTuple):
-    k: int
-    checks: tuple
+class VerificationReport(Record):
+    __slots__ = _fields = ("k", "checks")
+
+    def __init__(self, k, checks):
+        self._set(k, checks)
 
     @property
     def ok(self):

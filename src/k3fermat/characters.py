@@ -5,9 +5,48 @@ and coordinate sum divisible by m. Its weight (the representative sum in
 (0, m) divided by m) lies in {1, 2, 3} and fixes the Hodge type of the
 two-form eigenspace the vector indexes. Tables elsewhere abbreviate a
 vector by [a1, a2, a3]; a0 is recovered from the sum condition.
+
+Record, the base of the package's immutable records, lives here because
+every module that defines a record already imports this one.
 """
 
 from math import gcd
+
+
+class Record:
+    """Immutable record with its fields named in order in _fields.
+
+    A subclass lists its fields as both __slots__ and _fields and sets them
+    in __init__ through _set. Equality is class-strict, the hash is the hash
+    of the field tuple and the repr reads Name(field=value, ...).
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _set(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({body})"
 
 
 class CharacterVector:

@@ -21,9 +21,8 @@ the variant.
 
 from itertools import product
 from math import gcd, prod
-from typing import NamedTuple
 
-from .characters import CharacterVector, units_mod
+from .characters import CharacterVector, Record, units_mod
 from .intmat import fraction_inverse, mat_mul, smith_normal_form
 
 FERMAT_VARS = ("U", "V", "W")
@@ -39,9 +38,14 @@ class SurfaceSyntaxError(ValueError):
         self.position = position
 
 
-class DelsarteSurface(NamedTuple):
-    variables: tuple  # names, in order of first appearance
-    terms: tuple      # ((coeff, exponent tuple aligned with variables), ...)
+class DelsarteSurface(Record):
+    __slots__ = _fields = (
+        "variables",  # names, in order of first appearance
+        "terms",      # ((coeff, exponent tuple aligned with variables), ...)
+    )
+
+    def __init__(self, variables, terms):
+        self._set(variables, terms)
 
     def twisted(self, term_signs):
         """Copy with term i multiplied by term_signs[i]."""
@@ -51,10 +55,15 @@ class DelsarteSurface(NamedTuple):
         return DelsarteSurface(self.variables, terms)
 
 
-class MonomialMap(NamedTuple):
-    m: int
-    images: tuple                 # ((variable, sign, (eU, eV, eW)), ...)
-    term_signs: tuple = None      # sign-variant flips, aligned with surface terms
+class MonomialMap(Record):
+    __slots__ = _fields = (
+        "m",
+        "images",      # ((variable, sign, (eU, eV, eW)), ...)
+        "term_signs",  # sign-variant flips, aligned with surface terms, else None
+    )
+
+    def __init__(self, m, images, term_signs=None):
+        self._set(m, images, term_signs)
 
     def image(self, var):
         for name, sign, exps in self.images:

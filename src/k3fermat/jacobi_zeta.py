@@ -10,9 +10,8 @@ Fermat cover and is handled through its CM structure instead.
 """
 
 from math import comb, gcd, isqrt
-from typing import NamedTuple
 
-from .characters import CharacterVector, units_mod
+from .characters import CharacterVector, Record, units_mod
 from .cyclotomic import IntPoly, _orbit_factor, reduce, totient
 from .field import MAX_PRIME, PrimeField, as_field, is_prime, make_field
 from .kernels import jacobi_counts
@@ -153,20 +152,27 @@ def cm_factor_k3(p):
     return IntPoly([1, -(2 * a * a - 2 * a * b - b * b), p * p])
 
 
-class ZetaReport(NamedTuple):
+class ZetaReport(Record):
     """Assembled reciprocal Frobenius data for one catalog surface at one q."""
 
-    k: int
-    q: int
-    m: int  # None for the order-3 surface, which has no cover
-    n_plus: int
-    n_minus: int
-    r_a: IntPoly
-    r_t: IntPoly
-    jacobi_values: tuple
-    trace: int
-    predicted_count: int
-    notes: tuple
+    __slots__ = _fields = (
+        "k",
+        "q",
+        "m",  # None for the order-3 surface, which has no cover
+        "n_plus",
+        "n_minus",
+        "r_a",
+        "r_t",
+        "jacobi_values",
+        "trace",
+        "predicted_count",
+        "notes",
+    )
+
+    def __init__(self, k, q, m, n_plus, n_minus, r_a, r_t, jacobi_values, trace,
+                 predicted_count, notes):
+        self._set(k, q, m, n_plus, n_minus, r_a, r_t, jacobi_values, trace,
+                  predicted_count, notes)
 
 
 def zeta_report(k, q):

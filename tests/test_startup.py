@@ -5,7 +5,10 @@ once it is built, no argparse (nor the gettext and locale it pulls in)
 for a well-formed command line, and no fractions (nor the decimal and
 numbers it pulls in) and no json (nor its decoder, encoder, scanner and
 _json accelerator) at all: --json reports come from the package's own
-writer. Structural checks only; timings live in perfbench."""
+writer. Nor typing (nor the re it pulls in), and no collections.namedtuple
+call: the records are plain classes. That last probe runs without site
+(python -I -S), since site start-up may load typing and re itself.
+Structural checks only; timings live in perfbench."""
 
 import ast
 import json
@@ -129,3 +132,36 @@ def test_no_command_imports_fractions():
     # every call is well formed and succeeds, and none loads a rational
     # module or json
     assert [(name, code, loaded) for name, code, loaded in seen if code or loaded] == []
+
+
+# Without site nothing loads typing or re before the package does. The probe
+# imports functools before patching collections.namedtuple, because functools
+# builds its own CacheInfo namedtuple at import.
+SITELESS_PROBE = """
+import ast, collections, contextlib, functools, io, sys
+sys.path.insert(0, sys.argv[1])
+named = []
+collections.namedtuple = (
+    lambda name, *a, build=collections.namedtuple, **kw: named.append(name) or build(name, *a, **kw))
+before = sorted({"typing", "re"} & set(sys.modules))
+import k3fermat.cli
+k3fermat.cli.load_catalog()
+codes = []
+for argv in ast.literal_eval(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(k3fermat.cli.main(argv))
+print(repr({"before": before, "codes": codes, "named": named,
+            "loaded": sorted({"typing", "re"} & set(sys.modules))}))
+"""
+
+
+def test_start_up_without_site_loads_no_typing_and_builds_no_namedtuple():
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", SITELESS_PROBE, str(SRC), repr(COMMAND_LINES)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = ast.literal_eval(proc.stdout)
+    assert doc["before"] == []
+    assert doc["codes"] == [0] * len(COMMAND_LINES)
+    assert doc["named"] == []
+    assert doc["loaded"] == []
