@@ -30,13 +30,12 @@ from .cyclotomic import CycInt, IntPoly, totient
 from .delsarte import (
     MonomialMap,
     action_on_form,
-    derive_cover,
-    transcendental_characters,
+    cover_characters,
+    cover_exponents,
     verify_cover,
 )
 from .jacobi_zeta import default_primes, zeta_report
 from .lattice import (
-    SectionData,
     direct_sum,
     disc_from_height,
     discriminant_form,
@@ -64,8 +63,8 @@ class SectionRecord(Record):
     The coordinates are Laurent polynomials in t over the Gaussian
     integers, stored as ((power, real, imag), ...); x_text/y_text are the
     printable forms. pai is the intersection number with the zero
-    section and corrections the local terms in lattice.SectionData
-    format, so height(P) = 4 + 2*pai - sum(corrections).
+    section and corrections the local fiber terms that lattice.height
+    reads, so height(P) = 4 + 2*pai - sum(corrections).
     """
 
     __slots__ = _fields = ("x_text", "y_text", "x_laurent", "y_laurent", "pai", "corrections")
@@ -73,11 +72,8 @@ class SectionRecord(Record):
     def __init__(self, x_text, y_text, x_laurent, y_laurent, pai, corrections):
         self._set(x_text, y_text, x_laurent, y_laurent, pai, corrections)
 
-    def data(self):
-        return SectionData(self.pai, self.corrections)
-
     def height(self):
-        return height(self.data())
+        return height(self.pai, self.corrections)
 
 
 @cache
@@ -468,8 +464,14 @@ def transcendental_row(k):
     The stored rows keep their fixed printing order, which starts with the
     weight-one character only for k in {66, 42, 36, 12, 9}; this accessor
     normalizes the order for consumers that need the distinguished vector,
-    such as the transcendental zeta factor.
+    such as the transcendental zeta factor. Each row is built once per
+    process and returned as a new list.
     """
+    return list(_transcendental_row(k))
+
+
+@cache
+def _transcendental_row(k):
     entry = catalog_entry(k)
     if entry.expected_characters is None:
         raise ValueError("order 3 has no Fermat cover")
@@ -477,7 +479,7 @@ def transcendental_row(k):
     ones = [c for c in chars if alpha_norm(c) == 1]
     if len(ones) != 1:
         raise AssertionError(f"expected one weight-one character, found {len(ones)}")
-    return ones + [c for c in chars if c != ones[0]]
+    return tuple(ones + [c for c in chars if c != ones[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -554,20 +556,27 @@ def verify_entry(entry, primes=None):
         skip("cover", "no four-monomial cover at order 3")
         skip("characters", "no four-monomial cover at order 3")
     else:
+        # the stored map is checked once, here, and the characters are
+        # read off it only when that check passed
+        covers = False
+
         def chk_cover():
+            nonlocal covers
             surface = entry.cover_surface()
-            if not verify_cover(surface, entry.cover):
+            covers = verify_cover(surface, entry.cover)
+            if not covers:
                 raise AssertionError("pullback does not vanish on the Fermat surface")
             if entry.cover.m != entry.m:
                 raise AssertionError(f"map degree {entry.cover.m} != {entry.m}")
-            derived_m, _pi = derive_cover(surface)
-            if derived_m != entry.m:
-                raise AssertionError(f"derived degree {derived_m} != {entry.m}")
+            least_m, _rows = cover_exponents(surface)
+            if least_m != entry.m:
+                raise AssertionError(f"derived degree {least_m} != {entry.m}")
             return f"Fermat degree {entry.m} covers {entry.cover_equation}"
 
         def chk_characters():
-            surface = entry.cover_surface()
-            found = transcendental_characters(surface, entry.cover)
+            if not covers:
+                raise AssertionError("the stored map does not cover the equation")
+            found = cover_characters(entry.cover)
             expected = {
                 CharacterVector.from_triple(entry.m, t)
                 for t in entry.expected_characters

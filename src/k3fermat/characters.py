@@ -6,8 +6,9 @@ and coordinate sum divisible by m. Its weight (the representative sum in
 two-form eigenspace the vector indexes. Tables elsewhere abbreviate a
 vector by [a1, a2, a3]; a0 is recovered from the sum condition.
 
-Record, the base of the package's immutable records, lives here because
-every module that defines a record already imports this one.
+Record, the package's one immutable value base, lives here because this
+module imports nothing from the package, so every module that defines a
+value (catalog, delsarte, jacobi_zeta, lattice) can import it.
 """
 
 from math import gcd
@@ -16,9 +17,11 @@ from math import gcd
 class Record:
     """Immutable record with its fields named in order in _fields.
 
-    A subclass lists its fields as both __slots__ and _fields and sets them
-    in __init__ through _set. Equality is class-strict, the hash is the hash
-    of the field tuple and the repr reads Name(field=value, ...).
+    A subclass lists its fields as both __slots__ and _fields (a slot
+    outside _fields, such as a cache, enters neither equality nor the hash)
+    and sets them in __init__ through _set. Equality is class-strict, the
+    hash is the hash of the field tuple and the repr reads
+    Name(field=value, ...).
     """
 
     __slots__ = ()
@@ -49,10 +52,10 @@ class Record:
         return f"{self.__class__.__name__}({body})"
 
 
-class CharacterVector:
+class CharacterVector(Record):
     """Immutable character vector (m, a) with a reduced into (0, m)."""
 
-    __slots__ = ("m", "a")
+    __slots__ = _fields = ("m", "a")
 
     def __init__(self, m, a):
         if m < 2:
@@ -65,19 +68,7 @@ class CharacterVector:
             raise ValueError(f"coordinates must be nonzero mod {m}: {a}")
         if sum(norm) % m != 0:
             raise ValueError(f"coordinate sum must vanish mod {m}: {a}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "a", norm)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CharacterVector is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.m == other.m and self.a == other.a
-
-    def __hash__(self):
-        return hash((self.m, self.a))
+        self._set(m, norm)
 
     @classmethod
     def from_triple(cls, m, triple):
@@ -94,9 +85,6 @@ class CharacterVector:
         if gcd(u, self.m) != 1:
             raise ValueError(f"{u} is not a unit mod {self.m}")
         return CharacterVector(self.m, tuple(u * x % self.m for x in self.a))
-
-    def __repr__(self):
-        return f"CharacterVector(m={self.m}, a={self.a})"
 
 
 def units_mod(m):

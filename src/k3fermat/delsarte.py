@@ -47,13 +47,6 @@ class DelsarteSurface(Record):
     def __init__(self, variables, terms):
         self._set(variables, terms)
 
-    def twisted(self, term_signs):
-        """Copy with term i multiplied by term_signs[i]."""
-        if len(term_signs) != len(self.terms):
-            raise ValueError("one sign per term required")
-        terms = tuple((c * s, e) for (c, e), s in zip(self.terms, term_signs))
-        return DelsarteSurface(self.variables, terms)
-
 
 class MonomialMap(Record):
     __slots__ = _fields = (
@@ -298,7 +291,17 @@ def cover_invariant_characters(pi):
 def transcendental_characters(surface, pi):
     """Deck-invariant characters that are not algebraic, the weight-1
     vector first and the rest by (a1, a2, a3). 22 minus the length is the
-    Picard number.
+    Picard number. ValueError when pi does not cover the surface, and as
+    cover_characters.
+    """
+    if not verify_cover(surface, pi):
+        raise ValueError("map does not cover the surface")
+    return cover_characters(pi)
+
+
+def cover_characters(pi):
+    """transcendental_characters of a map already checked to cover its
+    surface; this runs no cover check.
 
     The invariant set is a group, so it is Galois-stable, and every orbit
     that is not algebraic holds a weight-one character (if u alpha has
@@ -309,8 +312,6 @@ def transcendental_characters(surface, pi):
     units. ValueError when the weight-one count is not one (not a K3
     surface), or when cover_invariant_characters refuses the group's order.
     """
-    if not verify_cover(surface, pi):
-        raise ValueError("map does not cover the surface")
     m = pi.m
     ones = [a for a in cover_invariant_characters(pi) if sum(a) == m]
     if len(ones) != 1:
@@ -321,18 +322,16 @@ def transcendental_characters(surface, pi):
     return [CharacterVector(m, a) for a in sorted(orbit, key=lambda a: (a != alpha,) + a[1:])]
 
 
-def derive_cover(surface):
-    """Degree and covering map from the exponent matrix of a four-monomial
-    equation in three variables.
+def cover_exponents(surface):
+    """(m, rows): the least Fermat degree that covers a four-monomial
+    equation in three variables, and the map's exponent rows, one per
+    variable.
 
     Subtracting a pivot term (the constant if present, else the first) from
     the other three exponent rows gives an integer matrix M; the map
     exponents are m * M^{-1} for the least m clearing denominators. With
     (d, d*M^{-1}) from fraction_inverse's integer elimination, that m is
-    |d| over the gcd of d and every entry of d*M^{-1}. Image signs are then
-    searched so the four terms rescale to a common sign, falling back to a
-    recorded sign variant of the equation when parity makes the literal
-    equation unreachable (see module docstring).
+    |d| over the gcd of d and every entry of d*M^{-1}.
     """
     if len(surface.terms) != 4:
         raise ValueError(f"need exactly four monomials, got {len(surface.terms)}")
@@ -349,8 +348,19 @@ def derive_cover(surface):
     except ValueError:
         raise ValueError("singular exponent matrix") from None
     m = abs(d) // gcd(d, *(x for row in scaled_inv for x in row))
-    n = [[x * m // d for x in row] for row in scaled_inv]
+    return m, [[x * m // d for x in row] for row in scaled_inv]
 
+
+def derive_cover(surface):
+    """Degree and covering map of a four-monomial equation in three
+    variables.
+
+    The degree and the exponents come from cover_exponents. Image signs are
+    then searched so the four terms rescale to a common sign, falling back
+    to a recorded sign variant of the equation when parity makes the
+    literal equation unreachable (see module docstring).
+    """
+    m, n = cover_exponents(surface)
     best = None
     for idx, eps in enumerate(product((1, -1), repeat=3)):
         scaled = []

@@ -50,44 +50,28 @@ def jacobi_sum(field, m, alpha):
     return reduce(counts, m)
 
 
-def _orbit_values(field, alphas):
-    """j(alpha) for every vector in a Galois-stable set, one sum per orbit.
-
-    The O(q + m) exponent count in jacobi_sum runs once per orbit, and
-    the mates u * alpha get sigma_u(j) through galois_apply, which reads
-    the rows u*j mod m of the conductor's power table and calls no reduce.
-    """
-    values = {}
-    for alpha in alphas:
-        if alpha in values:
-            continue
-        j = values[alpha] = jacobi_sum(field, alpha.m, alpha)
-        for u in units_mod(alpha.m)[1:]:
-            mate = alpha.scaled(u)
-            if mate not in values:
-                values[mate] = j.galois_apply(u)
-    return values
-
-
 def _row_factor(field, row):
     """(values, prod over alpha in row of (1 - j(alpha)T)) for a row that is
-    one Galois orbit {u * alpha} of characters.
+    one Galois orbit {u * alpha} of characters; values[i] is j(row[i]).
 
     The row is certified on the characters themselves: it must hold each
-    unit multiple of its first vector exactly once, or ValueError. Every
-    value is then sigma_u(j) for j = j(row[0]), computed once per orbit by
-    _orbit_values, so the d distinct values are the Galois orbit of j and
-    each occurs len(row) / d times: the product is _orbit_factor(j, d) to
-    that power, with no conjugate computed twice.
+    unit multiple of its first vector exactly once, or ValueError. The
+    certificate maps each multiple u * row[0] to its unit u, so every
+    value is sigma_u(j) for the one sum j = j(row[0]), which galois_apply
+    reads off the conductor's power table with no further count. The d
+    distinct values are the Galois orbit of j and each occurs len(row) / d
+    times: the product is _orbit_factor(j, d) to that power, with no
+    conjugate computed twice.
     """
     first = row[0]
     m = first.m
-    orbit = {tuple(u * x % m for x in first.a) for u in units_mod(m)}
-    if len(row) != len(orbit) or {alpha.a for alpha in row} != orbit:
+    unit = {tuple(u * x % m for x in first.a): u for u in units_mod(m)}
+    if len(row) != len(unit) or {alpha.a for alpha in row} != unit.keys():
         raise ValueError(f"the row of {len(row)} characters is not the Galois orbit of {first!r}")
-    values = _orbit_values(field, row)
-    d = len({values[alpha] for alpha in row})
-    factor = _orbit_factor(values[first], d)
+    j = jacobi_sum(field, m, first)
+    values = [j] + [j.galois_apply(unit[alpha.a]) for alpha in row[1:]]
+    d = len(set(values))
+    factor = _orbit_factor(j, d)
     poly = factor
     for _ in range(len(row) // d - 1):
         poly = poly * factor
@@ -192,7 +176,7 @@ def zeta_report(k, q):
         field = _admissible_field(q, m)
         row = transcendental_row(k)
         values, r_t = _row_factor(field, row)
-        jacobi_values = tuple((alpha, values[alpha]) for alpha in row)
+        jacobi_values = tuple(zip(row, values))
     trace = -r_t.coeff(1)
     if abs(trace) > totient(k) * q:
         raise AssertionError(f"trace {trace} violates the weight-2 bound")

@@ -17,6 +17,7 @@ and the hyperbolic splittings behind mirror partners live here too.
 from itertools import product as iter_product
 from math import gcd, lcm, prod
 
+from .characters import Record
 from .intmat import (
     integer_kernel,
     mat_mul,
@@ -28,7 +29,7 @@ from .intmat import (
 FQF_ORDER_CAP = 10 ** 4
 
 
-class GramLattice:
+class GramLattice(Record):
     """Non-degenerate symmetric integer bilinear form on Z^rank.
 
     GramLattice(gram) checks that gram is square, symmetric and
@@ -37,10 +38,11 @@ class GramLattice:
     Gram matrices from lattices that are already checked, and derive the
     invariants from those lattices' invariants instead of eliminating
     again. discriminant_form keeps the form it computes in the slot
-    _form, so a lattice takes at most one Smith form.
+    _form, outside the fields, so a lattice takes at most one Smith form.
     """
 
-    __slots__ = ("gram", "rank", "signature", "determinant", "_form")
+    _fields = ("gram", "rank", "signature", "determinant")
+    __slots__ = _fields + ("_form",)
 
     def __init__(self, gram):
         rows = tuple(tuple(int(x) for x in row) for row in gram)
@@ -55,24 +57,15 @@ class GramLattice:
             sig, d = symmetric_invariants(rows)
         except ValueError:
             raise ValueError("Gram matrix is degenerate") from None
-        self._fill(rows, sig, d)
+        self._set(rows, n, sig, d)
 
     @classmethod
     def _assembled(cls, rows, signature, determinant):
         """A lattice on rows (a tuple of int tuples) whose signature and
         determinant the caller has derived from checked blocks."""
         lat = object.__new__(cls)
-        lat._fill(rows, signature, determinant)
+        lat._set(rows, len(rows), signature, determinant)
         return lat
-
-    def _fill(self, rows, signature, determinant):
-        object.__setattr__(self, "gram", rows)
-        object.__setattr__(self, "rank", len(rows))
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "determinant", determinant)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GramLattice is immutable")
 
     def rows(self):
         return [list(row) for row in self.gram]
@@ -91,12 +84,6 @@ class GramLattice:
         return GramLattice._assembled(
             tuple(tuple(-x for x in row) for row in self.gram),
             (minus, plus), (-1) ** self.rank * self.determinant)
-
-    def __eq__(self, other):
-        return isinstance(other, GramLattice) and self.gram == other.gram
-
-    def __hash__(self):
-        return hash(self.gram)
 
     def __repr__(self):
         return f"GramLattice(rank={self.rank}, det={self.determinant}, sig={self.signature})"
@@ -163,7 +150,7 @@ def direct_sum(*lattices):
         tuple(rows), signature, prod(lat.determinant for lat in lattices))
 
 
-class FiniteQuadraticForm:
+class FiniteQuadraticForm(Record):
     """Quadratic form on a finite abelian group, values in Q/2Z.
 
     orders: invariant factors (each > 1, ascending divisibility chain), so
@@ -173,7 +160,7 @@ class FiniteQuadraticForm:
     mod 2e) on it.
     """
 
-    __slots__ = ("orders", "exponent", "matrix")
+    __slots__ = _fields = ("orders", "exponent", "matrix")
 
     def __init__(self, orders, matrix):
         orders = tuple(int(d) for d in orders)
@@ -185,12 +172,7 @@ class FiniteQuadraticForm:
              for i in range(r)]
         if any(m[i][j] != m[j][i] for i in range(r) for j in range(i)):
             raise ValueError("pairing matrix must be symmetric")
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "exponent", e)
-        object.__setattr__(self, "matrix", tuple(tuple(row) for row in m))
-
-    def __setattr__(self, *a):
-        raise AttributeError("FiniteQuadraticForm is immutable")
+        self._set(orders, e, tuple(tuple(row) for row in m))
 
     def group_order(self):
         return prod(self.orders)
@@ -221,16 +203,6 @@ class FiniteQuadraticForm:
         return FiniteQuadraticForm(
             self.orders, [[-self.matrix[i][j] for j in range(r)] for i in range(r)]
         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteQuadraticForm)
-            and self.orders == other.orders
-            and self.matrix == other.matrix
-        )
-
-    def __hash__(self):
-        return hash((self.orders, self.matrix))
 
     def __repr__(self):
         vals = ", ".join(f"{self.matrix[i][i]}/{self.exponent}" for i in range(len(self.orders)))
@@ -325,39 +297,6 @@ def fqf_equivalent(q1, q2):
     return extend(0, [])
 
 
-class SectionData:
-    """Mordell-Weil generator data: (P.O) and the fiber correction terms.
-
-    Contributions are ("A", n, j) for a fiber with n components in a cycle
-    (I_n, III, IV) met in component j, or ("E6",) / ("E7",).
-    """
-
-    __slots__ = ("pai", "contributions")
-
-    def __init__(self, pai, contributions):
-        if pai < 0:
-            raise ValueError("(P.O) must be nonnegative")
-        contributions = tuple(tuple(c) for c in contributions)
-        for c in contributions:
-            _correction(c)
-        object.__setattr__(self, "pai", pai)
-        object.__setattr__(self, "contributions", contributions)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SectionData is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pai == other.pai and self.contributions == other.contributions
-
-    def __hash__(self):
-        return hash((self.pai, self.contributions))
-
-    def __repr__(self):
-        return f"SectionData(pai={self.pai!r}, contributions={self.contributions!r})"
-
-
 def _correction(term):
     """The local correction of one fiber term, as (numerator, denominator)."""
     kind = term[0]
@@ -373,12 +312,20 @@ def _correction(term):
     raise ValueError(f"unknown correction term {term}")
 
 
-def height(section):
+def height(pai, corrections):
     """h(P) = 4 + 2 (P.O) - sum of the correction terms, as a reduced
-    (numerator, denominator) pair with a positive denominator."""
-    num, den = 4 + 2 * section.pai, 1
-    for term in section.contributions:
-        cn, cd = _correction(term)
+    (numerator, denominator) pair with a positive denominator.
+
+    pai is (P.O), the intersection number with the zero section. Each
+    correction is ("A", n, j) for a fiber with n components in a cycle
+    (I_n, III, IV) met in component j, or ("E6",) / ("E7",). ValueError
+    for a negative pai or a term that is unknown or out of range.
+    """
+    if pai < 0:
+        raise ValueError("(P.O) must be nonnegative")
+    num, den = 4 + 2 * pai, 1
+    for term in corrections:
+        cn, cd = _correction(tuple(term))
         num, den = num * cd - cn * den, den * cd
     g = gcd(num, den)
     return num // g, den // g

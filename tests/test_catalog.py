@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from characters_reference import galois_orbit
+from k3fermat import catalog, cli, delsarte
 from k3fermat.catalog import (
     K11_ALTERNATE_EQUATION,
     NON_UNIMODULAR_ORDERS,
     ORDERS,
+    K3CatalogEntry,
     SectionRecord,
     UNIMODULAR_ORDERS,
     catalog_as_dicts,
@@ -24,6 +26,7 @@ from k3fermat.catalog import (
 from k3fermat.characters import CharacterVector, alpha_norm, units_mod
 from k3fermat.cyclotomic import IntPoly
 from k3fermat.delsarte import (
+    MonomialMap,
     action_on_form,
     derive_cover,
     parse_surface,
@@ -375,6 +378,40 @@ def test_verify_entry_reports_bad_prime_without_aborting():
     assert status["mirror"] == "pass"
     assert not rep.ok
     assert [c.name for c in rep.checks if c.status == "fail"] == ["zeta-q11"]
+
+
+def test_verify_all_checks_each_stored_cover_once(monkeypatch, capsys):
+    calls = []
+    original = delsarte.verify_cover
+
+    def counted(surface, pi):
+        calls.append(pi)
+        return original(surface, pi)
+
+    for module in (delsarte, catalog):
+        monkeypatch.setattr(module, "verify_cover", counted)
+    assert cli.main(["verify", "--all"]) == 0
+    capsys.readouterr()
+    covers = [e.cover for e in load_catalog() if e.cover is not None]
+    assert len(covers) == 15
+    assert len(calls) <= 15
+    assert sorted(calls, key=repr) == sorted(covers, key=repr)
+
+
+def test_characters_fail_when_the_stored_map_does_not_cover():
+    # flipping t's sign keeps the exponents, and so the deck-invariant
+    # characters, but the map no longer covers the k = 44 equation
+    entry = catalog_entry(44)
+    flipped = MonomialMap(44, tuple((v, 1 if v == "t" else s, e)
+                                    for v, s, e in entry.cover.images))
+    fields = {name: getattr(entry, name) for name in K3CatalogEntry._fields}
+    rep = verify_entry(K3CatalogEntry(**{**fields, "cover": flipped}))
+    checks = {c.name: c for c in rep.checks}
+    assert checks["cover"].status == "fail"
+    assert checks["characters"].status == "fail"
+    assert checks["characters"].detail == \
+        "AssertionError: the stored map does not cover the equation"
+    assert [c.name for c in rep.checks if c.status == "fail"] == ["cover", "characters"]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from k3fermat.intmat import det, mat_mul, symmetric_invariants, transpose
 from k3fermat.lattice import (
     FiniteQuadraticForm,
     GramLattice,
-    SectionData,
     direct_sum,
     disc_from_height,
     discriminant_form,
@@ -237,26 +236,26 @@ def test_fqf_order_cap():
 
 
 def test_section_heights_match_catalog_rows():
-    assert height(SectionData(3, (("A", 2, 1),))) == (19, 2)
-    assert height(SectionData(0, (("A", 2, 1), ("A", 3, 1)))) == (17, 6)
-    assert height(SectionData(2, (("E7",),))) == (13, 2)
-    assert height(SectionData(0, (("A", 3, 1), ("E7",)))) == (11, 6)
-    assert height(SectionData(0, (("E6",), ("E7",)))) == (7, 6)
-    assert height(SectionData(0, (("E7",),))) == (5, 2)
-    assert height(SectionData(0, ())) == (4, 1)
+    assert height(3, (("A", 2, 1),)) == (19, 2)
+    assert height(0, (("A", 2, 1), ("A", 3, 1))) == (17, 6)
+    assert height(2, (("E7",),)) == (13, 2)
+    assert height(0, (("A", 3, 1), ("E7",))) == (11, 6)
+    assert height(0, (("E6",), ("E7",))) == (7, 6)
+    assert height(0, (("E7",),)) == (5, 2)
+    assert height(0, ()) == (4, 1)
 
 
-def fraction_height(section):
+def fraction_height(pai, corrections):
     """4 + 2 (P.O) - sum of the corrections, summed in Fractions: the
     reference for height."""
-    corrections = {"E6": Fraction(4, 3), "E7": Fraction(3, 2)}
-    total = Fraction(4 + 2 * section.pai)
-    for term in section.contributions:
+    table = {"E6": Fraction(4, 3), "E7": Fraction(3, 2)}
+    total = Fraction(4 + 2 * pai)
+    for term in corrections:
         if term[0] == "A":
             _, n, j = term
             total -= Fraction(j * (n - j), n)
         else:
-            total -= corrections[term[0]]
+            total -= table[term[0]]
     return total
 
 
@@ -264,7 +263,7 @@ def test_stored_section_heights_match_the_fraction_sum():
     sections = [e.section for e in load_catalog() if e.section is not None]
     assert len(sections) == 6
     for section in sections:
-        ref = fraction_height(section.data())
+        ref = fraction_height(section.pai, section.corrections)
         assert section.height() == (ref.numerator, ref.denominator)
 
 
@@ -277,10 +276,9 @@ fiber_terms = st.one_of(
 @settings(deadline=None, max_examples=200)
 @given(st.integers(0, 6), st.lists(fiber_terms, max_size=6))
 def test_height_is_the_reduced_fraction_sum(pai, terms):
-    section = SectionData(pai, terms)
-    ref = fraction_height(section)
-    assert height(section) == (ref.numerator, ref.denominator)
-    assert rational_text(height(section)) == str(ref)
+    ref = fraction_height(pai, terms)
+    assert height(pai, terms) == (ref.numerator, ref.denominator)
+    assert rational_text(height(pai, terms)) == str(ref)
 
 
 @given(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
@@ -290,11 +288,11 @@ def test_rational_text_prints_the_reduced_fraction(num, den):
 
 def test_section_validation():
     with pytest.raises(ValueError):
-        SectionData(-1, ())
+        height(-1, ())
     with pytest.raises(ValueError):
-        SectionData(0, (("A", 3, 3),))  # j out of range
+        height(0, (("A", 3, 3),))  # j out of range
     with pytest.raises(ValueError):
-        SectionData(0, (("E8",),))  # no correction term exists
+        height(0, (("E8",),))  # no correction term exists
 
 
 def test_disc_from_height_table():

@@ -1,16 +1,23 @@
-"""The immutable records keep their equality, hash, repr and validation.
+"""The immutable values keep their equality, hash, repr and validation.
 
-The seven package records (catalog, delsarte and jacobi_zeta) are plain
-__slots__ classes; their repr, field order and keyword arguments are the
-ones their earlier NamedTuple forms had, and their equality is class-strict."""
+characters.Record is the package's one immutable value base. The seven
+plain records (catalog, delsarte and jacobi_zeta) keep the repr, field
+order and keyword arguments their earlier NamedTuple forms had. The three
+validating values (CharacterVector, GramLattice, FiniteQuadraticForm)
+derive from it too. Every one compares class-strictly and hashes as its
+field tuple, and no other class in the package defines __setattr__,
+__eq__ or __hash__ unless ONE_OFF_VALUES says why.
+"""
 
+import ast
 import inspect
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from characters_reference import DeckGroup, galois_orbit
-from k3fermat import catalog
+from k3fermat import catalog, lattice
 from k3fermat.catalog import (
     CheckResult,
     K3CatalogEntry,
@@ -21,7 +28,9 @@ from k3fermat.catalog import (
 from k3fermat.characters import CharacterVector
 from k3fermat.delsarte import DelsarteSurface, MonomialMap, parse_surface
 from k3fermat.jacobi_zeta import ZetaReport, zeta_report
-from k3fermat.lattice import SectionData
+from k3fermat.lattice import FiniteQuadraticForm, GramLattice, discriminant_form, height
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "k3fermat"
 
 
 class TestCharacterVector:
@@ -65,18 +74,13 @@ class TestCharacterVector:
 
 
 class TestSectionData:
-    def test_equality_hash_and_normalized_contributions(self):
-        s = SectionData(2, [["A", 3, 1], ("E7",)])
-        assert s.contributions == (("A", 3, 1), ("E7",))
-        assert s == SectionData(2, (("A", 3, 1), ("E7",)))
-        assert s != SectionData(3, (("A", 3, 1), ("E7",)))
-        assert s != (2, (("A", 3, 1), ("E7",)))
-        assert hash(s) == hash((2, (("A", 3, 1), ("E7",))))
+    """The section data (P.O) and corrections, as lattice.height reads them."""
 
-    def test_immutable(self):
-        s = SectionData(0, ())
-        with pytest.raises(AttributeError):
-            s.pai = 1
+    def test_list_terms_read_as_tuples(self):
+        assert height(2, [["A", 3, 1], ["E7"]]) == height(2, (("A", 3, 1), ("E7",)))
+        with pytest.raises(ValueError) as exc:
+            height(0, [["A", 3, 3]])
+        assert str(exc.value) == "invalid component index in ('A', 3, 3)"
 
     @pytest.mark.parametrize("pai, terms, message", [
         (-1, (), "(P.O) must be nonnegative"),
@@ -85,13 +89,13 @@ class TestSectionData:
     ])
     def test_validation(self, pai, terms, message):
         with pytest.raises(ValueError) as exc:
-            SectionData(pai, terms)
+            height(pai, terms)
         assert str(exc.value) == message
 
 
 # (class, field names, positional values, repr); every field is set, and the
 # repr is the text the NamedTuple form of each record printed
-RECORDS = [
+PLAIN_RECORDS = [
     (SectionRecord,
      ("x_text", "y_text", "x_laurent", "y_laurent", "pai", "corrections"),
      ("1/t^6", "1/t^9", ((-6, 1, 0),), ((-9, 1, 0),), 3, (("A", 2, 1),)),
@@ -125,40 +129,66 @@ RECORDS = [
      "jacobi_values=(), trace=-2, predicted_count=184, notes=('note',))"),
 ]
 
+# (class, field names, constructor arguments, field values, repr) for the
+# values that validate and normalize their arguments; GramLattice and
+# FiniteQuadraticForm print a summary, not their matrices
+VALIDATED = [
+    (CharacterVector, ("m", "a"), (5, [6, -4, 1, 2]), (5, (1, 1, 1, 2)),
+     "CharacterVector(m=5, a=(1, 1, 1, 2))"),
+    (GramLattice, ("gram", "rank", "signature", "determinant"), ([[2, 1], [1, 2]],),
+     (((2, 1), (1, 2)), 2, (2, 0), 3), "GramLattice(rank=2, det=3, sig=(2, 0))"),
+    (FiniteQuadraticForm, ("orders", "exponent", "matrix"), ([2, 4], [[9, 5], [5, 3]]),
+     ((2, 4), 4, ((1, 1), (1, 3))), "FiniteQuadraticForm(orders=(2, 4), q=(1/4, 3/4))"),
+]
 
-@pytest.mark.parametrize("cls, fields, values, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+RECORDS = [(cls, fields, values, values, text)
+           for cls, fields, values, text in PLAIN_RECORDS] + VALIDATED
+
+
+def with_fields(cls, values):
+    """A cls instance holding values as they stand, past any validation."""
+    record = object.__new__(cls)
+    record._set(*values)
+    return record
+
+
+@pytest.mark.parametrize("cls, fields, args, values, text", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
 class TestRecordContract:
-    def test_fields_repr_and_values(self, cls, fields, values, text):
-        record = cls(*values)
+    def test_fields_repr_and_values(self, cls, fields, args, values, text):
+        record = cls(*args)
         assert cls._fields == fields
         assert repr(record) == text
         assert tuple(getattr(record, name) for name in fields) == values
 
-    def test_keyword_construction(self, cls, fields, values, text):
-        assert cls(**dict(zip(fields, values))) == cls(*values)
-        reordered = dict(reversed(list(zip(fields, values))))
+    def test_keyword_construction(self, cls, fields, args, values, text):
+        keywords = inspect.signature(cls).bind(*args).arguments
+        assert cls(**keywords) == cls(*args)
+        reordered = dict(reversed(list(keywords.items())))
         assert repr(cls(**reordered)) == text
 
-    def test_equality_is_class_strict_and_reads_every_field(self, cls, fields, values, text):
-        record = cls(*values)
-        assert record == cls(*values)
+    def test_equality_is_class_strict_and_reads_every_field(self, cls, fields, args, values,
+                                                            text):
+        record = cls(*args)
+        assert record == cls(*args)
+        assert record == with_fields(cls, values)
         assert record != values
         assert values != record
 
         class Sub(cls):
             __slots__ = ()
 
-        assert record != Sub(*values)
+        assert record != Sub(*args)
         for i in range(len(values)):
             changed = values[:i] + ("changed",) + values[i + 1:]
-            assert record != cls(*changed)
+            assert record != with_fields(cls, changed)
 
-    def test_hash_is_the_field_tuple_hash(self, cls, fields, values, text):
-        assert hash(cls(*values)) == hash(values)
-        assert len({cls(*values), cls(*values)}) == 1
+    def test_hash_is_the_field_tuple_hash(self, cls, fields, args, values, text):
+        assert hash(cls(*args)) == hash(values)
+        assert len({cls(*args), cls(*args)}) == 1
 
-    def test_immutable(self, cls, fields, values, text):
-        record = cls(*values)
+    def test_immutable(self, cls, fields, args, values, text):
+        record = cls(*args)
         for name in fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
@@ -168,13 +198,72 @@ class TestRecordContract:
             record.extra = 1
         assert repr(record) == text
 
-    def test_missing_or_unknown_argument(self, cls, fields, values, text):
+    def test_missing_or_unknown_argument(self, cls, fields, args, values, text):
         with pytest.raises(TypeError):
-            cls(values[0])
+            cls(args[0]) if len(args) > 1 else cls()
         with pytest.raises(TypeError):
-            cls(*values, bogus=1)
+            cls(*args, bogus=1)
         with pytest.raises(TypeError):
-            cls(*values, None)
+            cls(*args, None)
+
+
+def test_a_lattice_computes_its_discriminant_form_once(monkeypatch):
+    calls = []
+    original = lattice.smith_normal_form
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counted)
+    lat = GramLattice([[2, 1], [1, 2]])
+    form = discriminant_form(lat)
+    assert discriminant_form(lat) is form
+    assert len(calls) == 1
+    assert form == FiniteQuadraticForm((3,), [[2]])
+    # the kept form is no field: it enters neither equality nor the hash
+    fresh = GramLattice([[2, 1], [1, 2]])
+    assert lat == fresh and hash(lat) == hash(fresh)
+
+
+# Classes besides Record that define their own equality, hash or
+# assignment, each with the reason it does not derive from Record
+ONE_OFF_VALUES = {
+    ("cyclotomic", "CycInt"):
+        "hot arithmetic type whose == also compares with a rational integer",
+    ("cyclotomic", "IntPoly"):
+        "hot arithmetic type whose == also compares with an integer constant",
+    ("pointcount", "WeierstrassModel"):
+        "pointcount imports nothing from characters, so the oracles stay "
+        "independent of the Jacobi-sum side (test_oracles)",
+    ("pointcount", "KodairaFiber"): "in pointcount, as WeierstrassModel",
+}
+VALUE_DUNDERS = {"__setattr__", "__eq__", "__hash__"}
+
+
+def classes_defining_value_dunders():
+    """[(module, class)] for every package class whose body defines or
+    assigns __setattr__, __eq__ or __hash__."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = set()
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(item.name)
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+            if names & VALUE_DUNDERS:
+                found.append((path.stem, node.name))
+    return found
+
+
+def test_only_record_and_the_listed_classes_define_equality_hash_or_assignment():
+    assert sorted(classes_defining_value_dunders()) == sorted(
+        [("characters", "Record")] + list(ONE_OFF_VALUES))
 
 
 def test_monomial_map_has_no_term_signs_by_default():
