@@ -10,6 +10,14 @@ packs each factor's coordinates into signed slots of one integer
 (Kronecker substitution), multiplies once and reduces the unpacked
 convolution.
 
+A product prod (1 - vT) that lies in Z[T], such as the factor of a Galois
+orbit, is formed by no product in Z[zeta_m]: zeta -> 2^s is a ring map
+into Z/Phi_m(2^s), where each value is its Kronecker value. The product is
+expanded there and lifted to centred residues, exact once Phi_m(2^s)
+exceeds twice the bound (1 + L)^n on every coefficient of n values with
+|sigma(v)| <= L, and the T coefficient is certified against minus the
+values' sum.
+
 IntPoly is the one polynomial type: its coefficients are ints for Z[T],
 CycInts for Z[zeta_m][T], or finite-field elements for the local
 expansions of pointcount (ints for F_p, or the elements of any field
@@ -392,6 +400,16 @@ def _kronecker_digits(value, n, w):
     return [int.from_bytes(data[k:k + w], "little", signed=True) for k in range(0, len(data), w)]
 
 
+def _kronecker_at(coeffs, s):
+    """sum coeffs[i] * 2^(s*i) by Horner's rule: the value at zeta = 2^s
+    of an element's coordinates. Unlike _kronecker_value, s need not be a
+    whole number of bytes and the coeffs need not fit their slots."""
+    x = 0
+    for c in reversed(coeffs):
+        x = (x << s) + c
+    return x
+
+
 def reduce(raw, m):
     """Canonical residue of sum raw[j] * zeta^j modulo the m-th cyclotomic
     polynomial. Accepts vectors of any length (exponents taken mod m)."""
@@ -480,92 +498,66 @@ def _power_table(m):
     return _table_cache[m]
 
 
-_trace_cache = {}
+def _linear_product(values):
+    """prod (1 - vT) in Z[T] for a list of CycInt values of one conductor m
+    whose product lies in Z[T], such as a full Galois orbit.
 
+    zeta -> B = 2^s is a ring map Z[zeta_m] -> Z/N with N = Phi_m(B), since
+    Phi_m(B) = 0 mod N; it sends v to its Kronecker value v(B) mod N. The
+    product is expanded in (Z/N)[T] and each coefficient lifted to
+    (-N/2, N/2]. The lift is exact: a coefficient e_k is a rational integer
+    and every conjugate has |sigma(v)| <= ||v||_1, the sum of v's absolute
+    coordinates, so |e_k| <= prod (1 + ||v||_1) <= (1 + L)^n for n values
+    of norm at most L, and s is the least with N > 2 prod (1 + ||v||_1).
+    N = prod |B - zeta| grows with B and stays below (B + 1)^phi, which
+    gives the search its start.
 
-def _trace_vector(m):
-    """Tr(zeta^i) from Q(zeta_m) to Q for i < phi(m), built on first use.
-
-    Tr(zeta^i) is the Ramanujan sum c_m(i) = mu(n) phi(m) / phi(n) with
-    n = m / gcd(i, m), so Tr(x) is the dot product of this vector with the
-    canonical coefficients of x.
+    One exact certificate stays: the values' sum must be a rational
+    integer, and the lifted T coefficient minus it, or ValueError. The sum
+    refuses a list that is not Galois-stable when its sum is irrational;
+    the T coefficient, |e_1| being far inside the lift, checks the
+    evaluation and the expansion against it. A list with a rational sum
+    whose product is not in Z[T] passes, so callers certify Galois
+    stability first.
     """
-    if m not in _trace_cache:
-        phi = totient(m)
-        out = []
-        for i in range(phi):
-            n = m // gcd(i, m)
-            primes = prime_factors(n)
-            squarefree = all(n % (f * f) for f in primes)
-            mu = (-1) ** len(primes) if squarefree else 0
-            out.append(mu * phi // totient(n))
-        _trace_cache[m] = out
-    return _trace_cache[m]
-
-
-def _exact_div(num, den, what):
-    quo, rem = divmod(num, den)
-    if rem:
-        raise ValueError(f"{what} {num} is not divisible by {den}")
-    return quo
-
-
-def _orbit_factor(v, size):
-    """prod (1 - wT) over the `size` distinct conjugates w of v, in Z[T].
-
-    The power sums p_k = Tr(v^k) / s, s = phi(m) / size the stabiliser
-    order, take one multiplication in Z[zeta_m] each. Newton's identities
-    for the coefficients a_k = (-1)^k e_k of the factor read
-    k a_k = -sum_{i=1..k} a_(k-i) p_i.
-
-    A non-real Weil number needs only half of them: when conj(v) != v and
-    v conj(v) is a rational integer Q, every conjugate w has w conj(w) = Q
-    (the Galois group is abelian, so sigma commutes with complex
-    conjugation), and conjugation pairs the orbit without a fixed point.
-    So size is even, w -> Q / w permutes the orbit, and the factor obeys
-    the functional equation a_(size-j) = a_j Q^(size/2 - j). Newton runs
-    for k <= size/2, size/2 products with v conj(v), and the top half is
-    read off the bottom half; the top coefficient is Q^(size/2), so the
-    factor of an orbit of Jacobi sums records |j|^2 = q^2. Any other v
-    runs the full loop: a real v too, for which v conj(v) = v^2 may well
-    be rational ({sqrt 3, -sqrt 3} gives 1 - 3T^2, while the functional
-    equation would give 1 + 3T^2).
-    """
-    trace = _trace_vector(v.m)
-    stabiliser = totient(v.m) // size
-    bar = v.conj()
-    norm = None if bar == v else (v * bar).as_rational_integer()
-    steps = size if norm is None else size // 2
-    power = v
-    sums = []
-    coeffs = [1]
-    for k in range(1, steps + 1):
-        if k > 1:
-            power = power * v
-        tr = sum(t * c for t, c in zip(trace, power.coeffs))
-        sums.append(_exact_div(tr, stabiliser, f"trace of v^{k}"))
-        newton = -sum(coeffs[k - i] * sums[i - 1] for i in range(1, k + 1))
-        coeffs.append(_exact_div(newton, k, f"Newton sum {k}"))
-    for j in range(steps + 1, size + 1):
-        coeffs.append(coeffs[size - j] * norm ** (j - steps))
-    return IntPoly(coeffs)
+    if not values:
+        return IntPoly([1])
+    m = values[0].m
+    total = [sum(col) for col in zip(*(v.coeffs for v in values))]
+    if any(total[1:]):
+        raise ValueError(f"the values sum to {CycInt(m, total)!r}, not a rational integer")
+    phi_m = cyclotomic_poly(m)
+    bound = 2 * prod([1 + sum(map(abs, v.coeffs)) for v in values])
+    s = max(1, (bound.bit_length() - 1) // phi_m.degree)
+    while phi_m(1 << s) <= bound:
+        s += 1
+    n = phi_m(1 << s)
+    poly = [1]
+    for v in values:
+        x = _kronecker_at(v.coeffs, s) % n
+        poly.append(0)
+        for i in range(len(poly) - 1, 0, -1):
+            poly[i] = (poly[i] - x * poly[i - 1]) % n
+    half = n >> 1
+    poly = [c - n if c > half else c for c in poly]
+    if poly[1] != -total[0]:
+        raise ValueError(f"T coefficient {poly[1]} is not minus the values' sum {total[0]}")
+    return IntPoly(poly)
 
 
 def orbit_product(values):
     """prod (1 - v*T) over a Galois-stable multiset of CycInt values, in Z[T].
 
-    Power sums via traces + Newton, certified by full-orbit and divisibility
-    checks. The multiset is split into Galois orbits {sigma_u(v)}, and each
-    orbit must be present in full with the same multiplicity c for every
-    member; the orbit's factor comes from _orbit_factor and enters as its
-    c-th power. For a non-real Weil orbit (conj(v) != v, v conj(v) = Q in
-    Z), the factor's top half comes from its functional equation
-    a_(n-j) = a_j Q^(n/2-j), so it takes n/2 products in Z[zeta_m] instead
-    of n - 1, and its top coefficient Q^(n/2) certifies |v|^2 = Q exactly:
-    q^2 for an orbit of Jacobi sums j(alpha) over F_q. A value that is not
-    a CycInt, mixed conductors, a missing conjugate, uneven multiplicities
-    or an inexact division raise ValueError.
+    The multiset is split into Galois orbits {sigma_u(v)}, and each orbit
+    must be present in full with the same multiplicity c for every member,
+    so the product lies in Z[T]. _linear_product then expands it in one
+    pass through the evaluation map zeta -> 2^s into Z/Phi_m(2^s), lifts
+    each coefficient exactly under the (1 + L)^n bound and checks the T
+    coefficient against minus the values' sum. A value that is not a
+    CycInt, mixed conductors, a missing conjugate or uneven multiplicities
+    raise ValueError.
     """
+    values = list(values)
     counts = Counter()
     m = None
     for v in values:
@@ -576,7 +568,6 @@ def orbit_product(values):
         elif v.m != m:
             raise ValueError(f"conductor mismatch: {m} vs {v.m}")
         counts[v] += 1
-    poly = IntPoly([1])
     while counts:
         v = next(iter(counts))
         c = counts[v]
@@ -587,7 +578,4 @@ def orbit_product(values):
             if n != c:
                 raise ValueError(f"not Galois-stable: {v!r} occurs {c} times, "
                                  f"its conjugate {w!r} {n} times")
-        factor = _orbit_factor(v, len(orbit))
-        for _ in range(c):
-            poly = poly * factor
-    return poly
+    return _linear_product(values)

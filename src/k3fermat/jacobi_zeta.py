@@ -12,7 +12,7 @@ Fermat cover and is handled through its CM structure instead.
 from math import comb, gcd, isqrt
 
 from .characters import CharacterVector, Record, units_mod
-from .cyclotomic import IntPoly, _orbit_factor, reduce, totient
+from .cyclotomic import IntPoly, _linear_product, reduce, totient
 from .field import MAX_PRIME, PrimeField, as_field, is_prime, make_field
 from .kernels import jacobi_counts
 
@@ -58,10 +58,12 @@ def _row_factor(field, row):
     unit multiple of its first vector exactly once, or ValueError. The
     certificate maps each multiple u * row[0] to its unit u, so every
     value is sigma_u(j) for the one sum j = j(row[0]), which galois_apply
-    reads off the conductor's power table with no further count. The d
-    distinct values are the Galois orbit of j and each occurs len(row) / d
-    times: the product is _orbit_factor(j, d) to that power, with no
-    conjugate computed twice.
+    reads off the conductor's power table with no further count. The
+    values are then the Galois orbit of j with each conjugate listed
+    equally often, so their product lies in Z[T]: _linear_product expands
+    it through the evaluation map zeta -> 2^s into Z/Phi_m(2^s), lifts
+    each coefficient exactly under the (1 + L)^n bound and checks the T
+    coefficient against minus the values' sum.
     """
     first = row[0]
     m = first.m
@@ -70,12 +72,7 @@ def _row_factor(field, row):
         raise ValueError(f"the row of {len(row)} characters is not the Galois orbit of {first!r}")
     j = jacobi_sum(field, m, first)
     values = [j] + [j.galois_apply(unit[alpha.a]) for alpha in row[1:]]
-    d = len(set(values))
-    factor = _orbit_factor(j, d)
-    poly = factor
-    for _ in range(len(row) // d - 1):
-        poly = poly * factor
-    return values, poly
+    return values, _linear_product(values)
 
 
 def algebraic_factor(k, q):

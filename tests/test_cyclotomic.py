@@ -1,4 +1,4 @@
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +9,8 @@ from k3fermat.characters import CharacterVector, units_mod
 from k3fermat.cyclotomic import (
     CycInt,
     IntPoly,
+    _kronecker_at,
+    _linear_product,
     _power_table,
     cyclotomic_poly,
     orbit_product,
@@ -18,7 +20,12 @@ from k3fermat.cyclotomic import (
 )
 from k3fermat.field import is_prime, make_field
 from k3fermat.jacobi_zeta import default_primes, jacobi_sum, zeta_report
-from zeta_reference import orbit_values, poly_divmod
+from zeta_reference import (
+    newton_orbit_product,
+    orbit_values,
+    poly_divmod,
+    reference_orbit_product,
+)
 
 
 def brute_totient(m):
@@ -358,21 +365,6 @@ def test_orbit_product():
         orbit_product([z, CycInt.from_integer(3, 1)])
 
 
-def reference_orbit_product(values):
-    """prod (1 - v*T) factor by factor over Z[zeta_m][T], certified by
-    every coefficient being a rational integer."""
-    poly = IntPoly([1])
-    for v in values:
-        poly = poly * IntPoly([1, -v])
-    out = []
-    for c in poly.coeffs:
-        n = c if isinstance(c, int) else c.as_rational_integer()
-        if n is None:
-            raise ValueError(f"coefficient {c!r} is not a rational integer")
-        out.append(n)
-    return IntPoly(out)
-
-
 @st.composite
 def galois_stable_multisets(draw):
     """One or two full orbits with multiplicities 1-3, shuffled. A value
@@ -397,7 +389,8 @@ def galois_stable_multisets(draw):
 @settings(deadline=None, max_examples=60)
 @given(galois_stable_multisets())
 def test_orbit_product_matches_the_factor_by_factor_product(values):
-    assert orbit_product(values) == reference_orbit_product(values)
+    poly = orbit_product(values)
+    assert poly == reference_orbit_product(values) == newton_orbit_product(values)
 
 
 def test_orbit_product_matches_on_every_catalog_row():
@@ -410,6 +403,7 @@ def test_orbit_product_matches_on_every_catalog_row():
             row_values = [values[alpha] for alpha in row]
             poly = orbit_product(row_values)
             assert poly == reference_orbit_product(row_values), (k, q)
+            assert poly == newton_orbit_product(row_values), (k, q)
             assert poly.degree == totient(k)
 
 
@@ -443,10 +437,12 @@ def test_orbit_product_counts_a_nontrivial_stabiliser():
 def test_a_real_orbit_takes_no_functional_equation():
     # sqrt(3) = zeta_12 + zeta_12^11 is real and sqrt(3) conj(sqrt(3)) = 3
     # is rational, yet its factor is 1 - 3T^2: the functional equation of a
-    # Weil orbit, which needs conj(v) != v, would give 1 + 3T^2
+    # Weil orbit, which needs conj(v) != v and which the Newton reference
+    # takes for the top half, would give 1 + 3T^2
     r = reduce([0, 1] + [0] * 9 + [1], 12)
     assert r.conj() == r and (r * r.conj()).as_rational_integer() == 3
     assert orbit_product([r, -r]) == reference_orbit_product([r, -r]) == IntPoly([1, 0, -3])
+    assert newton_orbit_product([r, -r]) == IntPoly([1, 0, -3])
 
 
 def test_primitive_roots_of_unity_give_the_cyclotomic_polynomial():
@@ -506,10 +502,9 @@ def test_a_weil_orbit_with_one_conjugate_missing_is_refused():
             orbit_product(orbit[:i] + orbit[i + 1:])
 
 
-def test_zeta_report_makes_a_linear_number_of_multiplications(monkeypatch):
-    # Newton's identities need |orbit| / 2 = 10 products for k = 66, v^2 ..
-    # v^10 and v conj(v); the full loop made 19 and the factor-by-factor
-    # product 380
+def test_zeta_report_makes_no_cycint_multiplication(monkeypatch):
+    # the row's factor is expanded in Z/Phi_m(2^s) from each value's
+    # Kronecker value, with no product in Z[zeta_m]
     calls = []
     mul = CycInt.__mul__
 
@@ -518,8 +513,79 @@ def test_zeta_report_makes_a_linear_number_of_multiplications(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(CycInt, "__mul__", counting_mul)
-    zeta_report(66, 4027)
-    assert 0 < len(calls) <= totient(66) // 2 + 1
+    assert zeta_report(66, 4027).r_t.degree == totient(66)
+    assert calls == []
+
+
+def least_modulus_bits(m, n, L):
+    """The least s with Phi_m(2^s) > 2 (1 + L)^n."""
+    s = 1
+    while cyclotomic_poly(m)(1 << s) <= 2 * (1 + L) ** n:
+        s += 1
+    return s
+
+
+@pytest.mark.parametrize("m, n, L", [
+    (1, 1, 4), (1, 3, 9), (1, 20, 64),
+    (2, 1, 3), (2, 3, 7), (2, 20, 63),
+    (66, 20, 12), (66, 20, 2 ** 16), (66, 7, 10 ** 9),
+])
+def test_linear_product_lifts_exactly_at_the_modulus_boundary(m, n, L):
+    # n copies of L or of -L have top coefficient L^n, close to the bound
+    # (1 + L)^n, and one bit less of s would leave Phi_m(2^(s-1)) <= 2 L^n:
+    # the top coefficient would then lift to the wrong residue
+    s = least_modulus_bits(m, n, L)
+    assert s > 1 and cyclotomic_poly(m)(1 << (s - 1)) <= 2 * L ** n
+    for sign in (1, -1):
+        values = [CycInt.from_integer(m, sign * L)] * n
+        expected = IntPoly([comb(n, k) * (-sign * L) ** k for k in range(n + 1)])
+        assert _linear_product(values) == expected
+
+
+@pytest.mark.parametrize("m", [1, 2, 6])
+def test_linear_product_of_zeros_lifts_at_the_smallest_modulus(m):
+    # zero values give the bound 2, so N = Phi_m(2^s) = 3 and the constant
+    # coefficient 1 sits on the top residue (N - 1) / 2 of the centred lift
+    zero = CycInt.from_integer(m, 0)
+    assert cyclotomic_poly(m)(1 << least_modulus_bits(m, 1, 0)) == 3
+    assert _linear_product([zero]) == _linear_product([zero] * 3) == IntPoly([1])
+
+
+@settings(deadline=None, max_examples=150)
+@given(elements_and_units(), st.integers(1, 64))
+def test_evaluation_at_a_power_of_two_is_a_ring_map(case, s):
+    # zeta -> B = 2^s sends Z[zeta_m] to Z/Phi_m(B), since Phi_m(B) = 0
+    # there, so each element's Kronecker value respects + and *, and a
+    # conjugate sigma_u(x) goes to x evaluated at B^u
+    a, b, u, _ = case
+    n = cyclotomic_poly(a.m)(1 << s)
+
+    def ev(v):
+        return _kronecker_at(v.coeffs, s) % n
+
+    assert ev(a * b) == ev(a) * ev(b) % n
+    assert ev(a + b) == (ev(a) + ev(b)) % n
+    assert ev(a.galois_apply(u)) == sum(c * pow(2, s * u * i, n) for i, c in enumerate(a.coeffs)) % n
+
+
+def test_linear_product_refuses_a_list_with_an_irrational_sum():
+    v = reduce([1, 2, 0, -1], 5)
+    orbit = [v.galois_apply(u) for u in units_mod(5)]
+    assert _linear_product(orbit) == reference_orbit_product(orbit)
+    for bad in ([reduce([0, 1], 4)], orbit[:-1], orbit + orbit[:1], [v] * 4):
+        with pytest.raises(ValueError, match="not a rational integer"):
+            _linear_product(bad)
+
+
+def test_orbit_product_refuses_a_rational_sum_that_is_not_galois_stable():
+    # i + (1 - i) = 1 passes the trace certificate, though (1 - iT)(1 - (1 - i)T)
+    # has the T^2 coefficient i(1 - i) = 1 + i: only the orbit check refuses it
+    i = reduce([0, 1], 4)
+    assert isinstance(_linear_product([i, 1 - i]), IntPoly)
+    with pytest.raises(ValueError):
+        reference_orbit_product([i, 1 - i])
+    with pytest.raises(ValueError, match="not Galois-stable"):
+        orbit_product([i, 1 - i])
 
 
 def test_cycint_immutable_and_hashable():

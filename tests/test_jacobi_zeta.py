@@ -28,7 +28,12 @@ from k3fermat.jacobi_zeta import (
     zeta_report,
 )
 from k3fermat.pointcount import count_elliptic_smooth, count_fermat
-from zeta_reference import fermat_zeta_factor, transcendental_factor
+from zeta_reference import (
+    fermat_zeta_factor,
+    newton_orbit_product,
+    reference_orbit_product,
+    transcendental_factor,
+)
 
 
 # hand enumeration for m=2, q=3: triples (1,2,2), (2,1,2), (2,2,1), each
@@ -206,16 +211,17 @@ def test_transcendental_factor_character_independence():
 
 
 def test_zeta_factors_match_the_orbit_product_on_every_catalog_row():
-    # the shared row factor raises the orbit of j(row[0]) to the power
-    # len(row) / |orbit|; orbit_product certifies the same product from
-    # the values alone, conjugating each one again
+    # the row factor comes from the evaluation map into Z/Phi_m(2^s); two
+    # references that share none of it, Newton's identities on traces and
+    # the factor-by-factor product over Z[zeta_m][T], give the same product
     for k in ORDERS:
         if k == 3:
             continue
         for q in default_primes(catalog_entry(k).m):
             rep = zeta_report(k, q)
-            poly = orbit_product([value for _, value in rep.jacobi_values])
-            assert rep.r_t == poly == transcendental_factor(k, q), (k, q)
+            values = [value for _, value in rep.jacobi_values]
+            assert rep.r_t == newton_orbit_product(values) == reference_orbit_product(values), (k, q)
+            assert rep.r_t == orbit_product(values) == transcendental_factor(k, q), (k, q)
 
 
 def _edited_rows(row):
