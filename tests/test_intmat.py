@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from characters_reference import kernel_mod
+from lattice_reference import full_scan_smith_normal_form
+from k3fermat import lattice
 from k3fermat.catalog import load_catalog
 from k3fermat.intmat import (
     det,
@@ -16,6 +18,7 @@ from k3fermat.intmat import (
     signature,
     smith_normal_form,
     symmetric_invariants,
+    transpose,
 )
 
 
@@ -120,6 +123,97 @@ def test_smith_normal_form_properties():
 def test_smith_diag_example():
     d, _, _ = smith_normal_form([[33, 0, 0], [0, 22, 0], [0, 0, 6]])
     assert d == [1, 66, 66]
+
+
+@st.composite
+def smith_inputs(draw):
+    """Integer matrices with entries in [-6, 6]: dense draws up to 6x6 and
+    sparse draws, at most nr + nc nonzero entries, up to 7x7. Dense 8x8
+    draws can grow for seconds under either pivot scan."""
+    dense = draw(st.booleans())
+    size = st.integers(1, 6 if dense else 7)
+    nr, nc = draw(size), draw(size)
+    entry = st.integers(-6, 6)
+    if dense:
+        return draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                             min_size=nr, max_size=nr))
+    cells = draw(st.dictionaries(st.tuples(st.integers(0, nr - 1), st.integers(0, nc - 1)),
+                                 entry, max_size=nr + nc))
+    return [[cells.get((i, j), 0) for j in range(nc)] for i in range(nr)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(smith_inputs())
+def test_smith_form_matches_the_full_scan(mat):
+    # the scan that stops at a unit takes the same pivots, so the same triple
+    assert smith_normal_form(mat) == full_scan_smith_normal_form(mat)
+
+
+CATALOG = {e.k: e for e in load_catalog()}
+# the two catalog T that mirror_split splits through the <2> + (-A2) pattern,
+# so through the Smith form of a 2 x rank hyperbolic-complement kernel
+COMPLEMENT_KS = (11, 19)
+VERIFY_ALL_SMITH_INPUTS = (
+    [pytest.param(e.k, part, id=f"k{e.k}-{part}") for e in CATALOG.values()
+     for part in ("s_gram", "t_gram") if abs(getattr(e, part).determinant) != 1]
+    + [pytest.param(e.k, "cover", id=f"k{e.k}-cover")
+       for e in CATALOG.values() if e.cover is not None]
+    + [pytest.param(k, "complement", id=f"k{k}-complement") for k in COMPLEMENT_KS])
+
+
+@pytest.mark.parametrize("k, part", VERIFY_ALL_SMITH_INPUTS)
+def test_smith_form_matches_the_full_scan_on_each_verify_all_input(k, part, monkeypatch):
+    # verify --all's 37 Smith forms: 20 discriminant forms, 15 cover exponent
+    # matrices and 2 complement kernels (test_lattice pins that traffic)
+    entry = CATALOG[k]
+    if part == "cover":
+        mat = [list(exps) for _var, _sign, exps in entry.cover.images]
+    elif part == "complement":
+        kernels = []
+        monkeypatch.setattr(lattice, "integer_kernel",
+                            lambda m, run=lattice.integer_kernel: kernels.append(m) or run(m))
+        lattice.mirror_split(entry.t_gram)
+        (mat,) = kernels
+    else:
+        mat = getattr(entry, part).rows()
+    assert smith_normal_form(mat) == full_scan_smith_normal_form(mat)
+
+
+def schoolbook_mul(a, b):
+    out = [[0] * len(b[0]) for _ in a]
+    for i in range(len(a)):
+        for j in range(len(b[0])):
+            for k in range(len(b)):
+                out[i][j] += a[i][k] * b[k][j]
+    return out
+
+
+def int_matrices(nr, nc):
+    return st.lists(st.lists(st.integers(-50, 50), min_size=nc, max_size=nc),
+                    min_size=nr, max_size=nr)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_mat_mul_matches_the_schoolbook_product(data):
+    r, n, c = (data.draw(st.integers(1, 6)) for _ in range(3))
+    a, b = data.draw(int_matrices(r, n)), data.draw(int_matrices(n, c))
+    assert mat_mul(a, b) == schoolbook_mul(a, b)
+    # 1 x n . n x 1, as lattice._pair takes it
+    row, col = a[:1], [line[:1] for line in b]
+    assert mat_mul(row, col) == schoolbook_mul(row, col)
+    # r x n . n x n . n x r, as discriminant_form takes its value matrix
+    g = data.draw(int_matrices(n, n))
+    assert (mat_mul(mat_mul(a, g), transpose(a))
+            == schoolbook_mul(schoolbook_mul(a, g), transpose(a)))
+
+
+def test_mat_mul_refuses_factors_that_do_not_conform():
+    # zip(*[]) has no columns and map stops at the shorter sequence, so
+    # without the check these would give rows of [] or a truncated sum
+    for a, b in (([[1, 2]], []), ([], []), ([[1]], [[1], [1]]), ([[1, 2, 3]], [[1], [1]])):
+        with pytest.raises(ValueError, match="shapes do not match"):
+            mat_mul(a, b)
 
 
 def test_integer_kernel():

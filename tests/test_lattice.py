@@ -5,6 +5,7 @@ determinants and signatures; discriminant forms against hand-inverted
 2x2 blocks; heights and discriminants against the catalog's section data.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from lattice_reference import BOX_RANK_LIMIT, box_mirror_split
 from test_intmat import reference_signature
 
-from k3fermat import lattice
+from k3fermat import delsarte, intmat, lattice
 from k3fermat.catalog import _build_catalog, catalog_entry, load_catalog, verify_entry
 from k3fermat.intmat import det, mat_mul, symmetric_invariants, transpose
 from k3fermat.lattice import (
@@ -165,6 +166,22 @@ def test_verify_takes_one_smith_form_per_lattice(monkeypatch):
     assert [c.status for c in report.checks if c.name in ("lattice", "height-disc")] == [
         "pass", "pass"]
     assert sorted(calls) == [4, 18]
+
+
+def test_verify_all_takes_37_smith_forms(monkeypatch):
+    # 20 discriminant forms of the non-unimodular catalog S and T, 15 cover
+    # exponent matrices and the complement kernels of two T, each counted at
+    # the binding it is called through
+    calls = []
+    run = intmat.smith_normal_form
+    for module in (lattice, delsarte, intmat):
+        site = module.__name__.rpartition(".")[2]
+        monkeypatch.setattr(module, "smith_normal_form",
+                            lambda m, site=site: calls.append((site, len(m), len(m[0]))) or run(m))
+    for entry in _build_catalog():
+        assert verify_entry(entry).ok
+    assert Counter(site for site, _nr, _nc in calls) == {"lattice": 20, "delsarte": 15, "intmat": 2}
+    assert sorted(shape for site, *shape in calls if site == "intmat") == [[2, 10], [2, 18]]
 
 
 def test_discriminant_form_a2():
