@@ -30,9 +30,9 @@ from .characters import CharacterVector
 from .cyclotomic import JACOBI_WORK_LIMIT, POWER_TABLE_LIMIT, jacobi_work, power_table_bound
 from .delsarte import (
     SurfaceSyntaxError,
+    cover_characters,
     derive_cover,
     parse_surface,
-    transcendental_characters,
 )
 from .field import check_modulus, make_field
 from .jacobi_zeta import default_primes, jacobi_sum, zeta_report
@@ -416,8 +416,9 @@ def cmd_delsarte(args):
     except (SurfaceSyntaxError, ValueError) as exc:
         raise UsageError(f"cannot parse equation: {exc}") from None
     try:
+        # derive_cover has already checked the map
         m, pi = derive_cover(surface)
-        chars = transcendental_characters(surface, pi)
+        chars = cover_characters(pi)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     rho = 22 - len(chars)

@@ -27,6 +27,7 @@ integer divisions, so no rational number is ever formed.
 """
 
 from collections import Counter
+from itertools import compress
 from math import gcd, prod
 from struct import pack, unpack
 
@@ -471,29 +472,26 @@ def _power_table(m):
     """Row j holds the canonical coordinates of zeta^j mod Phi_m, j < m, as
     sparse (index, coefficient) pairs; built on first use.
 
-    Shift and fold: zeta^(j+1) is zeta^j shifted up one place, with its top
+    Rows j < phi(m) are monomials. From there, shift and fold on one dense
+    list: zeta^(j+1) is zeta^j shifted up one place, with its top
     coefficient c folded back through x^phi = x^phi - Phi_m(x) mod Phi_m,
-    a polynomial of degree below phi. Equal pairs are interned, so the rows
-    share them.
+    which touches only the nonzero low terms of Phi_m. Equal pairs are
+    interned, so the rows share them.
     """
     if m not in _table_cache:
         phi_m = cyclotomic_poly(m)
-        top = phi_m.degree - 1
+        phi = phi_m.degree
         fold = [(i, -a) for i, a in enumerate(phi_m.coeffs[:-1]) if a]
-        pairs = {}
-        rows = []
-        row = {0: 1}
-        for _ in range(m):
-            rows.append(tuple(pairs.setdefault(p, p) for p in sorted(row.items())))
-            c = row.pop(top, 0)
-            row = {i + 1: a for i, a in row.items()}
+        intern = {}.setdefault
+        rows = [(intern((j, 1), (j, 1)),) for j in range(min(phi, m))]
+        row = [0] * (phi - 1) + [1]
+        for _ in range(phi, m):
+            c = row.pop()
+            row.insert(0, 0)
             if c:
                 for i, a in fold:
-                    b = row.get(i, 0) + c * a
-                    if b:
-                        row[i] = b
-                    else:
-                        del row[i]
+                    row[i] += c * a
+            rows.append(tuple([intern(p, p) for p in compress(enumerate(row), row)]))
         _table_cache[m] = rows
     return _table_cache[m]
 

@@ -25,7 +25,10 @@ with ordinary + - * on the field elements. Over F_p those are plain ints
 that may stay unreduced mod p; every decision (zero test, valuation,
 chi2, inverse) goes through the field, which reduces them. tate_fiber
 reads the field through those methods alone, so it also runs over any
-field object that has them.
+field object that has them. For p >= 5 the valuation of
+Delta = -16(4A^3 + 27B^2) is min(3 v(A), 2 v(B)) unless 3 v(A) = 2 v(B)
+(Silverman, Advanced Topics, IV.9), so each local model reads v(A) and
+v(B), and scans Delta's coefficients only on that tie.
 """
 
 from collections import Counter
@@ -196,16 +199,29 @@ def _valuation(poly, field):
 
 
 def _discriminant_valuation(a, b, field):
-    """_valuation of -16(4A^3 + 27B^2), from its coefficients in ascending
-    order up to the first that is nonzero in the field; A^2 is kept only
-    that far, and no full product is formed."""
-    a, b = a.coeffs, b.coeffs
+    """_valuation of -16(4A^3 + 27B^2), in residue characteristic >= 5.
+
+    There 16, 4 and 27 are units, so v(Delta) = min(3 v(A), 2 v(B)) unless
+    the two are equal (Silverman, Advanced Topics, IV.9), and _INF when
+    both are. Only on a tie can the leading terms cancel, where 27 B0^2 =
+    -4 A0^3 for the leading coefficients A0 and B0 (an I_n fiber at a root
+    of Delta, or an I_n* one). Then A and B lose their leading coefficients
+    that are zero in the field, and the coefficients of the rest are read
+    in ascending order up to the first that is nonzero in the field; A^2 is
+    kept only that far, and no full product is formed.
+    """
+    va, vb = _valuation(a, field), _valuation(b, field)
+    if va == vb == _INF:
+        return _INF
+    if 3 * va != 2 * vb:
+        return min(3 * va, 2 * vb)
+    a, b = a.coeffs[va:], b.coeffs[vb:]
     a2 = []
     for i in range(max(3 * len(a) - 2, 2 * len(b) - 1)):
         a2.append(_product_coeff(a, a, i))
         delta = -16 * (4 * _product_coeff(a2, a, i) + 27 * _product_coeff(b, b, i))
         if not field.is_zero(delta):
-            return i
+            return 3 * va + i
     return _INF
 
 
@@ -226,25 +242,30 @@ def _taylor_shift(poly, t0):
 
 def _local_model(model, field, t0):
     """Local expansions (A, B, v(Delta)) in the uniformizer at t0,
-    minimality-reduced.
+    minimality-reduced, in residue characteristic >= 5.
 
-    The reduction (A, B) -> (A/tau^4, B/tau^6) runs while both valuations
-    allow it; in particular deg A <= 4 and deg B <= 6 give good reduction at
-    infinity after at most two steps. A model whose discriminant vanishes
-    identically mod p has no fibers to classify and is refused.
+    The reduction (A, B) -> (A/tau^4, B/tau^6) is taken min(v(A) // 4,
+    v(B) // 6) times, in one slice; in particular deg A <= 4 and deg B <= 6
+    give good reduction at infinity after at most two steps. v(Delta) is
+    then min(3 v(A), 2 v(B)) unless the two are equal (see
+    _discriminant_valuation). At t0 = 0 the expansions are A and B
+    themselves. A model whose discriminant vanishes identically mod p has
+    no fibers to classify and is refused.
     """
     if t0 == "inf":
         # s^8 A(1/s) and s^12 B(1/s): the twist that moves t = inf to s = 0
         a = IntPoly([model.a.coeff(8 - i) for i in range(9)])
         b = IntPoly([model.b.coeff(12 - i) for i in range(13)])
+    elif field.is_zero(t0):
+        a, b = model.a, model.b
     else:
         a = _taylor_shift(model.a, t0)
         b = _taylor_shift(model.b, t0)
-    # every round shortens a nonempty expansion, so this ends even when
-    # A = B = 0 mod p
-    while (a or b) and _valuation(a, field) >= 4 and _valuation(b, field) >= 6:
-        a = IntPoly(a.coeffs[4:])
-        b = IntPoly(b.coeffs[6:])
+    # A = B = 0 mod p takes _INF // 6 steps, which empty both expansions
+    steps = min(_valuation(a, field) // 4, _valuation(b, field) // 6)
+    if steps:
+        a = IntPoly(a.coeffs[4 * steps:])
+        b = IntPoly(b.coeffs[6 * steps:])
     vd = _discriminant_valuation(a, b, field)
     if vd == _INF:
         raise ValueError(f"discriminant vanishes identically mod {field.p}")

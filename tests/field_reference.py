@@ -8,11 +8,24 @@ point count of an elliptic surface over either kind of field, one cubic
 sum per good fiber: the tests check count_elliptic_smooth against it
 over F_p, and the facts over F_{p^2} (Frobenius squared, fibers that
 split there) through it alone.
+
+round_by_round_local_model is _local_model as it read before it took its
+valuations once: a Taylor shift at every t0, one minimality step per
+round, and v(Delta) from a scan of Delta's coefficients in ascending
+order, whatever v(A) and v(B) are.
 """
 
+from k3fermat.cyclotomic import IntPoly
 from k3fermat.field import PrimeField, make_field
 from k3fermat.kernels import chi_cubic_sum
-from k3fermat.pointcount import _local_model, fiber_points, tate_fiber
+from k3fermat.pointcount import (
+    _INF,
+    _local_model,
+    _taylor_shift,
+    _valuation,
+    fiber_points,
+    tate_fiber,
+)
 
 
 class QuadElement:
@@ -159,3 +172,38 @@ def reference_elliptic_count(model, q):
             a0, b0 = a.coeff(0), b.coeff(0)
         total += size + 1 + cubic_sum(a0, b0)
     return total
+
+
+def scanned_discriminant_valuation(a, b, field):
+    """_valuation of -16(4A^3 + 27B^2), from its coefficients in ascending
+    order up to the first that is nonzero in the field."""
+    a, b = a.coeffs, b.coeffs
+
+    def coeff(x, y, i):
+        return sum(x[j] * y[i - j] for j in range(max(0, i - len(y) + 1), min(i + 1, len(x))))
+
+    a2 = []
+    for i in range(max(3 * len(a) - 2, 2 * len(b) - 1)):
+        a2.append(coeff(a, a, i))
+        if not field.is_zero(-16 * (4 * coeff(a2, a, i) + 27 * coeff(b, b, i))):
+            return i
+    return _INF
+
+
+def round_by_round_local_model(model, field, t0):
+    """(A, B, v(Delta)) at t0 as _local_model gives it, one minimality step
+    (A, B) -> (A/tau^4, B/tau^6) at a time, each after reading both
+    valuations again."""
+    if t0 == "inf":
+        a = IntPoly([model.a.coeff(8 - i) for i in range(9)])
+        b = IntPoly([model.b.coeff(12 - i) for i in range(13)])
+    else:
+        a = _taylor_shift(model.a, t0)
+        b = _taylor_shift(model.b, t0)
+    while (a or b) and _valuation(a, field) >= 4 and _valuation(b, field) >= 6:
+        a = IntPoly(a.coeffs[4:])
+        b = IntPoly(b.coeffs[6:])
+    vd = scanned_discriminant_valuation(a, b, field)
+    if vd == _INF:
+        raise ValueError(f"discriminant vanishes identically mod {field.p}")
+    return a, b, vd

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import k3fermat.cli as cli
+from k3fermat import delsarte
 from k3fermat.cli import _build_parser, _read_argv, cmd_count, cmd_verify, cmd_zeta, main
 from k3fermat.cyclotomic import JACOBI_WORK_LIMIT, jacobi_work
 from k3fermat.field import PrimeField
@@ -356,6 +357,17 @@ class TestDelsarteCommand:
         assert len(result["images"]) == 3
         assert all(len(c) == 4 for c in result["characters"])
         assert json.dumps(doc, indent=2) + "\n" == out
+
+    def test_checks_the_derived_map_once(self, capsys, monkeypatch):
+        # derive_cover checks the map it returns; the characters come from
+        # cover_characters, which checks nothing again
+        calls = []
+        check = delsarte.verify_cover
+        monkeypatch.setattr(delsarte, "verify_cover",
+                            lambda surface, pi: calls.append(pi.m) or check(surface, pi))
+        code, _, _ = run(capsys, "delsarte", "--equation", "y^2 = x^3 + t^7*x - t")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "delsarte", "--equation", "y^2 = x^3 +")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from k3fermat import cyclotomic
 from k3fermat.catalog import ORDERS, catalog_entry, transcendental_row
 from k3fermat.characters import CharacterVector, units_mod
 from k3fermat.cyclotomic import (
@@ -25,6 +26,7 @@ from zeta_reference import (
     orbit_values,
     poly_divmod,
     reference_orbit_product,
+    sparse_power_table,
 )
 
 
@@ -218,6 +220,16 @@ def test_power_table_rows_are_remainders_of_powers():
                 dense[i] = a
             assert IntPoly(dense) == poly_divmod(IntPoly([0] * j + [1]), phi_m)[1], (m, j)
         assert sum(map(len, rows)) <= power_table_bound(m), m
+
+
+def test_power_table_matches_the_sparse_rows(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "_table_cache", {})
+    for m in [*range(1, 71), 105, 210, 1155]:
+        rows = _power_table(m)
+        assert rows == sparse_power_table(m), m
+        # equal pairs are one object, shared by every row that holds them
+        pairs = [p for row in rows for p in row]
+        assert len(set(map(id, pairs))) == len(set(pairs)), m
 
 
 def test_power_table_bound_values():

@@ -10,10 +10,16 @@ behavior is known in closed form.
 import random
 
 import pytest
-from field_reference import QuadExtField, reference_elliptic_count
-from hypothesis import example, given, settings
+from field_reference import (
+    QuadExtField,
+    reference_elliptic_count,
+    round_by_round_local_model,
+)
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from k3fermat import pointcount
+from k3fermat.catalog import _build_catalog, verify_entry
 from k3fermat.cyclotomic import IntPoly
 from k3fermat.field import PrimeField, make_field
 from k3fermat.pointcount import (
@@ -22,6 +28,7 @@ from k3fermat.pointcount import (
     WeierstrassModel,
     _discriminant,
     _discriminant_valuation,
+    _local_model,
     _taylor_shift,
     _valuation,
     count_affine_double_sextic,
@@ -290,6 +297,86 @@ def test_discriminant_valuation_matches_the_full_product(case):
             assert _discriminant_valuation(la, lb, field) == expected
     if not any(c % field.p for c in disc.coeffs):
         assert _discriminant_valuation(a, b, field) == _INF
+
+
+def _same_local_model(field, got, want):
+    """Equal v(Delta), and A and B equal coefficientwise in the field."""
+    for x, y in zip(got[:2], want[:2]):
+        n = max(len(x.coeffs), len(y.coeffs))
+        assert all(field.is_zero(x.coeff(i) - y.coeff(i)) for i in range(n))
+    assert got[2] == want[2]
+
+
+def _local_outcome(local_model, model, field, t0):
+    try:
+        return local_model(model, field, t0)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=80)
+@given(local_expansions())
+# A = t^4, B = t^7: one minimality step at t = 0 leaves a good fiber
+@example((make_field(7), IntPoly([0, 0, 0, 0, 1]), IntPoly([0, 0, 0, 0, 0, 0, 0, 1])))
+@example((QuadExtField(7), IntPoly([0, 0, 0, 0, 1]), IntPoly([0, 0, 0, 0, 0, 0, 0, 1])))
+# A = B = 0 mod 5: the same refusal text at every t0
+@example((make_field(5), IntPoly([0, 5]), IntPoly([5, 5])))
+@example((QuadExtField(5), IntPoly([0, 5]), IntPoly([5, 5])))
+def test_local_model_matches_the_round_by_round_reference(case):
+    field, a, b = case
+    assume(_discriminant(a, b))
+    model = WeierstrassModel(a, b)
+    disc = model.discriminant()
+    for t0 in ["inf", field.from_int(0), 0] + [t for t in field.elements() if field.is_zero(disc(t))]:
+        got = _local_outcome(_local_model, model, field, t0)
+        want = _local_outcome(round_by_round_local_model, model, field, t0)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            _same_local_model(field, got, want)
+
+
+# (A, B, p, t0, v(Delta), kind): v(Delta) = min(3 v(A), 2 v(B)) off a tie,
+# and on a tie the leading terms may cancel
+LOCAL_EXAMPLES = [
+    # unequal and deep: v(A) = 4, v(B) = 5 needs no minimality step
+    ([0, 0, 0, 0, 1, 1], [0, 0, 0, 0, 0, 1, 0, 1], 7, 0, 10, "II*"),
+    # A = -3 u^2 tau^2, B = 2 u^3 tau^3 (u = 2) cancel in 4A^3 + 27B^2;
+    # the tau^4 of B leaves v(Delta) = 7 where the rule would read 6
+    ([0, 0, -12], [0, 0, 0, 16, 1], 7, 0, 7, "I1*"),
+    ([0, 0, -12], [0, 0, 0, 16, 1], 11, 0, 7, "I1*"),
+    # a tie at v = 0: A(0) = -3, B(0) = 2 cancel, an I_1 at t = 0
+    ([-3, 1], [2], 7, 0, 1, "I1"),
+    # the same fiber at the root t0 = 1, reached through the Taylor shift
+    ([-4, 1], [2], 7, 1, 1, "I1"),
+    # a tie at v = 0 with no cancellation: a good fiber
+    ([1, 1], [1], 7, 0, 0, "I0"),
+]
+
+
+@pytest.mark.parametrize("a, b, p, t0, vd, kind", LOCAL_EXAMPLES)
+def test_local_model_examples(a, b, p, t0, vd, kind):
+    model = WeierstrassModel(a, b)
+    for field in (make_field(p), QuadExtField(p)):
+        t = field.from_int(t0)
+        local = _local_model(model, field, t)
+        assert local[2] == vd
+        _same_local_model(field, local, round_by_round_local_model(model, field, t))
+        assert tate_fiber(model, field, t).kind == kind
+
+
+def test_verify_all_takes_64_local_models_and_no_coefficient_scan(monkeypatch):
+    # Tate at t = 0, at infinity and at the multiple roots of Delta, for each
+    # zeta prime of the elliptic entries; none of those models is a tie
+    calls = {"_local_model": 0, "_product_coeff": 0}
+    for name in calls:
+        run = getattr(pointcount, name)
+        monkeypatch.setattr(pointcount, name,
+                            lambda *args, name=name, run=run: calls.__setitem__(name, calls[name] + 1)
+                            or run(*args))
+    for entry in _build_catalog():
+        assert verify_entry(entry).ok
+    assert calls == {"_local_model": 64, "_product_coeff": 0}
 
 
 def test_tate_k19_fibers():

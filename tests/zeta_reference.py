@@ -8,8 +8,9 @@ Jacobi sums of any Galois-stable set of characters, the Fermat factor over
 every character, and the transcendental factor of a catalog surface on its
 own. They also keep two orbit products that share nothing with the
 package's evaluation map: the factor-by-factor product over Z[zeta_m][T],
-and power sums by traces with Newton's identities. The tests compare the
-package against them.
+and power sums by traces with Newton's identities. The power table is
+kept as it was first built, one dict per power of zeta. The tests compare
+the package against them.
 """
 
 from collections import Counter
@@ -18,9 +19,32 @@ from math import gcd
 from characters_reference import enumerate_A
 from k3fermat import catalog
 from k3fermat.characters import units_mod
-from k3fermat.cyclotomic import IntPoly, orbit_product, totient
+from k3fermat.cyclotomic import IntPoly, cyclotomic_poly, orbit_product, totient
 from k3fermat.field import prime_factors
 from k3fermat.jacobi_zeta import _admissible_field, _row_factor, jacobi_sum
+
+
+def sparse_power_table(m):
+    """The rows of cyclotomic._power_table(m), with every power of zeta a
+    dict {index: coefficient} shifted up one place and its top coefficient
+    folded back through x^phi = x^phi - Phi_m(x), from zeta^0 on."""
+    phi_m = cyclotomic_poly(m)
+    top = phi_m.degree - 1
+    fold = [(i, -a) for i, a in enumerate(phi_m.coeffs[:-1]) if a]
+    rows = []
+    row = {0: 1}
+    for _ in range(m):
+        rows.append(tuple(sorted(row.items())))
+        c = row.pop(top, 0)
+        row = {i + 1: a for i, a in row.items()}
+        if c:
+            for i, a in fold:
+                b = row.get(i, 0) + c * a
+                if b:
+                    row[i] = b
+                else:
+                    del row[i]
+    return rows
 
 
 def poly_divmod(num, den):
