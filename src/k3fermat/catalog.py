@@ -479,7 +479,8 @@ def _transcendental_row(k):
     ones = [c for c in chars if alpha_norm(c) == 1]
     if len(ones) != 1:
         raise AssertionError(f"expected one weight-one character, found {len(ones)}")
-    return tuple(ones + [c for c in chars if c != ones[0]])
+    one = ones[0].a
+    return tuple(ones + [c for c in chars if c.a != one])
 
 
 # ---------------------------------------------------------------------------
@@ -577,13 +578,12 @@ def verify_entry(entry, primes=None):
             if not covers:
                 raise AssertionError("the stored map does not cover the equation")
             found = cover_characters(entry.cover)
-            expected = {
-                CharacterVector.from_triple(entry.m, t)
-                for t in entry.expected_characters
-            }
+            m = entry.m
+            # the stored triples as reduced exponent tuples (a0, a1, a2, a3)
+            expected = {(-sum(t) % m, *(x % m for x in t)) for t in entry.expected_characters}
             if len(found) != phi:
                 raise AssertionError(f"{len(found)} characters, expected phi(k) = {phi}")
-            if set(found) != expected:
+            if {c.a for c in found} != expected:
                 raise AssertionError("invariant characters differ from the stored row")
             return f"{phi} invariant transcendental characters"
 

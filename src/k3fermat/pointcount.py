@@ -8,17 +8,19 @@ throughout; that keeps Tate's procedure in its short-Weierstrass
 (v(A), v(Delta)) form.
 Tate's table lives in _kodaira_kind, for geometric_fibers over Q and
 tate_fiber over F_q; fiber invariants come from lattice.kodaira_lattice.
-geometric_fibers splits the discriminant over Z[t] (Yun's algorithm on
-primitive polynomials), and the counts over F_p run in integer arithmetic
-too. When A and B are monomials mod p, when A = 0 mod p (the fibers of
-y^2 = x^3 + B(t) are the rows of a double sextic in (t, x)), and when v
-occurs in one term of a double sextic, the count is a character sum over
-cosets of a subgroup of F_p^*, O(p); every other model is refused, as
-its count would take one O(p) cubic sum per good fiber. The row sums
-walk one u per orbit of u -> zeta u, for the zeta that scale every term
-of the row polynomial alike (the t-part of the non-symplectic
-automorphism on the A = 0 models), so they take O(p/h) steps for an
-orbit of h elements.
+geometric_fibers splits the discriminant over Z[t] with one Yun
+squarefree pass on each of Delta, A and B (on primitive polynomials; the
+power of t is read off the coefficients, and Yun's loop runs on the rest),
+then one gcd per Yun factor of A and of B; the counts over F_p run in
+integer arithmetic too. When A and B are monomials mod p, when A = 0 mod
+p (the fibers of y^2 = x^3 + B(t) are the rows of a double sextic in
+(t, x)), and when v occurs in one term of a double sextic, the count is
+a character sum over cosets of a subgroup of F_p^*, O(p); every other
+model is refused, as its count would take one O(p) cubic sum per good
+fiber. The row sums walk one u per orbit of u -> zeta u, for the zeta
+that scale every term of the row polynomial alike (the t-part of the
+non-symplectic automorphism on the A = 0 models), so they take O(p/h)
+steps for an orbit of h elements.
 
 Tate's procedure works on IntPoly expansions in the uniformizer at t0,
 with ordinary + - * on the field elements. Over F_p those are plain ints
@@ -28,7 +30,7 @@ reads the field through those methods alone, so it also runs over any
 field object that has them. For p >= 5 the valuation of
 Delta = -16(4A^3 + 27B^2) is min(3 v(A), 2 v(B)) unless 3 v(A) = 2 v(B)
 (Silverman, Advanced Topics, IV.9), so each local model reads v(A) and
-v(B), and scans Delta's coefficients only on that tie.
+v(B) once, and scans Delta's coefficients only on that tie.
 """
 
 from collections import Counter
@@ -51,52 +53,64 @@ _INF = 10 ** 9
 def _yun_squarefree(f):
     """Yun decomposition of a nonzero f in Z[t]: (g_i, i) pairs with g_i
     primitive, non-constant and of positive leading coefficient, whose
-    product of g_i^i is f.primitive().
+    product of g_i^i is f.primitive(), in ascending i.
 
-    Each step divides by a primitive gcd, so by Gauss's lemma every
-    quotient stays in Z[t]; c and w carry one common scalar throughout,
-    which the gcds do not see.
+    The power t^v of f is read off its coefficients (v is the index of the
+    first nonzero one), and Yun's loop runs once, on f / t^v only; t then
+    joins the factor of multiplicity v, or enters as (t, v). Each step
+    divides by a primitive gcd, so by Gauss's lemma every quotient stays
+    in Z[t]; c and w carry one common scalar throughout, which the gcds do
+    not see.
     """
-    d = f.derivative()
-    g = poly_gcd(f, d)
-    c = exact_quotient(f, g)
-    w = exact_quotient(d, g) - c.derivative()
+    v = next(i for i, c in enumerate(f.coeffs) if c)
+    f = IntPoly(f.coeffs[v:])
     out = []
-    i = 1
-    while c.degree > 0:
-        p = poly_gcd(c, w)
-        if p.degree > 0:
-            out.append((p, i))
-        c2 = exact_quotient(c, p)
-        w = exact_quotient(w, p) - c2.derivative()
-        c = c2
-        i += 1
+    if f.degree > 0:
+        d = f.derivative()
+        g = poly_gcd(f, d)
+        c = exact_quotient(f, g)
+        w = exact_quotient(d, g) - c.derivative()
+        i = 1
+        while c.degree > 0:
+            p = poly_gcd(c, w)
+            if p.degree > 0:
+                out.append((p, i))
+            c2 = exact_quotient(c, p)
+            w = exact_quotient(w, p) - c2.derivative()
+            c = c2
+            i += 1
+    if v:
+        # t g keeps g's content and leading coefficient; g = 1 when no
+        # factor has multiplicity v
+        factors = {i: g for g, i in out}
+        factors[v] = IntPoly((0,) + factors.get(v, IntPoly([1])).coeffs)
+        out = [(g, i) for i, g in sorted(factors.items())]
     return out
 
 
-def _split_by_valuation(f, target):
-    """Partition the roots of squarefree f by their multiplicity in target.
+def _split_by_factors(f, factors):
+    """Partition the roots of squarefree f by their multiplicity in a
+    target whose _yun_squarefree factors are given; None stands for the
+    zero target.
 
     f is primitive in Z[t] with positive leading coefficient. Returns
-    (piece, v) pairs of such polynomials whose product is f; target
-    identically zero sends everything to valuation _INF.
+    (piece, v) pairs of such polynomials whose product is f, in ascending
+    v: the rest of valuation 0 first, then one gcd per Yun factor of the
+    target (they are coprime, so each takes the roots of one multiplicity).
+    The zero target sends everything to valuation _INF.
     """
-    if not target:
-        return [(f, _INF)] if f.degree > 0 else []
+    if factors is None:
+        return [(f, _INF)]
     out = []
-    rest = target
-    roots = f
-    v = 0
-    while roots.degree > 0:
-        deeper = poly_gcd(roots, rest)
-        piece = exact_quotient(roots, deeper)
+    rest = f
+    for g, v in factors:
+        if rest.degree == 0:
+            break
+        piece = poly_gcd(rest, g)
         if piece.degree > 0:
             out.append((piece, v))
-        if deeper.degree > 0:
-            rest = exact_quotient(rest, deeper)
-        roots = deeper
-        v += 1
-    return out
+            rest = exact_quotient(rest, piece)
+    return [(rest, 0)] + out if rest.degree > 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +212,9 @@ def _valuation(poly, field):
     return next((i for i, c in enumerate(poly.coeffs) if not field.is_zero(c)), _INF)
 
 
-def _discriminant_valuation(a, b, field):
-    """_valuation of -16(4A^3 + 27B^2), in residue characteristic >= 5.
+def _discriminant_valuation(a, b, va, vb, field):
+    """_valuation of -16(4A^3 + 27B^2), in residue characteristic >= 5,
+    given va = _valuation(a, field) and vb = _valuation(b, field).
 
     There 16, 4 and 27 are units, so v(Delta) = min(3 v(A), 2 v(B)) unless
     the two are equal (Silverman, Advanced Topics, IV.9), and _INF when
@@ -210,7 +225,6 @@ def _discriminant_valuation(a, b, field):
     in ascending order up to the first that is nonzero in the field; A^2 is
     kept only that far, and no full product is formed.
     """
-    va, vb = _valuation(a, field), _valuation(b, field)
     if va == vb == _INF:
         return _INF
     if 3 * va != 2 * vb:
@@ -241,13 +255,15 @@ def _taylor_shift(poly, t0):
 
 
 def _local_model(model, field, t0):
-    """Local expansions (A, B, v(Delta)) in the uniformizer at t0,
+    """Local expansions (A, B, v(A), v(Delta)) in the uniformizer at t0,
     minimality-reduced, in residue characteristic >= 5.
 
-    The reduction (A, B) -> (A/tau^4, B/tau^6) is taken min(v(A) // 4,
-    v(B) // 6) times, in one slice; in particular deg A <= 4 and deg B <= 6
-    give good reduction at infinity after at most two steps. v(Delta) is
-    then min(3 v(A), 2 v(B)) unless the two are equal (see
+    v(A) and v(B) are read once. The reduction (A, B) -> (A/tau^4,
+    B/tau^6) is taken min(v(A) // 4, v(B) // 6) times, in one slice that
+    drops only coefficients zero in the field, so it lowers v(A) by 4 and
+    v(B) by 6 per step (_INF stays _INF). In particular deg A <= 4 and
+    deg B <= 6 give good reduction at infinity after at most two steps.
+    v(Delta) is then min(3 v(A), 2 v(B)) unless the two are equal (see
     _discriminant_valuation). At t0 = 0 the expansions are A and B
     themselves. A model whose discriminant vanishes identically mod p has
     no fibers to classify and is refused.
@@ -261,21 +277,24 @@ def _local_model(model, field, t0):
     else:
         a = _taylor_shift(model.a, t0)
         b = _taylor_shift(model.b, t0)
+    va, vb = _valuation(a, field), _valuation(b, field)
     # A = B = 0 mod p takes _INF // 6 steps, which empty both expansions
-    steps = min(_valuation(a, field) // 4, _valuation(b, field) // 6)
+    steps = min(va // 4, vb // 6)
     if steps:
         a = IntPoly(a.coeffs[4 * steps:])
         b = IntPoly(b.coeffs[6 * steps:])
-    vd = _discriminant_valuation(a, b, field)
+        va = va - 4 * steps if va < _INF else _INF
+        vb = vb - 6 * steps if vb < _INF else _INF
+    vd = _discriminant_valuation(a, b, va, vb, field)
     if vd == _INF:
         raise ValueError(f"discriminant vanishes identically mod {field.p}")
-    return a, b, vd
+    return a, b, va, vd
 
 
 def tate_fiber(model, q, t0, local=None):
     """Kodaira fiber of the smooth model at t0 (an element of F_q or "inf").
 
-    q may be a prime or a field object; local is the _local_model triple at
+    q may be a prime or a field object; local is the _local_model quadruple at
     t0 when the caller has already built it. The kind comes from
     _kodaira_kind on (v(A), v(Delta)) in residue characteristic >= 5; the
     splitting data are the node tangents for I_n, the leading B
@@ -290,8 +309,8 @@ def tate_fiber(model, q, t0, local=None):
         raise ValueError("residue characteristic must be at least 5")
     if isinstance(t0, int):
         t0 = field.from_int(t0)
-    a, b, vd = local or _local_model(model, field, t0)
-    kind = _kodaira_kind(_valuation(a, field), vd)
+    a, b, va, vd = local or _local_model(model, field, t0)
+    kind = _kodaira_kind(va, vd)
     if kind == "I0":
         return KodairaFiber(t0, kind, None)
     if kind == "I0*":
@@ -516,7 +535,7 @@ def _coset_sums(field, c, e, alternate):
 
 def _degenerate_count(model, field, t0, cubic_sum):
     local = _local_model(model, field, t0)
-    a, b, vd = local
+    a, b, _va, vd = local
     if vd == 0:
         # good after minimality reduction (e.g. deg A <= 4, deg B <= 6 at inf)
         return field.p + 1 + cubic_sum(a.coeff(0), b.coeff(0))
@@ -558,12 +577,18 @@ def geometric_fibers(model):
     every root in a piece shares the valuations of A and B), plus t = inf,
     as dicts with place/degree/kind/components/euler. The Euler numbers,
     weighted by degree, must sum to a multiple of 12.
+
+    Delta, A and B each take one _yun_squarefree pass, whose t-adic part
+    is read off the coefficients; each piece of Delta is then split by one
+    gcd per Yun factor of A, and each of those by one per factor of B.
     """
     disc = model.discriminant()
+    factors_a = _yun_squarefree(model.a) if model.a else None
+    factors_b = _yun_squarefree(model.b) if model.b else None
     rows = []
     for g, vd in _yun_squarefree(disc):
-        for piece_a, va in _split_by_valuation(g, model.a):
-            for piece, vb in _split_by_valuation(piece_a, model.b):
+        for piece_a, va in _split_by_factors(g, factors_a):
+            for piece, vb in _split_by_factors(piece_a, factors_b):
                 kind = _geometric_kind(va, vb, vd)
                 if kind != "I0":  # I0: non-minimal model, good fiber after reduction
                     rows.append(_fiber_row(piece.format("t"), piece.degree, kind))

@@ -165,7 +165,7 @@ def reference_elliptic_count(model, q):
             a0, b0 = model.a(t0), model.b(t0)
         else:
             local = _local_model(model, field, t0)
-            a, b, vd = local
+            a, b, _va, vd = local
             if vd:
                 total += fiber_points(tate_fiber(model, field, t0, local), size)
                 continue
@@ -191,9 +191,9 @@ def scanned_discriminant_valuation(a, b, field):
 
 
 def round_by_round_local_model(model, field, t0):
-    """(A, B, v(Delta)) at t0 as _local_model gives it, one minimality step
-    (A, B) -> (A/tau^4, B/tau^6) at a time, each after reading both
-    valuations again."""
+    """(A, B, v(A), v(Delta)) at t0 as _local_model gives it, one
+    minimality step (A, B) -> (A/tau^4, B/tau^6) at a time, each after
+    reading both valuations again; v(A) is read once more at the end."""
     if t0 == "inf":
         a = IntPoly([model.a.coeff(8 - i) for i in range(9)])
         b = IntPoly([model.b.coeff(12 - i) for i in range(13)])
@@ -206,4 +206,4 @@ def round_by_round_local_model(model, field, t0):
     vd = scanned_discriminant_valuation(a, b, field)
     if vd == _INF:
         raise ValueError(f"discriminant vanishes identically mod {field.p}")
-    return a, b, vd
+    return a, b, _valuation(a, field), vd

@@ -414,6 +414,58 @@ def test_characters_fail_when_the_stored_map_does_not_cover():
     assert [c.name for c in rep.checks if c.status == "fail"] == ["cover", "characters"]
 
 
+def _characters_with_stored_row(k, edit):
+    """The characters check of entry k with its stored triples edited."""
+    entry = catalog_entry(k)
+    fields = {name: getattr(entry, name) for name in K3CatalogEntry._fields}
+    triples = tuple(edit(entry.m, list(entry.expected_characters)))
+    rep = verify_entry(K3CatalogEntry(**{**fields, "expected_characters": triples}))
+    return next(c for c in rep.checks if c.name == "characters")
+
+
+def test_characters_fail_on_an_edited_stored_triple():
+    def edit(m, triples):
+        a1, a2, a3 = triples[0]
+        return [(a1, a2, a3 % m + 1)] + triples[1:]
+
+    check = _characters_with_stored_row(44, edit)
+    assert check.status == "fail"
+    assert check.detail == "AssertionError: invariant characters differ from the stored row"
+
+
+def test_characters_pass_on_a_stored_triple_that_is_not_reduced():
+    def edit(m, triples):
+        a1, a2, a3 = triples[0]
+        return [(a1 + m, a2, a3)] + triples[1:]
+
+    assert _characters_with_stored_row(44, edit).status == "pass"
+
+
+def test_characters_fail_on_a_stored_triple_with_a_zero_coordinate():
+    # a triple with a zero coordinate names no character, so it cannot
+    # match one the cover gives
+    def edit(m, triples):
+        _a1, a2, a3 = triples[0]
+        return [(m, a2, a3)] + triples[1:]
+
+    check = _characters_with_stored_row(44, edit)
+    assert check.status == "fail"
+    assert check.detail == "AssertionError: invariant characters differ from the stored row"
+
+
+def test_verify_all_builds_380_character_vectors(monkeypatch, capsys):
+    # the 190 characters the covers give and the 190 of the cached rows
+    # that the zeta checks read; the stored triples are compared as tuples
+    calls = []
+    init = CharacterVector.__init__
+    monkeypatch.setattr(CharacterVector, "__init__",
+                        lambda self, m, a: calls.append(m) or init(self, m, a))
+    catalog._transcendental_row.cache_clear()
+    assert cli.main(["verify", "--all"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 380
+
+
 # ---------------------------------------------------------------------------
 # JSON export
 

@@ -166,7 +166,8 @@ def test_in_star_splitting_matches_the_step_7_loop(recipe, p):
     assume(good_reduction(model, p))
     for field, t0 in places:
         fib = tate_fiber(model, field, t0)
-        n, split = reference_instar_split(field, *_local_model(model, field, t0))
+        a, b, _va, vd = _local_model(model, field, t0)
+        n, split = reference_instar_split(field, a, b, vd)
         event(f"{fib.kind if n < 3 else 'n >= 3'} {fib.splitting} over F_{field.q}"
               + (" at sqrt(r)" if quadratic else ""))
         assert fib.kind == f"I{n}*"

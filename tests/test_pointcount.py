@@ -294,17 +294,20 @@ def test_discriminant_valuation_matches_the_full_product(case):
         # each pair also with the tau^4, tau^6 of one minimality step divided out
         for la, lb in ((la, lb), (IntPoly(la.coeffs[4:]), IntPoly(lb.coeffs[6:]))):
             expected = _valuation(_discriminant(la, lb), field)
-            assert _discriminant_valuation(la, lb, field) == expected
+            va, vb = _valuation(la, field), _valuation(lb, field)
+            assert _discriminant_valuation(la, lb, va, vb, field) == expected
     if not any(c % field.p for c in disc.coeffs):
-        assert _discriminant_valuation(a, b, field) == _INF
+        va, vb = _valuation(a, field), _valuation(b, field)
+        assert _discriminant_valuation(a, b, va, vb, field) == _INF
 
 
 def _same_local_model(field, got, want):
-    """Equal v(Delta), and A and B equal coefficientwise in the field."""
+    """Equal v(A) and v(Delta), and A and B equal coefficientwise in the
+    field."""
     for x, y in zip(got[:2], want[:2]):
         n = max(len(x.coeffs), len(y.coeffs))
         assert all(field.is_zero(x.coeff(i) - y.coeff(i)) for i in range(n))
-    assert got[2] == want[2]
+    assert got[2:] == want[2:]
 
 
 def _local_outcome(local_model, model, field, t0):
@@ -360,15 +363,16 @@ def test_local_model_examples(a, b, p, t0, vd, kind):
     for field in (make_field(p), QuadExtField(p)):
         t = field.from_int(t0)
         local = _local_model(model, field, t)
-        assert local[2] == vd
+        assert local[3] == vd
         _same_local_model(field, local, round_by_round_local_model(model, field, t))
         assert tate_fiber(model, field, t).kind == kind
 
 
 def test_verify_all_takes_64_local_models_and_no_coefficient_scan(monkeypatch):
     # Tate at t = 0, at infinity and at the multiple roots of Delta, for each
-    # zeta prime of the elliptic entries; none of those models is a tie
-    calls = {"_local_model": 0, "_product_coeff": 0}
+    # zeta prime of the elliptic entries; none of those models is a tie, and
+    # each reads v(A) and v(B) once
+    calls = {"_local_model": 0, "_product_coeff": 0, "_valuation": 0}
     for name in calls:
         run = getattr(pointcount, name)
         monkeypatch.setattr(pointcount, name,
@@ -376,7 +380,7 @@ def test_verify_all_takes_64_local_models_and_no_coefficient_scan(monkeypatch):
                             or run(*args))
     for entry in _build_catalog():
         assert verify_entry(entry).ok
-    assert calls == {"_local_model": 64, "_product_coeff": 0}
+    assert calls == {"_local_model": 64, "_product_coeff": 0, "_valuation": 128}
 
 
 def test_tate_k19_fibers():

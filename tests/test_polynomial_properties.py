@@ -14,14 +14,16 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from test_fiber_properties import models
 
-from k3fermat.catalog import load_catalog
+from k3fermat import pointcount
+from k3fermat.catalog import _build_catalog, load_catalog, verify_entry
 from k3fermat.cyclotomic import IntPoly, exact_quotient, poly_gcd
 from k3fermat.pointcount import (
     _INF,
+    WeierstrassModel,
     _fiber_row,
     _geometric_kind,
     _yun_squarefree,
@@ -47,6 +49,45 @@ def nonzero_polys(coeffs, max_degree=5):
 
 def monic_polys(coeffs, max_degree=4):
     return st.lists(coeffs, max_size=max_degree).map(lambda cs: IntPoly(cs + [1]))
+
+
+def power(p, e):
+    out = IntPoly([1])
+    for _ in range(e):
+        out = out * p
+    return out
+
+
+T = IntPoly([0, 1])
+nonzero = st.one_of(st.integers(-12, -1), st.integers(1, 12))
+# factors of degree 1 or 2 prime to t
+prime_to_t = st.builds(lambda c0, mid, top: IntPoly([c0, *mid, top]),
+                       nonzero, st.lists(integers, max_size=1), nonzero)
+
+
+@st.composite
+def t_power_multiples(draw, max_degree=24):
+    """A nonzero constant times random factors prime to t, times t^v with
+    v in 0..12 and degree at most max_degree. v is drawn equal to a
+    factor's multiplicity, below every one, above every one, or anywhere,
+    so t meets Yun's factors at each place it can."""
+    factors = draw(st.lists(st.tuples(prime_to_t, st.integers(1, 4)), max_size=3))
+    f = IntPoly([draw(nonzero)])
+    exps = []
+    for p, e in factors:
+        if f.degree + e * p.degree <= max_degree:
+            f = f * power(p, e)
+            exps.append(e)
+    top = min(12, max_degree - f.degree)
+    places = {
+        "equal": [e for e in exps if e <= top],
+        "below": list(range(min(exps, default=0))),
+        "above": list(range(max(exps, default=0) + 1, top + 1)),
+        "anywhere": list(range(top + 1)),
+    }
+    where = draw(st.sampled_from([k for k, vs in places.items() if vs]))
+    event(f"t^v {where}")
+    return f * power(T, draw(st.sampled_from(places[where])))
 
 
 def assert_exact(*ps):
@@ -294,6 +335,36 @@ def test_yun_factors_reassemble(domain, data):
     assert out == [(reference_primitive(g), i) for g, i in reference_yun_squarefree(f)]
 
 
+@exact
+@given(f=t_power_multiples())
+@example(f=power(T, 3))                                   # t alone
+@example(f=power(T, 2) * power(IntPoly([1, 1]), 2))       # v equal to a multiplicity
+@example(f=T * power(IntPoly([1, 1]), 2))                 # v below every one
+@example(f=power(T, 5) * IntPoly([-2, 0, 3]))              # v above every one
+@example(f=power(T, 12) * IntPoly([-6]))                  # content and sign
+def test_yun_reads_the_power_of_t_off_the_coefficients(f):
+    assert _yun_squarefree(f) == [(reference_primitive(g), i)
+                                  for g, i in reference_yun_squarefree(f)]
+
+
+@st.composite
+def t_power_models(draw):
+    """Models whose A and B are random factors times powers of t, so t is
+    a multiple root of A, B and Delta at every relative multiplicity."""
+    a = draw(st.one_of(st.just(IntPoly([])), t_power_multiples(8)))
+    b = draw(t_power_multiples(12))
+    try:
+        return WeierstrassModel(a, b)
+    except ValueError:  # discriminant vanishes identically
+        assume(False)
+
+
+@exact
+@given(model=t_power_models())
+def test_geometric_fibers_match_the_q_reference_with_powers_of_t(model):
+    assert geometric_fibers(model) == reference_geometric_fibers(model)
+
+
 # ---------------------------------------------------------------------------
 # geometric_fibers against the Q[T] reference
 
@@ -323,3 +394,17 @@ def test_geometric_fibers_construct_no_fraction(monkeypatch):
         Fraction(1)
     for k, model in entries:
         assert geometric_fibers(model) == want[k], k
+
+
+def test_verify_all_takes_one_yun_pass_per_polynomial(monkeypatch):
+    # one Yun pass on each of Delta, A and B of the 15 elliptic entries,
+    # then one gcd per Yun factor of the target for each piece of Delta
+    calls = {"poly_gcd": 0, "exact_quotient": 0}
+    for name in calls:
+        run = getattr(pointcount, name)
+        monkeypatch.setattr(pointcount, name,
+                            lambda *args, name=name, run=run: calls.__setitem__(name, calls[name] + 1)
+                            or run(*args))
+    for entry in _build_catalog():
+        assert verify_entry(entry).ok
+    assert calls == {"poly_gcd": 97, "exact_quotient": 132}
