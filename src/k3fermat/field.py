@@ -1,4 +1,4 @@
-"""Prime fields with eager discrete-log tables.
+"""Prime fields with discrete-log tables built on first read.
 
 PrimeField elements are plain ints, combined with ordinary + - *. Ints
 may be left unreduced mod p along the way: is_zero, inv and chi2 reduce
@@ -7,7 +7,11 @@ algorithm in pointcount reads a field only through these methods, so the
 tests also run it over their own reference field F_{p^2}.
 """
 
-# Eager dlog tables make character sums O(1) per lookup.
+from functools import cached_property
+
+# The dlog table makes character sums O(1) per lookup. Building it is a
+# walk of (p-1)/2 products mod p, paid only by the first reader, so a
+# field that only refuses a non-prime or hands out g costs O(sqrt p).
 # Jacobi sums are linear in q, so zeta runs at q near 10^6 in about a
 # second; the hard cap keeps an accidental huge p from allocating gigabytes.
 MAX_PRIME = 1 << 22
@@ -53,7 +57,10 @@ def prime_factors(n):
 
 
 class PrimeField:
-    """F_p with a fixed primitive root g and the full table dlog[g^j] = j.
+    """F_p with a fixed primitive root g and the table dlog[g^j] = j.
+
+    The table is built on first read and kept; until then a field holds
+    only p and g.
 
     The canonical g is the smallest primitive root, making every downstream
     character value reproducible run to run. An alternate root may be forced
@@ -75,14 +82,27 @@ class PrimeField:
             self.g = primitive_root % p
         else:
             raise ValueError(f"{primitive_root % p} is not a primitive root mod {p}")
-        # dlog_table[v] = j with g^j = v; -1 marks v = 0
-        table = [-1] * p
-        acc = 1
-        for j in range(p - 1):
-            table[acc] = j
-            acc = acc * self.g % p
-        self.dlog_table = table
         self._chi2_table = None
+
+    @cached_property
+    def dlog_table(self):
+        """dlog_table[v] = j with g^j = v; -1 marks v = 0.
+
+        g^h = -1 for h = (p-1)/2, so p - g^j = g^(j+h): one walk over
+        j < h writes both halves, one product per two entries.
+        """
+        p, g = self.p, self.g
+        table = [-1] * p
+        if p == 2:
+            table[1] = 0
+            return table
+        h = (p - 1) // 2
+        acc = 1
+        for j in range(h):
+            table[acc] = j
+            table[p - acc] = j + h
+            acc = acc * g % p
+        return table
 
     def __repr__(self):
         return f"PrimeField({self.p}, g={self.g})"
@@ -133,7 +153,8 @@ class PrimeField:
 
 
 def make_field(p):
-    """Field with the smallest primitive root and a full dlog table."""
+    """Field with the smallest primitive root; its dlog table is built on
+    first read."""
     return PrimeField(p)
 
 

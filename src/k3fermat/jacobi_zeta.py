@@ -123,9 +123,10 @@ def cm_factor_k3(p):
     """
     if p in (2, 3):
         raise ValueError("p must be a prime of good reduction, not 2 or 3")
-    # Refuses a non-prime p. The field itself goes unused: the perfbench
-    # test of verify-all pins its 66 make_field calls for 27 distinct q
-    # until the benchmark's field.make_field.reuse metric is redefined.
+    # Refuses a non-prime p, in O(sqrt p): the field builds no dlog table
+    # until one is read, and none is read here. The call stays because the
+    # perfbench test of verify-all pins its 66 make_field calls for 27
+    # distinct q until the benchmark's field.make_field.reuse is redefined.
     make_field(p)
     if p % 3 == 2:
         return IntPoly([1, 0, -p * p])

@@ -1,12 +1,13 @@
 """The three innermost counting loops.
 
-Plain lists in, ints or lists out: each is a tight loop over a finite
+Plain lists and ints in, ints or lists out: each is a tight loop over a finite
 field, kept free of package imports. jacobi_counts takes O(q + m)
 steps and one integer product: a change of variables splits the pair
 sum into two marginals, whose cyclic convolution is the product of two
 packed ints; chi_cubic_sum is O(q). fermat_affine counts the affine
 cone over a Fermat surface through the scaling symmetry alone, in one
-walk over the subgroup of m-th powers.
+walk over half the subgroup of m-th powers, from the primitive root
+and no table.
 """
 
 from math import gcd
@@ -71,30 +72,44 @@ def chi_cubic_sum(chi2, cubes, a, b, q):
     return total
 
 
-def fermat_affine(dlog, m, q):
-    """Points of x0^m + x1^m + x2^m + x3^m = 0 in F_q^4, in O(q).
+def fermat_affine(g, m, q):
+    """Points of x0^m + x1^m + x2^m + x3^m = 0 in F_q^4, from (n-1)/2
+    powers mod q and no table, n = (q-1)/d.
 
-    dlog[v] is the discrete log of v to a primitive root g (unused at
-    v=0). With d = gcd(m, q-1) and H = <g^d>, the number of w with
-    w^m = x is d on H, 1 at 0 and 0 elsewhere. So for c != 0,
-    N2(c) = #{(u, v) : u^m + v^m = c} is d^2 times the number of pairs
-    (h, c - h) in H^2, plus 2d when c lies in H. Those pairs map one to
-    one, by (h, h') -> h'/h, onto the t in H with 1 + t in the class
-    dlog(c) mod d, so one walk over H tallies N2 for every class.
-    N2(0) is 1, plus (q-1)d when -1 lies in H. The cone count is the
-    sum of N2(c) N2(-c) over c, and each class holds (q-1)/d values.
+    g is a primitive root mod q. With d = gcd(m, q-1) and H = <g^d>, the
+    number of w with w^m = x is d on H, 1 at 0 and 0 elsewhere. So for
+    c != 0, N2(c) = #{(u, v) : u^m + v^m = c} is d^2 times the number of
+    pairs (h, c - h) in H^2, plus 2d when c lies in H. Those pairs map
+    one to one, by (h, h') -> h'/h, onto the t in H with 1 + t in the
+    class dlog(c) mod d, so one walk over H tallies N2 for every class.
+    The class of y is read off y^n, which is a d-th root of unity. t and
+    1/t share a class, since 1 + 1/t = (1 + t)/t and t lies in H, so the
+    walk takes half of H, counts each t twice, adds t = 1 and skips
+    t = -1: about (q/2d) log q products. At d = 1 every t != -1 is in
+    the one class. N2(0) is 1, plus (q-1)d when -1 = g^((q-1)/2) lies
+    in H. The cone count is the sum of N2(c) N2(-c) over c, and each
+    class holds n values.
     """
     d = gcd(m, q - 1)
     n = (q - 1) // d
-    step = dlog.index(d % (q - 1))  # g^d
-    pairs = [0] * d
-    t = 1
-    for _ in range(n):
-        if t != q - 1:
-            pairs[dlog[t + 1] % d] += 1
-        t = t * step % q
+    if d == 1:
+        pairs = [n - 1]
+    else:
+        zeta = pow(g, n, q)
+        classes = {}
+        root = 1
+        for k in range(d):
+            classes[root] = k
+            root = root * zeta % q
+        pairs = [0] * d
+        pairs[classes[pow(2, n, q)]] += 1  # t = 1
+        step = pow(g, d, q)
+        t = step
+        for _ in range((n - 1) // 2):
+            pairs[classes[pow(t + 1, n, q)]] += 2
+            t = t * step % q
     n2 = [d * d * count for count in pairs]
     n2[0] += 2 * d
-    minus = dlog[q - 1]
+    minus = (q - 1) // 2  # dlog(-1)
     n2_zero = 1 + (q - 1) * d if minus % d == 0 else 1
     return n2_zero ** 2 + n * sum(n2[k] * n2[(k + minus) % d] for k in range(d))

@@ -624,12 +624,13 @@ def _geometric_kind(va, vb, vd):
 def count_fermat(m, q):
     """Points of x0^m + x1^m + x2^m + x3^m = 0 in P^3(F_q), q prime.
 
-    The affine cone (kernels.fermat_affine, O(q)) less its vertex, over
-    the q - 1 nonzero scalars.
+    The affine cone (kernels.fermat_affine, about (q/2d) log q products
+    for d = gcd(m, q - 1), and no dlog table) less its vertex, over the
+    q - 1 nonzero scalars.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    points, rest = divmod(fermat_affine(make_field(q).dlog_table, m, q) - 1, q - 1)
+    points, rest = divmod(fermat_affine(make_field(q).g, m, q) - 1, q - 1)
     if rest:
         raise ArithmeticError(f"the degree-{m} Fermat cone over F_{q} is not a union of lines")
     return points

@@ -28,6 +28,17 @@ from k3fermat.pointcount import (
 )
 
 
+def reference_dlog_table(p, g):
+    """PrimeField's dlog table by the full walk: one product mod p per
+    power g^j, j < p - 1; -1 marks 0."""
+    table = [-1] * p
+    acc = 1
+    for j in range(p - 1):
+        table[acc] = j
+        acc = acc * g % p
+    return table
+
+
 class QuadElement:
     """a + b*sqrt(r) in F_{p^2} = F_p(sqrt r), with a and b reduced mod p.
 

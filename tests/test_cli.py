@@ -241,6 +241,26 @@ def test_one_field_per_prime(capsys, monkeypatch, argv):
     assert built == [int(argv[argv.index("--q") + 1])]
 
 
+@pytest.mark.parametrize("argv", [
+    ("zeta", "--k", "3", "--q", "4194301"),
+    ("count", "--fermat", "4", "--q", "4194301"),
+], ids=" ".join)
+def test_no_dlog_table_at_the_cap(capsys, monkeypatch, argv):
+    # k = 3's factor comes from the primary prime and the Fermat cone
+    # from the primitive root, so neither reads the dlog table, and no
+    # field builds its 4194301 entries
+    fields = []
+    init = PrimeField.__init__
+
+    def recording_init(self, *args, **kwargs):
+        fields.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PrimeField, "__init__", recording_init)
+    assert run(capsys, *argv)[0] == 0
+    assert fields and all("dlog_table" not in vars(field) for field in fields)
+
+
 class TestCountCommand:
     def test_fermat_quartic(self, capsys):
         # fourth powers mod 5 are 0 or 1, so no projective solutions exist
@@ -250,7 +270,7 @@ class TestCountCommand:
 
     def test_fermat_quartic_in_linear_time(self):
         # a sum over pairs of values of u^4 would visit 2.5e11 of them
-        # here; the cone count walks the 500001 fourth powers once. 21
+        # here; the cone count walks half of the 500001 fourth powers. 21
         # Jacobi sums of absolute value q bound the count's distance
         # from 1 + q + q^2.
         q = 1000003

@@ -1,5 +1,5 @@
 import pytest
-from field_reference import QuadExtField
+from field_reference import QuadExtField, reference_dlog_table
 
 from k3fermat.field import PrimeField, is_prime, make_field
 
@@ -44,8 +44,26 @@ def test_forced_primitive_root():
     f = PrimeField(13, primitive_root=6)
     assert f.g == 6
     assert all(pow(6, f.dlog_table[v], 13) == v for v in range(1, 13))
+    assert f.dlog_table == reference_dlog_table(13, 6)
+    assert PrimeField(2003, primitive_root=2000).dlog_table == reference_dlog_table(2003, 2000)
     with pytest.raises(ValueError):
         PrimeField(13, primitive_root=3)  # 3 has order 3 mod 13
+
+
+def test_half_walk_dlog_table_matches_the_full_walk():
+    assert PrimeField(2).dlog_table == [-1, 0]
+    assert PrimeField(3).dlog_table == [-1, 0, 1]
+    for p in (p for p in range(2, 3000) if is_prime(p)):
+        field = PrimeField(p)
+        assert field.dlog_table == reference_dlog_table(p, field.g), p
+
+
+def test_dlog_table_is_built_once_on_first_read():
+    field = make_field(101)
+    assert "dlog_table" not in vars(field)
+    table = field.dlog_table
+    assert field.dlog_table is table
+    assert field.dlog(2) == 1 and field.dlog_table is table
 
 
 def test_dlog_round_trip():

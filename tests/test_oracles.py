@@ -587,7 +587,7 @@ def test_fermat_count_matches_the_double_loop_below_200(m):
 
 @pytest.mark.parametrize("q,m", [(2, 3), (3, 2), (37, 5), (61, 12), (67, 66), (101, 7)])
 def test_fermat_affine_matches_the_double_loop(q, m):
-    assert fermat_affine(make_field(q).dlog_table, m, q) == reference_fermat_cone(m, q)
+    assert fermat_affine(make_field(q).g, m, q) == reference_fermat_cone(m, q)
 
 
 @settings(deadline=None, max_examples=60)
@@ -601,10 +601,21 @@ def test_fermat_affine_matches_the_double_loop(q, m):
 @example(7, 2)  # -1 outside H = {1, 2, 4}
 @example(11, 5)  # -1 in H = {1, 10}
 @example(13, 6)  # d = 6, -1 in H
+@example(7, 5)  # d = 1: the one class, in closed form
 def test_fermat_count_matches_the_double_loop_at_random(q, m):
     # H = <g^d>, d = gcd(m, q-1), the nonzero values of u^m
-    assert fermat_affine(make_field(q).dlog_table, m, q) == reference_fermat_cone(m, q)
+    assert fermat_affine(make_field(q).g, m, q) == reference_fermat_cone(m, q)
     assert count_fermat(m, q) == reference_fermat_count(m, q)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.sampled_from(PRIMES_5_400), st.integers(1, 150))
+def test_fermat_cone_does_not_depend_on_the_primitive_root(data, q, m):
+    # the classes mod d are read off powers of g, but the count is not
+    roots = [c for c in range(2, q)
+             if all(pow(c, (q - 1) // f, q) != 1 for f in prime_factors(q - 1))]
+    g = data.draw(st.sampled_from(roots), label="g")
+    assert fermat_affine(g, m, q) == fermat_affine(make_field(q).g, m, q)
 
 
 # ---------------------------------------------------------------------------
