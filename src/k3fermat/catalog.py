@@ -36,6 +36,7 @@ from .delsarte import (
 )
 from .jacobi_zeta import default_primes, zeta_report
 from .lattice import (
+    GramLattice,
     direct_sum,
     disc_from_height,
     discriminant_form,
@@ -212,10 +213,6 @@ class VerificationReport(Record):
 # ---------------------------------------------------------------------------
 # fixture construction
 
-def _lat(*parts):
-    return direct_sum(*parts) if len(parts) > 1 else parts[0]
-
-
 def _cover(m, *images):
     return MonomialMap(m, tuple((v, s, tuple(e)) for v, s, e in images))
 
@@ -243,11 +240,7 @@ def _build_catalog():
     a2m = standard_lattice("A", 2, twist=-1)
     a6m = standard_lattice("A", 6, twist=-1)
     a10m = standard_lattice("A", 10, twist=-1)
-
-    def x(entries):
-        return standard_lattice("explicit", entries=entries)
-
-    m4 = x([[-2, 0, 0, 1], [0, -2, 1, 1], [0, 1, -2, 0], [1, 1, 0, -4]])
+    m4 = GramLattice([[-2, 0, 0, 1], [0, -2, 1, 1], [0, 1, -2, 0], [1, 1, 0, -4]])
 
     rows = {}
 
@@ -279,7 +272,7 @@ def _build_catalog():
 
     add(66, 66, "y^2 = x^3 - t^12 - t",
         xyt, (2, 3, 6),
-        u2, _lat(u2, u2, e8m, e8m),
+        u2, direct_sum(u2, u2, e8m, e8m),
         (("II", 12),),
         _cover(66, ("y", 1, (0, 33, 0)), ("x", -1, (0, 0, 22)), ("s", 1, (6, 0, 0))),
         ((6, 33, 22), (6, 33, 44), (12, 33, 22), (12, 33, 44), (18, 33, 22),
@@ -290,7 +283,7 @@ def _build_catalog():
 
     add(44, 44, "y^2 = x^3 + x + t^11",
         xyt, (22, 11, 2),
-        u2, _lat(u2, u2, e8m, e8m),
+        u2, direct_sum(u2, u2, e8m, e8m),
         (("I1", 22), ("II", 1)),
         _cover(44, ("y", 1, (11, 22, 0)), ("x", -1, (22, 0, 0)), ("t", -1, (2, 0, 4))),
         ((1, 22, 24), (3, 22, 28), (5, 22, 32), (7, 22, 36), (9, 22, 40),
@@ -301,7 +294,7 @@ def _build_catalog():
 
     add(42, 42, "y^2 = x^3 - t^12 - t^5",
         xyt, (2, 3, 18),
-        _lat(u2, e8m), _lat(u2, u2, e8m),
+        direct_sum(u2, e8m), direct_sum(u2, u2, e8m),
         (("II", 7), ("II*", 1)),
         _cover(42, ("y", 1, (0, 21, 0)), ("x", -1, (0, 0, 14)), ("s", 1, (6, 0, 0))),
         ((6, 21, 14), (6, 21, 28), (12, 21, 14), (12, 21, 28), (18, 21, 14),
@@ -311,7 +304,7 @@ def _build_catalog():
 
     add(36, 36, "y^2 = x^3 - t^11 - t^5",
         xyt, (2, 3, 30),
-        _lat(u2, e8m), _lat(u2, u2, e8m),
+        direct_sum(u2, e8m), direct_sum(u2, u2, e8m),
         (("II", 1), ("II", 6), ("II*", 1)),
         _cover(36, ("y", 1, (15, 18, 0)), ("x", -1, (10, 0, 12)), ("t", 1, (6, 0, 0))),
         ((1, 18, 12), (5, 18, 24), (7, 18, 12), (11, 18, 24), (13, 18, 12),
@@ -321,7 +314,7 @@ def _build_catalog():
 
     add(28, 28, "y^2 = x^3 + x + t^7",
         xyt, (14, 7, 2),
-        _lat(u2, e8m), _lat(u2, u2, e8m),
+        direct_sum(u2, e8m), direct_sum(u2, u2, e8m),
         (("I1", 14), ("II*", 1)),
         _cover(28, ("y", 1, (7, 14, 0)), ("x", -1, (14, 0, 0)), ("t", -1, (2, 0, 4))),
         ((1, 14, 16), (3, 14, 20), (5, 14, 24), (9, 14, 4), (11, 14, 8),
@@ -331,7 +324,7 @@ def _build_catalog():
 
     add(12, 12, "y^2 = x^3 + t^7 + t^5",
         xyt, (2, 3, 6),
-        _lat(u2, e8m, e8m), _lat(u2, u2),
+        direct_sum(u2, e8m, e8m), direct_sum(u2, u2),
         (("II", 2), ("II*", 1), ("II*", 1)),
         _cover(12, ("y", 1, (15, 6, 0)), ("x", -1, (10, 0, 4)), ("t", -1, (6, 0, 0))),
         ((1, 6, 4), (5, 6, 8), (7, 6, 4), (11, 6, 8)),
@@ -339,7 +332,8 @@ def _build_catalog():
 
     add(19, 38, "y^2 = x^3 + t^7*x - t",
         xyt, (7, 1, 2),
-        _lat(u2, x([[-2, 1], [1, -10]])), _lat(e8m, e8m, x([[2, 1], [1, 10]])),
+        direct_sum(u2, GramLattice([[-2, 1], [1, -10]])),
+        direct_sum(e8m, e8m, GramLattice([[2, 1], [1, 10]])),
         (("I1", 19), ("II", 1), ("III", 1)),
         _cover(38, ("y", 1, (19, -1, 3)), ("x", -1, (0, 12, 2)), ("t", 1, (0, -2, 6))),
         ((19, 1, 35), (19, 3, 29), (19, 5, 23), (19, 7, 17), (19, 9, 11),
@@ -350,7 +344,7 @@ def _build_catalog():
 
     add(17, 34, "y^2 = x^3 + t^7*x - t^2",
         xyt, (7, 2, 2),
-        _lat(u2, m4), _lat(u2, u2, e8m, m4),
+        direct_sum(u2, m4), direct_sum(u2, u2, e8m, m4),
         (("I1", 17), ("III", 1), ("IV", 1)),
         _cover(34, ("y", 1, (17, -2, 6)), ("x", -1, (0, 10, 4)), ("t", 1, (0, -2, 6))),
         ((17, 2, 28), (17, 4, 22), (17, 6, 16), (17, 8, 10), (17, 10, 4),
@@ -361,7 +355,8 @@ def _build_catalog():
 
     add(13, 26, "y^2 = x^3 + t^5*x - t",
         xyt, (5, 1, 2),
-        _lat(e8m, x([[-2, 5], [5, -6]])), _lat(u2, e8m, x([[-2, 5], [5, -6]])),
+        direct_sum(e8m, GramLattice([[-2, 5], [5, -6]])),
+        direct_sum(u2, e8m, GramLattice([[-2, 5], [5, -6]])),
         (("I1", 13), ("II", 1), ("III*", 1)),
         _cover(26, ("y", 1, (13, -1, 3)), ("x", -1, (0, 8, 2)), ("t", 1, (0, -2, 6))),
         ((13, 1, 23), (13, 3, 17), (13, 5, 11), (13, 7, 5), (13, 9, 25),
@@ -371,7 +366,7 @@ def _build_catalog():
 
     add(11, 22, "y^2 = x^3 + t^5*x - t^2",
         xyt, (5, 2, 2),
-        _lat(u2, a10m), _lat(e8m, x([[2, 1], [1, 6]])),
+        direct_sum(u2, a10m), direct_sum(e8m, GramLattice([[2, 1], [1, 6]])),
         (("I1", 11), ("III*", 1), ("IV", 1)),
         _cover(22, ("y", 1, (11, -2, 6)), ("x", -1, (0, 6, 4)), ("t", 1, (0, -2, 6))),
         ((11, 2, 16), (11, 4, 10), (11, 6, 4), (11, 8, 20), (11, 10, 14),
@@ -380,7 +375,7 @@ def _build_catalog():
 
     add(7, 14, "y^2 = x^3 + t^3*x - t^8",
         xyt, (3, 1, 2),
-        _lat(u2, e8m, a6m), _lat(u2, u2, x([[-2, 1], [1, -4]])),
+        direct_sum(u2, e8m, a6m), direct_sum(u2, u2, GramLattice([[-2, 1], [1, -4]])),
         (("I1", 7), ("III*", 1), ("IV*", 1)),
         _cover(14, ("y", 1, (7, 8, -24)), ("x", -1, (0, 10, -16)), ("t", 1, (0, 2, -6))),
         ((7, 2, 8), (7, 4, 2), (7, 6, 10), (7, 8, 4), (7, 10, 12), (7, 12, 6)),
@@ -388,7 +383,8 @@ def _build_catalog():
 
     add(5, 10, "y^2 = x^3 + t^3*x - t^7",
         xyt, (3, 2, 2),
-        _lat(e8m, e8m, x([[-2, 3], [3, -2]])), _lat(u2, x([[-2, 3], [3, -2]])),
+        direct_sum(e8m, e8m, GramLattice([[-2, 3], [3, -2]])),
+        direct_sum(u2, GramLattice([[-2, 3], [3, -2]])),
         (("I1", 5), ("II*", 1), ("III*", 1)),
         _cover(10, ("y", 1, (5, 7, -21)), ("x", -1, (0, 8, -14)), ("t", 1, (0, 2, -6))),
         ((5, 1, 7), (5, 3, 1), (5, 7, 9), (5, 9, 3)),
@@ -396,7 +392,7 @@ def _build_catalog():
 
     add(27, 54, "y^2 = x^3 - t^10 - t",
         xyt, (2, 3, 6),
-        _lat(u2, a2m), _lat(u2, u2, e6m, e8m),
+        direct_sum(u2, a2m), direct_sum(u2, u2, e6m, e8m),
         (("II", 10), ("IV", 1)),
         _cover(54, ("y", 1, (3, 0, 27)), ("x", -1, (2, 18, 0)), ("t", 1, (6, 0, 0))),
         ((1, 36, 27), (5, 18, 27), (7, 36, 27), (11, 18, 27), (13, 36, 27),
@@ -407,16 +403,16 @@ def _build_catalog():
 
     add(9, 18, "y^2 = x^3 - t^8 - t^5",
         xyt, (2, 3, 3),
-        _lat(u2, e6m, e8m), _lat(u2, u2, a2m),
+        direct_sum(u2, e6m, e8m), direct_sum(u2, u2, a2m),
         (("II", 3), ("II*", 1), ("IV*", 1)),
         _cover(18, ("y", 1, (15, 0, 9)), ("x", -1, (10, 6, 0)), ("t", 1, (6, 0, 0))),
         ((1, 6, 9), (5, 12, 9), (7, 6, 9), (11, 12, 9), (13, 6, 9),
          (17, 12, 9)),
-        (27,), reducible=("IV*",), disc_s=-3)
+        (27,), reducible=("IV*", "II*"), disc_s=-3)
 
     add(3, None, "y^2 = x^3 + t^7 - 2*t^6 + t^5",
         xyt, (1, 0, 0),
-        _lat(u2, a2m, e8m, e8m), x([[2, 1], [1, 2]]),
+        direct_sum(u2, a2m, e8m, e8m), GramLattice([[2, 1], [1, 2]]),
         (("II*", 1), ("II*", 1), ("IV", 1)),
         None, None,
         "none", reducible=("IV", "II*", "II*"), disc_s=-3,
@@ -424,7 +420,7 @@ def _build_catalog():
 
     add(25, 50, "y^2 = u^5 + u*v^5 - 1",
         ("u", "v", "y"), (20, 1, 0),
-        x([[-2, 3], [3, -2]]), _lat(u2, e8m, e8m, x([[-2, 3], [3, -2]])),
+        GramLattice([[-2, 3], [3, -2]]), direct_sum(u2, e8m, e8m, GramLattice([[-2, 3], [3, -2]])),
         None,
         _cover(50, ("y", 1, (25, 0, 0)), ("u", -1, (0, 10, 0)), ("v", 1, (0, -2, 10))),
         ((25, 2, 40), (25, 4, 30), (25, 6, 20), (25, 8, 10), (25, 12, 40),

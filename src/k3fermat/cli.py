@@ -535,10 +535,10 @@ def _read_argv(argv):
     return types.SimpleNamespace(subcommand=argv[0], func=fn, **ns)
 
 
-def _build_parser(only=None):
-    """The argparse parser for COMMANDS; with only set to a subcommand name,
-    build just that subcommand, since a call reads nothing else. Any other
-    value of only builds the full parser, which reports every choice."""
+def _build_parser():
+    """The argparse parser for COMMANDS. main builds it only for a command
+    line that _read_argv declines: help, abbreviations, --flag=value and
+    errors."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -549,8 +549,7 @@ def _build_parser(only=None):
     sub = parser.add_subparsers(dest="subcommand", required=True)
     kinds = {FLAG: {"action": "store_true"}, INT: {"type": int},
              INTS: {"type": int, "action": "append"}, STR: {}}
-    for name in [only] if only in COMMANDS else COMMANDS:
-        fn, helptext, options = COMMANDS[name]
+    for name, (fn, helptext, options) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.set_defaults(func=fn)
         group = None
@@ -559,16 +558,13 @@ def _build_parser(only=None):
             if required == ONE_OF:
                 group = target = group or p.add_mutually_exclusive_group(required=True)
             target.add_argument(flag, required=required is True, help=helptext, **kinds[kind])
-    if only in COMMANDS:
-        # the top-level usage line, printed with an error, lists every choice
-        sub.metavar = "{" + ",".join(COMMANDS) + "}"
     return parser
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = _read_argv(argv) or _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

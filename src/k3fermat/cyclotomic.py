@@ -437,10 +437,7 @@ def power_table_bound(m):
     the phi(m) rows j < phi(m) are single monomials.
     """
     phi = totient(m)
-    rad = 1
-    for f in prime_factors(m):
-        rad *= f
-    return phi + (m - phi) * totient(rad)
+    return phi + (m - phi) * totient(prod(prime_factors(m)))
 
 
 # The largest jacobi_work that the jacobi command accepts: about two and a

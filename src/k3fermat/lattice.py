@@ -101,8 +101,9 @@ def _dynkin_chain_with_branch(n):
     return g
 
 
-def standard_lattice(name, n=None, twist=1, entries=None):
-    """Named Gram matrices: U2, A (needs n), E6/E7/E8, diag, explicit."""
+def standard_lattice(name, n=None, twist=1):
+    """Named Gram matrices: U2, A (needs n), E6/E7/E8, twisted by
+    twist = +1 or -1. Any other Gram matrix is GramLattice(gram)."""
     if name == "U2":
         g = [[0, 1], [1, 0]]
     elif name == "A":
@@ -115,14 +116,6 @@ def standard_lattice(name, n=None, twist=1, entries=None):
             g[i][i + 1] = g[i + 1][i] = -1
     elif name in ("E6", "E7", "E8"):
         g = _dynkin_chain_with_branch(int(name[1]))
-    elif name == "diag":
-        if entries is None:
-            raise ValueError("diag needs entries")
-        g = [[entries[i] if i == j else 0 for j in range(len(entries))] for i in range(len(entries))]
-    elif name == "explicit":
-        if entries is None:
-            raise ValueError("explicit needs entries")
-        g = entries
     else:
         raise ValueError(f"unknown lattice name {name!r}")
     return GramLattice(g).twisted(twist)

@@ -30,7 +30,7 @@ reads the field through those methods alone, so it also runs over any
 field object that has them. For p >= 5 the valuation of
 Delta = -16(4A^3 + 27B^2) is min(3 v(A), 2 v(B)) unless 3 v(A) = 2 v(B)
 (Silverman, Advanced Topics, IV.9), so each local model reads v(A) and
-v(B) once, and scans Delta's coefficients only on that tie.
+v(B) once, and forms Delta only on that tie.
 """
 
 from collections import Counter
@@ -220,28 +220,13 @@ def _discriminant_valuation(a, b, va, vb, field):
     the two are equal (Silverman, Advanced Topics, IV.9), and _INF when
     both are. Only on a tie can the leading terms cancel, where 27 B0^2 =
     -4 A0^3 for the leading coefficients A0 and B0 (an I_n fiber at a root
-    of Delta, or an I_n* one). Then A and B lose their leading coefficients
-    that are zero in the field, and the coefficients of the rest are read
-    in ascending order up to the first that is nonzero in the field; A^2 is
-    kept only that far, and no full product is formed.
+    of Delta, or an I_n* one); there Delta is formed and its valuation read.
     """
     if va == vb == _INF:
         return _INF
     if 3 * va != 2 * vb:
         return min(3 * va, 2 * vb)
-    a, b = a.coeffs[va:], b.coeffs[vb:]
-    a2 = []
-    for i in range(max(3 * len(a) - 2, 2 * len(b) - 1)):
-        a2.append(_product_coeff(a, a, i))
-        delta = -16 * (4 * _product_coeff(a2, a, i) + 27 * _product_coeff(b, b, i))
-        if not field.is_zero(delta):
-            return 3 * va + i
-    return _INF
-
-
-def _product_coeff(x, y, i):
-    """Coefficient i of the product of the coefficient lists x and y."""
-    return sum(x[j] * y[i - j] for j in range(max(0, i - len(y) + 1), min(i + 1, len(x))))
+    return _valuation(_discriminant(a, b), field)
 
 
 def _taylor_shift(poly, t0):
@@ -263,10 +248,10 @@ def _local_model(model, field, t0):
     drops only coefficients zero in the field, so it lowers v(A) by 4 and
     v(B) by 6 per step (_INF stays _INF). In particular deg A <= 4 and
     deg B <= 6 give good reduction at infinity after at most two steps.
-    v(Delta) is then min(3 v(A), 2 v(B)) unless the two are equal (see
-    _discriminant_valuation). At t0 = 0 the expansions are A and B
-    themselves. A model whose discriminant vanishes identically mod p has
-    no fibers to classify and is refused.
+    v(Delta) is then min(3 v(A), 2 v(B)) unless the two are equal, where
+    Delta is formed (see _discriminant_valuation). At t0 = 0 the
+    expansions are A and B themselves. A model whose discriminant vanishes
+    identically mod p has no fibers to classify and is refused.
     """
     if t0 == "inf":
         # s^8 A(1/s) and s^12 B(1/s): the twist that moves t = inf to s = 0
@@ -610,12 +595,11 @@ def _fiber_row(place, degree, kind):
 
 
 def _geometric_kind(va, vb, vd):
-    """The Kodaira kind after the minimality reduction (A, B) -> (A/t^4, B/t^6)."""
-    while va >= 4 and vb >= 6 and vd >= 12:
-        va = va - 4 if va < _INF else _INF
-        vb = vb - 6 if vb < _INF else _INF
-        vd -= 12
-    return _kodaira_kind(va, vd)
+    """The Kodaira kind after the minimality reduction (A, B) -> (A/t^4, B/t^6),
+    taken min(v(A) // 4, v(B) // 6) times, as in _local_model; each step
+    lowers v(Delta) by 12 (_INF stays _INF)."""
+    steps = min(va // 4, vb // 6)
+    return _kodaira_kind(va - 4 * steps if va < _INF else _INF, vd - 12 * steps)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ split there) through it alone.
 round_by_round_local_model is _local_model as it read before it took its
 valuations once: a Taylor shift at every t0, one minimality step per
 round, and v(Delta) from a scan of Delta's coefficients in ascending
-order, whatever v(A) and v(B) are.
+order, whatever v(A) and v(B) are. looped_geometric_kind is
+_geometric_kind as it read before it took its minimality steps in one
+count: one step per round while v(A) >= 4, v(B) >= 6 and v(Delta) >= 12.
 """
 
 from k3fermat.cyclotomic import IntPoly
@@ -20,6 +22,7 @@ from k3fermat.field import PrimeField, make_field
 from k3fermat.kernels import chi_cubic_sum
 from k3fermat.pointcount import (
     _INF,
+    _kodaira_kind,
     _local_model,
     _taylor_shift,
     _valuation,
@@ -218,3 +221,13 @@ def round_by_round_local_model(model, field, t0):
     if vd == _INF:
         raise ValueError(f"discriminant vanishes identically mod {field.p}")
     return a, b, _valuation(a, field), vd
+
+
+def looped_geometric_kind(va, vb, vd):
+    """The Kodaira kind after the minimality reduction (A, B) -> (A/t^4,
+    B/t^6), one step at a time."""
+    while va >= 4 and vb >= 6 and vd >= 12:
+        va = va - 4 if va < _INF else _INF
+        vb = vb - 6 if vb < _INF else _INF
+        vd -= 12
+    return _kodaira_kind(va, vd)

@@ -1,6 +1,7 @@
 """Catalog fixtures: shape, equations, actions, covers, lattices, reports."""
 
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from k3fermat.delsarte import (
     transcendental_characters,
     verify_cover,
 )
-from k3fermat.lattice import discriminant_form, nikulin_complement_check
+from k3fermat.lattice import discriminant_form, kodaira_lattice, nikulin_complement_check
 from k3fermat.pointcount import geometric_fibers
 
 
@@ -311,6 +312,18 @@ def test_fiber_profiles():
         rows = geometric_fibers(e.model)
         assert tuple(sorted((r["kind"], r["degree"]) for r in rows)) == e.fibers, e.k
         assert sum(r["degree"] * r["euler"] for r in rows) == 24, e.k
+
+
+def test_reducible_fibers_are_the_fibers_with_a_root_lattice():
+    # one kind per geometric fiber of positive root-lattice rank, II* included
+    entries = [e for e in load_catalog() if e.reducible_fibers]
+    assert sorted(e.k for e in entries) == [3, 5, 7, 9, 11, 13, 17, 19, 27]
+    for e in entries:
+        want = Counter()
+        for kind, degree in e.fibers:
+            if kodaira_lattice(kind)[0] > 0:
+                want[kind] += degree
+        assert Counter(e.reducible_fibers) == want, e.k
 
 
 def test_mirror_partners():

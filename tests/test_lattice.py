@@ -59,12 +59,15 @@ def test_standard_lattice_twist():
 
 
 def test_standard_lattice_diag_and_explicit():
-    d = standard_lattice("diag", entries=[2, -2])
+    # a diagonal or explicit Gram matrix is a GramLattice; standard_lattice
+    # names only the root and hyperbolic blocks
+    d = GramLattice([[2, 0], [0, -2]])
     assert d.rows() == [[2, 0], [0, -2]]
-    x = standard_lattice("explicit", entries=[[2, 1], [1, 10]])
+    x = GramLattice([[2, 1], [1, 10]])
     assert x.determinant == 19
-    with pytest.raises(ValueError):
-        standard_lattice("F4")
+    for name in ("diag", "explicit", "F4"):
+        with pytest.raises(ValueError, match="unknown lattice name"):
+            standard_lattice(name)
 
 
 def test_gram_validation():
@@ -81,7 +84,7 @@ def test_direct_sum_bookkeeping():
     assert (both.rank, both.determinant, both.signature) == (4, 1, (2, 2))
     t66 = direct_sum(U2, U2, E8M, E8M)
     assert (t66.rank, t66.determinant, t66.signature) == (20, 1, (2, 18))
-    s19 = direct_sum(U2, standard_lattice("explicit", entries=[[-2, 1], [1, -10]]))
+    s19 = direct_sum(U2, GramLattice([[-2, 1], [1, -10]]))
     assert s19.determinant == -19
 
 
@@ -195,14 +198,14 @@ def test_discriminant_form_a2():
 
 
 def test_discriminant_form_order19_block():
-    q = discriminant_form(standard_lattice("explicit", entries=[[2, 1], [1, 10]]))
+    q = discriminant_form(GramLattice([[2, 1], [1, 10]]))
     assert (q.orders, q.exponent) == ((19,), 19)
     assert any(q.value((c,)) == 2 for c in range(1, 19))
 
 
 def test_discriminant_form_group_order_matches_determinant():
     m4 = [[-2, 0, 0, 1], [0, -2, 1, 1], [0, 1, -2, 0], [1, 1, 0, -4]]
-    q = discriminant_form(standard_lattice("explicit", entries=m4))
+    q = discriminant_form(GramLattice(m4))
     assert q.group_order() == 17
 
 
@@ -225,7 +228,7 @@ def test_discriminant_form_with_a_negative_off_diagonal_pairing():
 
 def test_discriminant_form_rejects_odd_lattice():
     with pytest.raises(ValueError):
-        discriminant_form(standard_lattice("diag", entries=[1, 2]))
+        discriminant_form(GramLattice([[1, 0], [0, 2]]))
 
 
 def test_fqf_self_equivalence_and_opposite():
@@ -365,14 +368,14 @@ def test_nikulin_complement_unimodular_pair():
 
 
 def test_nikulin_complement_order19_pair():
-    s = direct_sum(U2, standard_lattice("explicit", entries=[[-2, 1], [1, -10]]))
-    t = direct_sum(E8M, E8M, standard_lattice("explicit", entries=[[2, 1], [1, 10]]))
+    s = direct_sum(U2, GramLattice([[-2, 1], [1, -10]]))
+    t = direct_sum(E8M, E8M, GramLattice([[2, 1], [1, 10]]))
     assert nikulin_complement_check(s, t)
 
 
 def test_nikulin_complement_rejects_mismatch():
-    s5 = direct_sum(E8M, E8M, standard_lattice("explicit", entries=[[-2, 3], [3, -2]]))
-    t7 = direct_sum(U2, U2, standard_lattice("explicit", entries=[[-2, 1], [1, -4]]))
+    s5 = direct_sum(E8M, E8M, GramLattice([[-2, 3], [3, -2]]))
+    t7 = direct_sum(U2, U2, GramLattice([[-2, 1], [1, -4]]))
     assert not nikulin_complement_check(s5, t7)
 
 
@@ -380,23 +383,23 @@ def test_mirror_split_visible_block():
     t9 = direct_sum(U2, U2, standard_lattice("A", n=2, twist=-1))
     s27 = direct_sum(U2, standard_lattice("A", n=2, twist=-1))
     assert mirror_split(t9) == s27
-    t5 = direct_sum(U2, standard_lattice("explicit", entries=[[-2, 3], [3, -2]]))
-    assert mirror_split(t5) == standard_lattice("explicit", entries=[[-2, 3], [3, -2]])
+    t5 = direct_sum(U2, GramLattice([[-2, 3], [3, -2]]))
+    assert mirror_split(t5) == GramLattice([[-2, 3], [3, -2]])
 
 
 def test_mirror_split_embedded_plane():
     # no U2 block is visible here; the <2> + (-A2) trick must fire
-    t19 = direct_sum(E8M, E8M, standard_lattice("explicit", entries=[[2, 1], [1, 10]]))
+    t19 = direct_sum(E8M, E8M, GramLattice([[2, 1], [1, 10]]))
     s = mirror_split(t19)
     assert s != "none"
     assert (s.rank, s.determinant, s.signature) == (16, -19, (1, 15))
-    t11 = direct_sum(E8M, standard_lattice("explicit", entries=[[2, 1], [1, 6]]))
+    t11 = direct_sum(E8M, GramLattice([[2, 1], [1, 6]]))
     s = mirror_split(t11)
     assert (s.rank, s.determinant, s.signature) == (8, -11, (1, 7))
 
 
 def test_mirror_split_definite_lattice_has_none():
-    assert mirror_split(standard_lattice("explicit", entries=[[2, 1], [1, 2]])) == "none"
+    assert mirror_split(GramLattice([[2, 1], [1, 2]])) == "none"
 
 
 def test_mirror_split_bounded_search():
@@ -404,14 +407,14 @@ def test_mirror_split_bounded_search():
     # lattice_reference. [[0, 1], [1, 2]] is U2 in another basis but shows
     # neither of mirror_split's patterns, so mirror_split refuses it and
     # the box search splits it completely.
-    u2_disguised = standard_lattice("explicit", entries=[[0, 1], [1, 2]])
+    u2_disguised = GramLattice([[0, 1], [1, 2]])
     with pytest.raises(ValueError, match="no hyperbolic splitting found"):
         mirror_split(u2_disguised)
     assert box_mirror_split(u2_disguised).rank == 0
     # diag(2, -4) has no isotropic vector at all over Z (2a^2 = 4b^2 forces
     # a = b = 0), so the search must report failure rather than fake a split.
     with pytest.raises(ValueError):
-        box_mirror_split(standard_lattice("diag", entries=[2, -4]))
+        box_mirror_split(GramLattice([[2, 0], [0, -4]]))
 
 
 @pytest.mark.parametrize("k", [5, 7, 9, 12])

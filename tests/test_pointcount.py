@@ -12,8 +12,10 @@ import random
 import pytest
 from field_reference import (
     QuadExtField,
+    looped_geometric_kind,
     reference_elliptic_count,
     round_by_round_local_model,
+    scanned_discriminant_valuation,
 )
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from k3fermat.pointcount import (
     WeierstrassModel,
     _discriminant,
     _discriminant_valuation,
+    _geometric_kind,
     _local_model,
     _taylor_shift,
     _valuation,
@@ -294,6 +297,7 @@ def test_discriminant_valuation_matches_the_full_product(case):
         # each pair also with the tau^4, tau^6 of one minimality step divided out
         for la, lb in ((la, lb), (IntPoly(la.coeffs[4:]), IntPoly(lb.coeffs[6:]))):
             expected = _valuation(_discriminant(la, lb), field)
+            assert scanned_discriminant_valuation(la, lb, field) == expected
             va, vb = _valuation(la, field), _valuation(lb, field)
             assert _discriminant_valuation(la, lb, va, vb, field) == expected
     if not any(c % field.p for c in disc.coeffs):
@@ -368,11 +372,11 @@ def test_local_model_examples(a, b, p, t0, vd, kind):
         assert tate_fiber(model, field, t).kind == kind
 
 
-def test_verify_all_takes_64_local_models_and_no_coefficient_scan(monkeypatch):
+def test_verify_all_takes_64_local_models_and_no_tie(monkeypatch):
     # Tate at t = 0, at infinity and at the multiple roots of Delta, for each
-    # zeta prime of the elliptic entries; none of those models is a tie, and
-    # each reads v(A) and v(B) once
-    calls = {"_local_model": 0, "_product_coeff": 0, "_valuation": 0}
+    # zeta prime of the elliptic entries; each reads v(A) and v(B) once, and
+    # none of those models is a tie, which would read v(Delta) once more
+    calls = {"_local_model": 0, "_valuation": 0}
     for name in calls:
         run = getattr(pointcount, name)
         monkeypatch.setattr(pointcount, name,
@@ -380,7 +384,28 @@ def test_verify_all_takes_64_local_models_and_no_coefficient_scan(monkeypatch):
                             or run(*args))
     for entry in _build_catalog():
         assert verify_entry(entry).ok
-    assert calls == {"_local_model": 64, "_product_coeff": 0, "_valuation": 128}
+    assert calls == {"_local_model": 64, "_valuation": 128}
+
+
+def _kind_outcome(kind_of, va, vb, vd):
+    try:
+        return kind_of(va, vb, vd)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def test_geometric_kind_matches_the_step_by_step_reference():
+    # every consistent (v(A), v(B), v(Delta)): v(Delta) = min(3 v(A), 2 v(B))
+    # off a tie and at least 3 v(A) on one
+    valuations = list(range(31)) + [_INF]
+    for va in valuations:
+        for vb in valuations:
+            if va == vb == _INF:
+                continue
+            tie = 3 * va == 2 * vb
+            for vd in range(3 * va, 3 * va + 31) if tie else [min(3 * va, 2 * vb)]:
+                assert (_kind_outcome(_geometric_kind, va, vb, vd)
+                        == _kind_outcome(looped_geometric_kind, va, vb, vd)), (va, vb, vd)
 
 
 def test_tate_k19_fibers():
