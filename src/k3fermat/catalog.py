@@ -3,13 +3,13 @@
 Each entry fixes one surface of automorphism order k: its defining
 equation over Q, the only statement of the surface (the Weierstrass model,
 or the double sextic for k=25, is read off it), the diagonal coordinate
-action of the automorphism, Gram matrices of the Neron-Severi and
-transcendental lattices, the geometric fiber profile of the elliptic
-fibration, section data with height and Neron-Severi discriminant where
-the Mordell-Weil rank is one, a Fermat covering map together with the
-deck-invariant transcendental characters it produces, the mirror partner
-under the U2 splitting of the transcendental lattice, and the default
-primes for zeta cross-checks.
+action of the automorphism, the Neron-Severi and transcendental lattices
+as recipes of named and explicit Gram blocks, the geometric fiber profile
+of the elliptic fibration, section data with height and Neron-Severi
+discriminant where the Mordell-Weil rank is one, a Fermat covering map
+together with the deck-invariant transcendental characters it produces,
+the mirror partner under the U2 splitting of the transcendental lattice,
+and the default primes for zeta cross-checks.
 
 The six unimodular orders (66, 44, 42, 36, 28, 12) have transcendental
 lattices of square determinant one and Fermat degree m = k; the ten
@@ -18,6 +18,11 @@ non-unimodular orders (19, 17, 13, 11, 7, 5, 27, 9, 3, 25) have
 four-monomial cover. verify_entry recomputes every derivable item from
 the stored primitives and reports each comparison separately, never
 aborting on the first failure.
+
+Building the catalog parses no equation and builds no lattice: a model is
+read off its equation, and a lattice assembled from its recipe, when it is
+first read. So zeta and count, which read neither lattice, never import
+the lattice and intmat modules.
 """
 
 import gc
@@ -25,7 +30,7 @@ from functools import cache
 from math import gcd, lcm
 
 from . import delsarte
-from .characters import CharacterVector, Record, alpha_norm
+from .characters import CharacterVector, Record, alpha_norm, rational_text
 from .cyclotomic import CycInt, IntPoly, totient
 from .delsarte import (
     MonomialMap,
@@ -35,17 +40,6 @@ from .delsarte import (
     verify_cover,
 )
 from .jacobi_zeta import default_primes, zeta_report
-from .lattice import (
-    GramLattice,
-    direct_sum,
-    disc_from_height,
-    discriminant_form,
-    height,
-    mirror_split,
-    nikulin_complement_check,
-    rational_text,
-    standard_lattice,
-)
 from .pointcount import WeierstrassModel, count_elliptic_smooth, geometric_fibers
 
 UNIMODULAR_ORDERS = (66, 44, 42, 36, 28, 12)
@@ -74,6 +68,8 @@ class SectionRecord(Record):
         self._set(x_text, y_text, x_laurent, y_laurent, pai, corrections)
 
     def height(self):
+        from .lattice import height
+
         return height(self.pai, self.corrections)
 
 
@@ -124,8 +120,8 @@ class K3CatalogEntry(Record):
         "equation",             # defining model over Q, parseable text
         "action_vars",          # coordinate names the automorphism acts on
         "action",               # zeta_k exponent per coordinate
-        "s_gram",               # GramLattice of the Neron-Severi lattice
-        "t_gram",               # GramLattice of the transcendental lattice
+        "s_recipe",             # blocks of the Neron-Severi lattice; see s_gram
+        "t_recipe",             # blocks of the transcendental lattice; see t_gram
         "fibers",               # sorted (kind, degree) over closed points; None for k=25
         "reducible_fibers",     # kinds entering the discriminant product, else None
         "section",              # SectionRecord; None when the Mordell-Weil rank is zero
@@ -138,12 +134,22 @@ class K3CatalogEntry(Record):
         "zeta_primes",
     )
 
-    def __init__(self, k, m, equation, action_vars, action, s_gram, t_gram, fibers,
+    def __init__(self, k, m, equation, action_vars, action, s_recipe, t_recipe, fibers,
                  reducible_fibers, section, disc_s, cover_equation, cover,
                  expected_characters, mirror_partner, zeta_primes):
-        self._set(k, m, equation, action_vars, action, s_gram, t_gram, fibers,
+        self._set(k, m, equation, action_vars, action, s_recipe, t_recipe, fibers,
                   reducible_fibers, section, disc_s, cover_equation, cover,
                   expected_characters, mirror_partner, zeta_primes)
+
+    @property
+    def s_gram(self):
+        """GramLattice of the Neron-Severi lattice, built on first read."""
+        return recipe_lattice(self.s_recipe)
+
+    @property
+    def t_gram(self):
+        """GramLattice of the transcendental lattice, built on first read."""
+        return recipe_lattice(self.t_recipe)
 
     @property
     def lattice_class(self):
@@ -211,6 +217,41 @@ class VerificationReport(Record):
 
 
 # ---------------------------------------------------------------------------
+# lattices, built on first read
+
+# The named blocks a lattice recipe may list, as standard_lattice arguments.
+NAMED_BLOCKS = {"U2": ("U2",), "E8(-1)": ("E8", None, -1), "E6(-1)": ("E6", None, -1),
+                "A2(-1)": ("A", 2, -1), "A6(-1)": ("A", 6, -1), "A10(-1)": ("A", 10, -1)}
+
+
+@cache
+def _block(item):
+    """GramLattice of one recipe item: a name in NAMED_BLOCKS or a Gram
+    matrix as a tuple of row tuples. Each distinct block is checked and
+    eliminated once per process."""
+    from .lattice import GramLattice, standard_lattice
+
+    if isinstance(item, str):
+        return standard_lattice(*NAMED_BLOCKS[item])
+    return GramLattice(item)
+
+
+@cache
+def recipe_lattice(recipe):
+    """The orthogonal sum of a recipe's blocks, a tuple of _block items.
+
+    The catalog states each lattice as a recipe, so building it imports no
+    lattice code and eliminates nothing; a lattice is assembled when an
+    entry's s_gram or t_gram is first read, and then once per recipe, so
+    the discriminant form kept on it is formed once too. _build_catalog
+    starts a new cache, so each build reads lattices of its own.
+    """
+    from .lattice import direct_sum
+
+    return direct_sum(*map(_block, recipe))
+
+
+# ---------------------------------------------------------------------------
 # fixture construction
 
 def _cover(m, *images):
@@ -234,17 +275,13 @@ _SECTIONS = {
 
 
 def _build_catalog():
-    u2 = standard_lattice("U2")
-    e8m = standard_lattice("E8", twist=-1)
-    e6m = standard_lattice("E6", twist=-1)
-    a2m = standard_lattice("A", 2, twist=-1)
-    a6m = standard_lattice("A", 6, twist=-1)
-    a10m = standard_lattice("A", 10, twist=-1)
-    m4 = GramLattice([[-2, 0, 0, 1], [0, -2, 1, 1], [0, 1, -2, 0], [1, 1, 0, -4]])
+    recipe_lattice.cache_clear()
+    u2, e8m, e6m, a2m, a6m, a10m = "U2", "E8(-1)", "E6(-1)", "A2(-1)", "A6(-1)", "A10(-1)"
+    m4 = ((-2, 0, 0, 1), (0, -2, 1, 1), (0, 1, -2, 0), (1, 1, 0, -4))
 
     rows = {}
 
-    def add(k, m, equation, action_vars, action, s_gram, t_gram, fibers,
+    def add(k, m, equation, action_vars, action, s_recipe, t_recipe, fibers,
             cover, characters, mirror, reducible=None, disc_s=None,
             zeta_primes=None, cover_equation=None):
         if len(action_vars) != len(action):
@@ -255,8 +292,8 @@ def _build_catalog():
             equation=equation,
             action_vars=action_vars,
             action=action,
-            s_gram=s_gram,
-            t_gram=t_gram,
+            s_recipe=s_recipe,
+            t_recipe=t_recipe,
             fibers=fibers,
             reducible_fibers=reducible,
             section=_SECTIONS.get(k),
@@ -272,7 +309,7 @@ def _build_catalog():
 
     add(66, 66, "y^2 = x^3 - t^12 - t",
         xyt, (2, 3, 6),
-        u2, direct_sum(u2, u2, e8m, e8m),
+        (u2,), (u2, u2, e8m, e8m),
         (("II", 12),),
         _cover(66, ("y", 1, (0, 33, 0)), ("x", -1, (0, 0, 22)), ("s", 1, (6, 0, 0))),
         ((6, 33, 22), (6, 33, 44), (12, 33, 22), (12, 33, 44), (18, 33, 22),
@@ -283,7 +320,7 @@ def _build_catalog():
 
     add(44, 44, "y^2 = x^3 + x + t^11",
         xyt, (22, 11, 2),
-        u2, direct_sum(u2, u2, e8m, e8m),
+        (u2,), (u2, u2, e8m, e8m),
         (("I1", 22), ("II", 1)),
         _cover(44, ("y", 1, (11, 22, 0)), ("x", -1, (22, 0, 0)), ("t", -1, (2, 0, 4))),
         ((1, 22, 24), (3, 22, 28), (5, 22, 32), (7, 22, 36), (9, 22, 40),
@@ -294,7 +331,7 @@ def _build_catalog():
 
     add(42, 42, "y^2 = x^3 - t^12 - t^5",
         xyt, (2, 3, 18),
-        direct_sum(u2, e8m), direct_sum(u2, u2, e8m),
+        (u2, e8m), (u2, u2, e8m),
         (("II", 7), ("II*", 1)),
         _cover(42, ("y", 1, (0, 21, 0)), ("x", -1, (0, 0, 14)), ("s", 1, (6, 0, 0))),
         ((6, 21, 14), (6, 21, 28), (12, 21, 14), (12, 21, 28), (18, 21, 14),
@@ -304,7 +341,7 @@ def _build_catalog():
 
     add(36, 36, "y^2 = x^3 - t^11 - t^5",
         xyt, (2, 3, 30),
-        direct_sum(u2, e8m), direct_sum(u2, u2, e8m),
+        (u2, e8m), (u2, u2, e8m),
         (("II", 1), ("II", 6), ("II*", 1)),
         _cover(36, ("y", 1, (15, 18, 0)), ("x", -1, (10, 0, 12)), ("t", 1, (6, 0, 0))),
         ((1, 18, 12), (5, 18, 24), (7, 18, 12), (11, 18, 24), (13, 18, 12),
@@ -314,7 +351,7 @@ def _build_catalog():
 
     add(28, 28, "y^2 = x^3 + x + t^7",
         xyt, (14, 7, 2),
-        direct_sum(u2, e8m), direct_sum(u2, u2, e8m),
+        (u2, e8m), (u2, u2, e8m),
         (("I1", 14), ("II*", 1)),
         _cover(28, ("y", 1, (7, 14, 0)), ("x", -1, (14, 0, 0)), ("t", -1, (2, 0, 4))),
         ((1, 14, 16), (3, 14, 20), (5, 14, 24), (9, 14, 4), (11, 14, 8),
@@ -324,7 +361,7 @@ def _build_catalog():
 
     add(12, 12, "y^2 = x^3 + t^7 + t^5",
         xyt, (2, 3, 6),
-        direct_sum(u2, e8m, e8m), direct_sum(u2, u2),
+        (u2, e8m, e8m), (u2, u2),
         (("II", 2), ("II*", 1), ("II*", 1)),
         _cover(12, ("y", 1, (15, 6, 0)), ("x", -1, (10, 0, 4)), ("t", -1, (6, 0, 0))),
         ((1, 6, 4), (5, 6, 8), (7, 6, 4), (11, 6, 8)),
@@ -332,8 +369,7 @@ def _build_catalog():
 
     add(19, 38, "y^2 = x^3 + t^7*x - t",
         xyt, (7, 1, 2),
-        direct_sum(u2, GramLattice([[-2, 1], [1, -10]])),
-        direct_sum(e8m, e8m, GramLattice([[2, 1], [1, 10]])),
+        (u2, ((-2, 1), (1, -10))), (e8m, e8m, ((2, 1), (1, 10))),
         (("I1", 19), ("II", 1), ("III", 1)),
         _cover(38, ("y", 1, (19, -1, 3)), ("x", -1, (0, 12, 2)), ("t", 1, (0, -2, 6))),
         ((19, 1, 35), (19, 3, 29), (19, 5, 23), (19, 7, 17), (19, 9, 11),
@@ -344,7 +380,7 @@ def _build_catalog():
 
     add(17, 34, "y^2 = x^3 + t^7*x - t^2",
         xyt, (7, 2, 2),
-        direct_sum(u2, m4), direct_sum(u2, u2, e8m, m4),
+        (u2, m4), (u2, u2, e8m, m4),
         (("I1", 17), ("III", 1), ("IV", 1)),
         _cover(34, ("y", 1, (17, -2, 6)), ("x", -1, (0, 10, 4)), ("t", 1, (0, -2, 6))),
         ((17, 2, 28), (17, 4, 22), (17, 6, 16), (17, 8, 10), (17, 10, 4),
@@ -355,8 +391,7 @@ def _build_catalog():
 
     add(13, 26, "y^2 = x^3 + t^5*x - t",
         xyt, (5, 1, 2),
-        direct_sum(e8m, GramLattice([[-2, 5], [5, -6]])),
-        direct_sum(u2, e8m, GramLattice([[-2, 5], [5, -6]])),
+        (e8m, ((-2, 5), (5, -6))), (u2, e8m, ((-2, 5), (5, -6))),
         (("I1", 13), ("II", 1), ("III*", 1)),
         _cover(26, ("y", 1, (13, -1, 3)), ("x", -1, (0, 8, 2)), ("t", 1, (0, -2, 6))),
         ((13, 1, 23), (13, 3, 17), (13, 5, 11), (13, 7, 5), (13, 9, 25),
@@ -366,7 +401,7 @@ def _build_catalog():
 
     add(11, 22, "y^2 = x^3 + t^5*x - t^2",
         xyt, (5, 2, 2),
-        direct_sum(u2, a10m), direct_sum(e8m, GramLattice([[2, 1], [1, 6]])),
+        (u2, a10m), (e8m, ((2, 1), (1, 6))),
         (("I1", 11), ("III*", 1), ("IV", 1)),
         _cover(22, ("y", 1, (11, -2, 6)), ("x", -1, (0, 6, 4)), ("t", 1, (0, -2, 6))),
         ((11, 2, 16), (11, 4, 10), (11, 6, 4), (11, 8, 20), (11, 10, 14),
@@ -375,7 +410,7 @@ def _build_catalog():
 
     add(7, 14, "y^2 = x^3 + t^3*x - t^8",
         xyt, (3, 1, 2),
-        direct_sum(u2, e8m, a6m), direct_sum(u2, u2, GramLattice([[-2, 1], [1, -4]])),
+        (u2, e8m, a6m), (u2, u2, ((-2, 1), (1, -4))),
         (("I1", 7), ("III*", 1), ("IV*", 1)),
         _cover(14, ("y", 1, (7, 8, -24)), ("x", -1, (0, 10, -16)), ("t", 1, (0, 2, -6))),
         ((7, 2, 8), (7, 4, 2), (7, 6, 10), (7, 8, 4), (7, 10, 12), (7, 12, 6)),
@@ -383,8 +418,7 @@ def _build_catalog():
 
     add(5, 10, "y^2 = x^3 + t^3*x - t^7",
         xyt, (3, 2, 2),
-        direct_sum(e8m, e8m, GramLattice([[-2, 3], [3, -2]])),
-        direct_sum(u2, GramLattice([[-2, 3], [3, -2]])),
+        (e8m, e8m, ((-2, 3), (3, -2))), (u2, ((-2, 3), (3, -2))),
         (("I1", 5), ("II*", 1), ("III*", 1)),
         _cover(10, ("y", 1, (5, 7, -21)), ("x", -1, (0, 8, -14)), ("t", 1, (0, 2, -6))),
         ((5, 1, 7), (5, 3, 1), (5, 7, 9), (5, 9, 3)),
@@ -392,7 +426,7 @@ def _build_catalog():
 
     add(27, 54, "y^2 = x^3 - t^10 - t",
         xyt, (2, 3, 6),
-        direct_sum(u2, a2m), direct_sum(u2, u2, e6m, e8m),
+        (u2, a2m), (u2, u2, e6m, e8m),
         (("II", 10), ("IV", 1)),
         _cover(54, ("y", 1, (3, 0, 27)), ("x", -1, (2, 18, 0)), ("t", 1, (6, 0, 0))),
         ((1, 36, 27), (5, 18, 27), (7, 36, 27), (11, 18, 27), (13, 36, 27),
@@ -403,7 +437,7 @@ def _build_catalog():
 
     add(9, 18, "y^2 = x^3 - t^8 - t^5",
         xyt, (2, 3, 3),
-        direct_sum(u2, e6m, e8m), direct_sum(u2, u2, a2m),
+        (u2, e6m, e8m), (u2, u2, a2m),
         (("II", 3), ("II*", 1), ("IV*", 1)),
         _cover(18, ("y", 1, (15, 0, 9)), ("x", -1, (10, 6, 0)), ("t", 1, (6, 0, 0))),
         ((1, 6, 9), (5, 12, 9), (7, 6, 9), (11, 12, 9), (13, 6, 9),
@@ -412,7 +446,7 @@ def _build_catalog():
 
     add(3, None, "y^2 = x^3 + t^7 - 2*t^6 + t^5",
         xyt, (1, 0, 0),
-        direct_sum(u2, a2m, e8m, e8m), GramLattice([[2, 1], [1, 2]]),
+        (u2, a2m, e8m, e8m), (((2, 1), (1, 2)),),
         (("II*", 1), ("II*", 1), ("IV", 1)),
         None, None,
         "none", reducible=("IV", "II*", "II*"), disc_s=-3,
@@ -420,7 +454,7 @@ def _build_catalog():
 
     add(25, 50, "y^2 = u^5 + u*v^5 - 1",
         ("u", "v", "y"), (20, 1, 0),
-        GramLattice([[-2, 3], [3, -2]]), direct_sum(u2, e8m, e8m, GramLattice([[-2, 3], [3, -2]])),
+        (((-2, 3), (3, -2)),), (u2, e8m, e8m, ((-2, 3), (3, -2))),
         None,
         _cover(50, ("y", 1, (25, 0, 0)), ("u", -1, (0, 10, 0)), ("v", 1, (0, -2, 10))),
         ((25, 2, 40), (25, 4, 30), (25, 6, 20), (25, 8, 10), (25, 12, 40),
@@ -515,6 +549,8 @@ def verify_entry(entry, primes=None):
     exception is captured as a failure and later checks still run. primes
     overrides the stored zeta primes.
     """
+    from .lattice import disc_from_height, discriminant_form, mirror_split, nikulin_complement_check
+
     checks = []
 
     def run(name, fn):

@@ -8,7 +8,8 @@ vector by [a1, a2, a3]; a0 is recovered from the sum condition.
 
 Record, the package's one immutable value base, lives here because this
 module imports nothing from the package, so every module that defines a
-value (catalog, delsarte, jacobi_zeta, lattice) can import it.
+value (catalog, delsarte, jacobi_zeta, lattice) can import it. So does
+rational_text, which catalog, cli and lattice print rationals with.
 """
 
 from math import gcd
@@ -94,3 +95,11 @@ def units_mod(m):
 def alpha_norm(alpha):
     """Weight of alpha: representative sum over m, always 1, 2 or 3."""
     return sum(alpha.a) // alpha.m
+
+
+def rational_text(pair):
+    """The rational num/den of a (num, den) pair, den > 0, in lowest terms:
+    "n" for an integer, else "n/d"."""
+    num, den = pair
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"

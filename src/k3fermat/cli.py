@@ -23,10 +23,9 @@ from .catalog import (
     catalog_entry,
     entry_as_dict,
     load_catalog,
-    rational_text,
     verify_entry,
 )
-from .characters import CharacterVector
+from .characters import CharacterVector, rational_text
 from .cyclotomic import JACOBI_WORK_LIMIT, POWER_TABLE_LIMIT, jacobi_work, power_table_bound
 from .delsarte import (
     SurfaceSyntaxError,
@@ -36,7 +35,6 @@ from .delsarte import (
 )
 from .field import check_modulus, make_field
 from .jacobi_zeta import default_primes, jacobi_sum, zeta_report
-from .lattice import discriminant_form, mirror_split, nikulin_complement_check
 from .pointcount import count_affine_double_sextic, count_elliptic_smooth, count_fermat
 
 
@@ -340,6 +338,8 @@ def _form_dict(q):
 
 
 def cmd_lattice(args):
+    from .lattice import discriminant_form, nikulin_complement_check
+
     entry = _entry_or_usage(args.k)
     qs = discriminant_form(entry.s_gram)
     qt = discriminant_form(entry.t_gram)
@@ -371,6 +371,8 @@ def cmd_lattice(args):
 
 
 def cmd_mirror(args):
+    from .lattice import mirror_split
+
     entry = _entry_or_usage(args.k)
     result = mirror_split(entry.t_gram)
     partner = entry.mirror_partner

@@ -440,26 +440,33 @@ def power_table_bound(m):
     return phi + (m - phi) * totient(prod(prime_factors(m)))
 
 
-# The largest jacobi_work that the jacobi command accepts: about two and a
-# half minutes at the 6-9 million steps per second once measured for a
-# schoolbook norm check (CPython 3.11, one core of a 2-vCPU machine). Both
-# the convolution and the norm check are now one integer product each, so
-# the count overstates the time: jacobi --m 10000 --q 70001 counts 1.2e8
-# steps and takes about 0.25 s from the command line.
-JACOBI_WORK_LIMIT = 10 ** 9
+# The largest jacobi_work that the jacobi command accepts, so that no
+# admitted input runs much over two minutes. Python's integer product is
+# Karatsuba's, so time grows faster than the bits: jacobi --m 925901
+# --q 1851803, priced 2.9999e8 and nearly all product bits, took 105 s
+# and peaked at 605 MB; --m 34304 --q 102913, the longest table walk the
+# limit admits, took 12 s; --m 40009 --q 880199, priced 1.2e7, took 1.8 s
+# (CPython 3.11, one core of a 2-vCPU machine).
+JACOBI_WORK_LIMIT = 3 * 10 ** 8
 
 
 def jacobi_work(m, q):
-    """An upper bound on the inner-loop steps of one Jacobi sum in
-    Z[zeta_m] over F_q and its norm.
+    """The steps of one Jacobi sum in Z[zeta_m] over F_q and its norm, as
+    kernels.jacobi_counts and CycInt.__mul__ take them.
 
-    min(q, m) * m bounds the pairs of nonzero exponent counts in the
-    cyclic convolution of kernels.jacobi_counts, which one integer product
-    forms; the norm check j * conj(j) is booked as the phi(m)^2 steps of
-    a schoolbook product, though CycInt.__mul__ forms it as one integer
-    product too.
+    The count pass walks the q - 2 elements x and the m residues, q + m
+    steps. The cyclic convolution and the norm check j * conj(j) are each
+    one integer product, priced at its bit size: two factors of m slots of
+    w bytes, w holding (q - 2)^2, and two of phi(m) slots, each holding
+    a product of two coordinates summed phi(m) times. A coordinate of j is
+    booked at q^2, above the sum of the counts. reduce first builds
+    _power_table(m), whose dense walk shifts and scans phi(m) coordinates
+    for each of its m - phi(m) folded rows.
     """
-    return min(q, m) * m + totient(m) ** 2
+    conv = 2 * m * 8 * max(1, ((q - 2) ** 2).bit_length() + 7 >> 3)
+    phi = totient(m)
+    norm = 2 * phi * 8 * _slot_width(q ** 4 * phi)
+    return q + m + conv + norm + (m - phi) * phi
 
 
 _table_cache = {}

@@ -17,13 +17,17 @@ instead; the flips are recorded on the map (term_signs) so verification
 stays exact and the variant is auditable. The invariant characters depend
 only on exponents, so everything downstream of the cover is unaffected by
 the variant.
+
+count parses equations and the catalog's covers are MonomialMaps, so the
+parser and the records load with the catalog. Only the two routines that
+eliminate (cover_invariant_characters and cover_exponents, which verify
+and the delsarte command reach) import intmat, when they run.
 """
 
 from itertools import product
 from math import gcd, prod
 
 from .characters import CharacterVector, Record, units_mod
-from .intmat import fraction_inverse, mat_mul, smith_normal_form
 
 FERMAT_VARS = ("U", "V", "W")
 # Bound on the order of the group of deck-invariant characters, checked
@@ -272,6 +276,8 @@ def cover_invariant_characters(pi):
     order is the product of those orders. ValueError when that order
     exceeds INVARIANT_LIMIT, before any element is built.
     """
+    from .intmat import mat_mul, smith_normal_form
+
     m = pi.m
     rows = [list(exps) for _var, _sign, exps in pi.images]
     d, u, _v = smith_normal_form(rows)
@@ -333,6 +339,8 @@ def cover_exponents(surface):
     (d, d*M^{-1}) from fraction_inverse's integer elimination, that m is
     |d| over the gcd of d and every entry of d*M^{-1}.
     """
+    from .intmat import fraction_inverse
+
     if len(surface.terms) != 4:
         raise ValueError(f"need exactly four monomials, got {len(surface.terms)}")
     if len(surface.variables) != 3:

@@ -11,13 +11,18 @@ Discriminant forms are compared by brute-force isomorphism search, which
 certifies genus-level equality (signature plus discriminant form) without
 normal-form theory; the groups involved here are tiny. Heights of
 Mordell-Weil generators are reduced (numerator, denominator) pairs; they
-and the hyperbolic splittings behind mirror partners live here too.
+and the hyperbolic splittings behind mirror partners live here too. The
+fiber root lattices that disc_from_height multiplies come from
+pointcount.kodaira_lattice, which every point count reads as well.
+
+The catalog builds its lattices from this module on their first read,
+and zeta and count read none, so neither command imports it.
 """
 
 from itertools import product as iter_product
 from math import gcd, lcm, prod
 
-from .characters import Record
+from .characters import Record, rational_text
 from .intmat import (
     integer_kernel,
     mat_mul,
@@ -25,6 +30,7 @@ from .intmat import (
     symmetric_invariants,
     transpose,
 )
+from .pointcount import kodaira_lattice
 
 FQF_ORDER_CAP = 10 ** 4
 
@@ -322,38 +328,6 @@ def height(pai, corrections):
         num, den = num * cd - cn * den, den * cd
     g = gcd(num, den)
     return num // g, den // g
-
-
-def rational_text(pair):
-    """The rational num/den of a (num, den) pair, den > 0, in lowest terms:
-    "n" for an integer, else "n/d"."""
-    num, den = pair
-    g = gcd(num, den)
-    return str(num // g) if den == g else f"{num // g}/{den // g}"
-
-
-# (rank, determinant) of A1, A2, E6, E7, E8 and of the empty lattice for II
-_KODAIRA_NAMED = {"II": (0, 1), "III": (1, 2), "IV": (2, 3),
-                  "IV*": (6, 3), "III*": (7, 2), "II*": (8, 1)}
-
-
-def kodaira_lattice(kind):
-    """(rank, determinant) of the root lattice spanned by the components of
-    a Kodaira fiber that miss the zero section.
-
-    I_n carries A_(n-1), I_n* carries D_(n+4), and III, IV, IV*, III*, II*
-    carry A1, A2, E6, E7, E8; I0, I1 and II carry the empty lattice.
-    """
-    if kind in _KODAIRA_NAMED:
-        return _KODAIRA_NAMED[kind]
-    star = kind.endswith("*")
-    index = kind[1:-1] if star else kind[1:]
-    if not (kind.startswith("I") and index.isdecimal()):
-        raise ValueError(f"unknown fiber kind {kind!r}")
-    n = int(index)
-    if star:
-        return n + 4, 4
-    return max(n - 1, 0), max(n, 1)
 
 
 def disc_from_height(h, fibers):

@@ -7,7 +7,9 @@ sextics. The elliptic counter needs residue characteristic >= 5
 throughout; that keeps Tate's procedure in its short-Weierstrass
 (v(A), v(Delta)) form.
 Tate's table lives in _kodaira_kind, for geometric_fibers over Q and
-tate_fiber over F_q; fiber invariants come from lattice.kodaira_lattice.
+tate_fiber over F_q. The fiber invariants (rank and determinant of each
+kind's root lattice) live in kodaira_lattice, here because a count reads
+them at every bad fiber; lattice.disc_from_height reads the same table.
 geometric_fibers splits the discriminant over Z[t] with one Yun
 squarefree pass on each of Delta, A and B (on primitive polynomials; the
 power of t is read off the coefficients, and Yun's loop runs on the rest),
@@ -41,7 +43,6 @@ from operator import mod
 from .cyclotomic import IntPoly, exact_quotient, poly_gcd
 from .field import PrimeField, as_field, check_modulus, make_field
 from .kernels import chi_cubic_sum, fermat_affine
-from .lattice import kodaira_lattice
 
 # valuation of the zero polynomial; larger than any honest valuation here
 _INF = 10 ** 9
@@ -153,6 +154,30 @@ class WeierstrassModel:
 
     def __repr__(self):
         return f"WeierstrassModel(A={self.a.format('t')}, B={self.b.format('t')})"
+
+
+# (rank, determinant) of A1, A2, E6, E7, E8 and of the empty lattice for II
+_KODAIRA_NAMED = {"II": (0, 1), "III": (1, 2), "IV": (2, 3),
+                  "IV*": (6, 3), "III*": (7, 2), "II*": (8, 1)}
+
+
+def kodaira_lattice(kind):
+    """(rank, determinant) of the root lattice spanned by the components of
+    a Kodaira fiber that miss the zero section.
+
+    I_n carries A_(n-1), I_n* carries D_(n+4), and III, IV, IV*, III*, II*
+    carry A1, A2, E6, E7, E8; I0, I1 and II carry the empty lattice.
+    """
+    if kind in _KODAIRA_NAMED:
+        return _KODAIRA_NAMED[kind]
+    star = kind.endswith("*")
+    index = kind[1:-1] if star else kind[1:]
+    if not (kind.startswith("I") and index.isdecimal()):
+        raise ValueError(f"unknown fiber kind {kind!r}")
+    n = int(index)
+    if star:
+        return n + 4, 4
+    return max(n - 1, 0), max(n, 1)
 
 
 class KodairaFiber:

@@ -10,12 +10,23 @@ x.y = 1. The tests keep that search here.
 intmat.smith_normal_form stops its pivot scan at the first unit and skips
 the divisibility sweep after a unit pivot. The full scan it must agree
 with, operation for operation, is kept here as full_scan_smith_normal_form.
+
+The catalog states its lattices as block recipes and assembles each on
+first read. eager_catalog_lattices builds all of them at once, with
+standard_lattice, GramLattice and direct_sum called the way the catalog
+once called them when it was built.
 """
 
 from itertools import product
 
 from k3fermat.intmat import identity
-from k3fermat.lattice import _complement_of_hyperbolic, _pair
+from k3fermat.lattice import (
+    GramLattice,
+    _complement_of_hyperbolic,
+    _pair,
+    direct_sum,
+    standard_lattice,
+)
 
 BOX_RANK_LIMIT = 8
 
@@ -125,3 +136,36 @@ def full_scan_smith_normal_form(mat):
             for r in range(nc):
                 v[r][i] = -v[r][i]
     return d, u, v
+
+
+def eager_catalog_lattices():
+    """{k: (S, T)} for every catalog order, each lattice built at once."""
+    u2 = standard_lattice("U2")
+    e8m = standard_lattice("E8", twist=-1)
+    e6m = standard_lattice("E6", twist=-1)
+    a2m = standard_lattice("A", 2, twist=-1)
+    a6m = standard_lattice("A", 6, twist=-1)
+    a10m = standard_lattice("A", 10, twist=-1)
+    m4 = GramLattice([[-2, 0, 0, 1], [0, -2, 1, 1], [0, 1, -2, 0], [1, 1, 0, -4]])
+    return {
+        66: (u2, direct_sum(u2, u2, e8m, e8m)),
+        44: (u2, direct_sum(u2, u2, e8m, e8m)),
+        42: (direct_sum(u2, e8m), direct_sum(u2, u2, e8m)),
+        36: (direct_sum(u2, e8m), direct_sum(u2, u2, e8m)),
+        28: (direct_sum(u2, e8m), direct_sum(u2, u2, e8m)),
+        12: (direct_sum(u2, e8m, e8m), direct_sum(u2, u2)),
+        19: (direct_sum(u2, GramLattice([[-2, 1], [1, -10]])),
+             direct_sum(e8m, e8m, GramLattice([[2, 1], [1, 10]]))),
+        17: (direct_sum(u2, m4), direct_sum(u2, u2, e8m, m4)),
+        13: (direct_sum(e8m, GramLattice([[-2, 5], [5, -6]])),
+             direct_sum(u2, e8m, GramLattice([[-2, 5], [5, -6]]))),
+        11: (direct_sum(u2, a10m), direct_sum(e8m, GramLattice([[2, 1], [1, 6]]))),
+        7: (direct_sum(u2, e8m, a6m), direct_sum(u2, u2, GramLattice([[-2, 1], [1, -4]]))),
+        5: (direct_sum(e8m, e8m, GramLattice([[-2, 3], [3, -2]])),
+            direct_sum(u2, GramLattice([[-2, 3], [3, -2]]))),
+        27: (direct_sum(u2, a2m), direct_sum(u2, u2, e6m, e8m)),
+        9: (direct_sum(u2, e6m, e8m), direct_sum(u2, u2, a2m)),
+        3: (direct_sum(u2, a2m, e8m, e8m), GramLattice([[2, 1], [1, 2]])),
+        25: (GramLattice([[-2, 3], [3, -2]]),
+             direct_sum(u2, e8m, e8m, GramLattice([[-2, 3], [3, -2]]))),
+    }

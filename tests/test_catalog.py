@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from characters_reference import galois_orbit
+from lattice_reference import eager_catalog_lattices
 from k3fermat import catalog, cli, delsarte
 from k3fermat.catalog import (
     K11_ALTERNATE_EQUATION,
@@ -15,6 +16,7 @@ from k3fermat.catalog import (
     K3CatalogEntry,
     SectionRecord,
     UNIMODULAR_ORDERS,
+    _build_catalog,
     catalog_as_dicts,
     catalog_entry,
     entry_as_dict,
@@ -264,6 +266,50 @@ def test_lattice_determinants():
     }
     for e in load_catalog():
         assert nikulin_complement_check(e.s_gram, e.t_gram), e.k
+
+
+def test_lattices_equal_the_eager_construction():
+    # each lattice assembled from its recipe on first read is the one that
+    # standard_lattice, GramLattice and direct_sum build at once
+    eager = eager_catalog_lattices()
+    assert sorted(eager) == sorted(ORDERS)
+    for e in load_catalog():
+        for lat, ref in zip((e.s_gram, e.t_gram), eager[e.k]):
+            assert (lat.gram, lat.rank, lat.signature, lat.determinant) == (
+                ref.gram, ref.rank, ref.signature, ref.determinant), e.k
+            assert lat == ref
+
+
+def test_a_lattice_is_built_once_per_recipe():
+    entries = {e.k: e for e in load_catalog()}
+    assert entries[19].s_gram is entries[19].s_gram
+    assert entries[19].t_gram is entries[19].t_gram
+    # 42, 36 and 28 state the same two recipes, so they read the same two
+    # lattices
+    assert entries[42].s_recipe == entries[36].s_recipe == entries[28].s_recipe
+    assert entries[42].s_gram is entries[36].s_gram is entries[28].s_gram
+    assert entries[42].t_gram is entries[36].t_gram is entries[28].t_gram
+    # a new build starts a new cache: its lattices are equal to the ones
+    # read before it, but none of them, so the discriminant forms kept on
+    # them are formed afresh
+    before = entries[19].s_gram
+    fresh = {e.k: e for e in _build_catalog()}
+    assert fresh[19] == entries[19]
+    assert fresh[19].s_gram == before
+    assert fresh[19].s_gram is not before
+
+
+def test_an_entry_with_an_edited_recipe_builds_its_own_lattice():
+    entry = catalog_entry(19)
+    fields = {name: getattr(entry, name) for name in K3CatalogEntry._fields}
+    edited = K3CatalogEntry(**{**fields, "s_recipe": ("U2", ((-2, 1), (1, -8)))})
+    assert edited != entry and edited.k == entry.k
+    assert edited.s_gram.determinant == -15
+    assert entry.s_gram.determinant == -19
+    assert edited.t_gram is entry.t_gram
+    checks = {c.name: c for c in verify_entry(edited, primes=[191]).checks}
+    assert checks["lattice"].status == "fail"
+    assert checks["lattice"].detail == "AssertionError: |det S| = 15, |det T| = 19"
 
 
 def test_sections_satisfy_equations():

@@ -446,11 +446,22 @@ class TestRefusals:
                        "53314560 entries, over the limit 10000000\n")
 
     def test_jacobi_with_too_much_convolution_work(self):
-        # the convolution pairs 10^5 exponent counts with 10^5 others, and
-        # the norm check multiplies two vectors of phi(m) = 40000 coordinates
-        err = self.refuse("jacobi", "--m", "100000", "--q", "700001", "--alpha", "1,2,3")
+        # m is prime, so the power table has one folded row; the price is
+        # nearly all the bits of the convolution's and the norm check's
+        # integer products, and lies just over the limit
+        err = self.refuse("jacobi", "--m", "926153", "--q", "1852307", "--alpha", "1,2,3",
+                          timeout=1)
+        assert err == ("error: the Jacobi sum in Z[zeta_926153] over F_1852307 and its norm "
+                       "take about 300073348 steps, over the limit 300000000\n")
+
+    def test_jacobi_with_too_long_a_power_table_walk(self):
+        # phi(10^5) = 40000: the table's dense walk shifts and scans 40000
+        # coordinates for each of 60000 folded rows, which took 93 s,
+        # while both products together are priced at 1.6e7 bits
+        err = self.refuse("jacobi", "--m", "100000", "--q", "700001", "--alpha", "1,2,3",
+                          timeout=1)
         assert err == ("error: the Jacobi sum in Z[zeta_100000] over F_700001 and its norm "
-                       "take about 11600000000 steps, over the limit 1000000000\n")
+                       "take about 2416480001 steps, over the limit 300000000\n")
 
     @pytest.mark.parametrize("equation, weight_one", [
         ("y^2 = x^3 + t^13 + 1", 2),     # once rho = -2
@@ -493,9 +504,24 @@ def test_monomial_counts_near_a_million_finish():
 
 def test_jacobi_work_limit_admits_large_answered_inputs():
     # jacobi --m 10000 --q 70001 answers in well under a second; the
-    # m = 4620 run below covers the command end to end
-    for m, q in [(4620, 4621), (10000, 70001), (12, 13), (2, 5)]:
+    # m = 4620 and m = 40009 runs below cover the command end to end.
+    # (925901, 1851803) is the input with the largest product price and
+    # (34304, 102913) the one with the longest table walk that the limit
+    # admits, each at the smallest admissible q of its m
+    for m, q in [(4620, 4621), (10000, 70001), (12, 13), (2, 5), (40009, 880199),
+                 (925901, 1851803), (34304, 102913)]:
         assert jacobi_work(m, q) <= JACOBI_WORK_LIMIT
+    for m, q in [(926153, 1852307), (100000, 700001)]:
+        assert jacobi_work(m, q) > JACOBI_WORK_LIMIT
+
+
+def test_jacobi_with_a_large_prime_degree_answers():
+    # once refused as 3201360145 steps; the two products are priced at
+    # 1.1e7 bits, the table has one folded row, and it answers in about 2 s
+    proc = run_module("jacobi", "--m", "40009", "--q", "880199", "--alpha", "1,2,3",
+                      "--json", timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["norm_ok"] is True
 
 
 def test_jacobi_under_the_power_table_limit_answers():

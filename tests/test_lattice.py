@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from lattice_reference import BOX_RANK_LIMIT, box_mirror_split
 from test_intmat import reference_signature
 
-from k3fermat import delsarte, intmat, lattice
+from k3fermat import intmat, lattice
 from k3fermat.catalog import _build_catalog, catalog_entry, load_catalog, verify_entry
 from k3fermat.intmat import det, mat_mul, symmetric_invariants, transpose
 from k3fermat.lattice import (
@@ -172,19 +172,21 @@ def test_verify_takes_one_smith_form_per_lattice(monkeypatch):
 
 
 def test_verify_all_takes_37_smith_forms(monkeypatch):
-    # 20 discriminant forms of the non-unimodular catalog S and T, 15 cover
-    # exponent matrices and the complement kernels of two T, each counted at
-    # the binding it is called through
+    # 20 discriminant forms of the non-unimodular catalog S and T, each
+    # counted at lattice's binding; 15 cover exponent matrices (3 x 3) and
+    # the complement kernels of two T, at intmat's, which delsarte imports
+    # from when it runs
     calls = []
     run = intmat.smith_normal_form
-    for module in (lattice, delsarte, intmat):
+    for module in (lattice, intmat):
         site = module.__name__.rpartition(".")[2]
         monkeypatch.setattr(module, "smith_normal_form",
                             lambda m, site=site: calls.append((site, len(m), len(m[0]))) or run(m))
     for entry in _build_catalog():
         assert verify_entry(entry).ok
-    assert Counter(site for site, _nr, _nc in calls) == {"lattice": 20, "delsarte": 15, "intmat": 2}
-    assert sorted(shape for site, *shape in calls if site == "intmat") == [[2, 10], [2, 18]]
+    assert Counter(site for site, _nr, _nc in calls) == {"lattice": 20, "intmat": 17}
+    assert sorted(shape for site, *shape in calls if site == "intmat") == (
+        [[2, 10], [2, 18]] + [[3, 3]] * 15)
 
 
 def test_discriminant_form_a2():

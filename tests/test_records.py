@@ -102,14 +102,14 @@ PLAIN_RECORDS = [
      "SectionRecord(x_text='1/t^6', y_text='1/t^9', x_laurent=((-6, 1, 0),), "
      "y_laurent=((-9, 1, 0),), pai=3, corrections=(('A', 2, 1),))"),
     (K3CatalogEntry,
-     ("k", "m", "equation", "action_vars", "action", "s_gram", "t_gram", "fibers",
+     ("k", "m", "equation", "action_vars", "action", "s_recipe", "t_recipe", "fibers",
       "reducible_fibers", "section", "disc_s", "cover_equation", "cover",
       "expected_characters", "mirror_partner", "zeta_primes"),
      (12, 12, "y^2 = x^3 + t^7 + t^5", ("x", "y", "t"), (2, 3, 6), "S", "T",
       (("II", 2),), None, None, None, "y^2 = x^3 + t^7 + t^5",
       None, ((1, 2, 9),), (12,), (13, 37)),
      "K3CatalogEntry(k=12, m=12, equation='y^2 = x^3 + t^7 + t^5', "
-     "action_vars=('x', 'y', 't'), action=(2, 3, 6), s_gram='S', t_gram='T', "
+     "action_vars=('x', 'y', 't'), action=(2, 3, 6), s_recipe='S', t_recipe='T', "
      "fibers=(('II', 2),), reducible_fibers=None, section=None, disc_s=None, "
      "cover_equation='y^2 = x^3 + t^7 + t^5', cover=None, "
      "expected_characters=((1, 2, 9),), mirror_partner=(12,), zeta_primes=(13, 37))"),

@@ -1,6 +1,8 @@
 """Start-up imports only what a call reads: no dataclasses (which pulls in
 inspect, ast, dis and tokenize), a catalog built without parsing any
-equation and eliminating only its stated Gram blocks, a frozen set-up heap
+equation or building any lattice (neither lattice nor intmat is loaded
+until a lattice is first read, and no zeta or count call reads one; the
+first reads eliminate only the stated Gram blocks), a frozen set-up heap
 once it is built, no argparse (nor the gettext and locale it pulls in)
 for a well-formed command line, and no fractions (nor the decimal and
 numbers it pulls in) and no json (nor its decoder, encoder, scanner and
@@ -26,12 +28,19 @@ import k3fermat.catalog, k3fermat.cli, k3fermat.delsarte
 parsed = []
 k3fermat.delsarte.parse_surface = (
     lambda text, parse=k3fermat.delsarte.parse_surface: parsed.append(text) or parse(text))
+k3fermat.cli.load_catalog()
+modules = sorted(sys.modules)
+built = [k3fermat.catalog._block.cache_info().currsize,
+         k3fermat.catalog.recipe_lattice.cache_info().currsize]
+import k3fermat.lattice
 eliminated = []
 k3fermat.lattice.symmetric_invariants = (
     lambda rows, run=k3fermat.lattice.symmetric_invariants: eliminated.append(len(rows)) or run(rows))
-k3fermat.cli.load_catalog()
-print(json.dumps({"modules": sorted(sys.modules), "frozen": gc.get_freeze_count(),
-                  "parsed": parsed, "eliminated": eliminated}))
+at_load = list(eliminated)
+for entry in k3fermat.cli.load_catalog():
+    entry.s_gram, entry.t_gram
+print(json.dumps({"modules": modules, "frozen": gc.get_freeze_count(), "parsed": parsed,
+                  "built": built, "at_load": at_load, "eliminated": eliminated}))
 """
 
 
@@ -46,9 +55,16 @@ def test_cli_start_up_skips_dataclasses_and_freezes_the_heap():
     assert doc["frozen"] > 0
     # each entry's model is read off its equation on first use, not at build
     assert doc["parsed"] == []
-    # only the stated blocks (U2, E8, E6, A2, A6, A10 and twelve explicit
-    # matrices) are eliminated; direct sums and twists take their
-    # invariants from the blocks
+    # and each lattice is assembled on first read: the set-up loads no
+    # lattice code, builds no block or lattice and eliminates nothing
+    assert "k3fermat.lattice" not in doc["modules"]
+    assert "k3fermat.intmat" not in doc["modules"]
+    assert doc["built"] == [0, 0]
+    assert doc["at_load"] == []
+    # reading every entry's lattices eliminates only the stated blocks
+    # (U2, E8, E6, A2, A6, A10 and the explicit matrices, each distinct
+    # one once); direct sums and twists take their invariants from the
+    # blocks
     assert 0 < len(doc["eliminated"]) <= 18
     assert max(doc["eliminated"]) <= 10
 
@@ -65,18 +81,24 @@ import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 import k3fermat.cli
 k3fermat.cli.load_catalog()
+lattice_code = {"k3fermat.lattice", "k3fermat.intmat"}
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["zeta", "--k", "66", "--q", "67", "--json"],
                  ["count", "--k", "19", "--q", "191", "--json"]):
         codes.append(k3fermat.cli.main(argv))
 loaded = sorted({"argparse", "gettext", "locale"} & set(sys.modules))
+after_calls = sorted(lattice_code & set(sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(k3fermat.cli.main(["verify", "--k", "19", "--json"]))
+after_verify = sorted(lattice_code & set(sys.modules))
 try:
     with contextlib.redirect_stdout(io.StringIO()):
         k3fermat.cli.main(["zeta", "--help"])
 except SystemExit as exc:
     codes.append(exc.code)
-print(json.dumps({"codes": codes, "loaded": loaded, "argparse": "argparse" in sys.modules}))
+print(json.dumps({"codes": codes, "loaded": loaded, "argparse": "argparse" in sys.modules,
+                  "after_calls": after_calls, "after_verify": after_verify}))
 """
 
 
@@ -86,8 +108,12 @@ def test_well_formed_calls_import_no_argparse():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["loaded"] == []
+    # zeta and count read no lattice, so they load no lattice code; verify
+    # runs the lattice checks and loads both
+    assert doc["after_calls"] == []
+    assert doc["after_verify"] == ["k3fermat.intmat", "k3fermat.lattice"]
     # help still goes through argparse and exits 0
-    assert doc["codes"] == [0, 0, 0]
+    assert doc["codes"] == [0, 0, 0, 0]
     assert doc["argparse"]
 
 
